@@ -10,6 +10,7 @@ from .classify import MTRequest, classify, maximality_criterion
 from .curves import EllipticCurve
 from .cusps import boundary_space_matrix, cusp_classes
 from .elements import (
+    MazurTateTower,
     check_norm_compatibility,
     check_norm_relation,
     mazur_tate,
@@ -35,6 +36,7 @@ __all__ = [
     "EllipticCurve",
     "boundary_space_matrix",
     "cusp_classes",
+    "MazurTateTower",
     "check_norm_compatibility",
     "check_norm_relation",
     "mazur_tate",

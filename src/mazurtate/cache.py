@@ -1,18 +1,22 @@
 """On-disk caches: relation quotients keyed by level, eigensymbols by curve.
 
+Eigensymbol files are keyed by a sha256 of the curve's content (a1..a6, N),
+never by its label, and the stored coefficients are checked on read.
 Everything is JSON with exact integers/rationals as decimal strings, guarded
 by a sha256 checksum over the canonical payload; a corrupted or stale file is
-detected and silently rebuilt.
+detected and silently rebuilt.  load_symbol is the one way the commands get
+their normalized symbol.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-from .hecke import eigensymbol
+from .hecke import eigensymbol, normalize
 from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
@@ -32,9 +36,14 @@ def _write(path: Path, payload: dict):
     payload = dict(payload)
     payload["checksum"] = _checksum({k: v for k, v in payload.items() if k != "checksum"})
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read(path: Path) -> dict | None:
@@ -83,18 +92,26 @@ def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
 
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:
     cache_dir = cache_dir or default_cache_dir()
-    key = curve.label or f"a{curve.a1}.{curve.a2}.{curve.a3}.{curve.a4}.{curve.a6}"
     if cache_dir is None:
         return eigensymbol(space, curve)
+    coeffs = [curve.a1, curve.a2, curve.a3, curve.a4, curve.a6]
+    key = hashlib.sha256(json.dumps(coeffs + [curve.conductor]).encode()).hexdigest()
     path = Path(cache_dir) / f"eigsym_N{space.N}_{key}_plus.json"
     payload = _read(path)
-    if payload is not None and payload.get("N") == space.N and payload.get("label") == key:
+    if (payload is not None and payload.get("kind") == "eigensymbol" and payload.get("N") == space.N
+            and payload.get("coeffs") == coeffs and len(payload.get("coords", ())) == space.dimension):
         coords = [Fraction(x) for x in payload["coords"]]
         return ModularSymbol(space, coords, sign="+")
     sym = eigensymbol(space, curve)
-    _write(path, {"kind": "eigensymbol", "N": space.N, "label": key, "sign": "+",
+    _write(path, {"kind": "eigensymbol", "N": space.N, "coeffs": coeffs, "sign": "+",
                   "coords": [str(c) for c in sym.coords]})
     return sym
+
+
+def load_symbol(curve, mode: str = "cohomological", cache_dir: Path | None = None):
+    """(normalized plus-eigensymbol, NormalizationData) of the curve, through the cache."""
+    space = load_space(curve.conductor, cache_dir)
+    return normalize(load_eigensymbol(space, curve, cache_dir), curve, mode)
 
 
 def verify_cache_dir(cache_dir: Path) -> dict:

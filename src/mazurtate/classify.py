@@ -11,20 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 from .boundary import BoundaryCongruenceResult, boundary_congruence
+from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import (
-    check_norm_relation,
-    check_theta0_identity,
-    mazur_tate,
-    stabilized_mazur_tate,
-    working_precision,
-)
+from .elements import MazurTateTower, working_precision
 from .errors import NotGoodOrdinary, PrecisionInsufficient
-from .hecke import eigensymbol, normalize
-from .modsym import cached_space
+from .hecke import NormalizationData
 from .padics import unit_root, valuation
+from .primes import primes
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -40,6 +37,7 @@ class MTRequest:
     n_max: int = 2
     mode: str = "neron"  # "neron" | "cohomological"
     precision: int | None = None
+    cache_dir: Path | None = None  # falls back to $MT_CACHE_DIR, as in cache.load_space
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -56,6 +54,25 @@ class LevelRow:
     lam: int
     is_maximal: bool   # lam == p^n - 1
     integral: bool     # mu >= 0 in the operative normalization
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "mu_coh": self.mu_coh, "mu": self.mu, "lambda": self.lam,
+                "is_maximal": self.is_maximal, "integral": self.integral}
+
+
+def normalization_shift(norm_data: NormalizationData, p: int) -> int:
+    """ord_p of the Neron scalar; mu-invariants move by this much (0 in cohomological mode)."""
+    return int(valuation(norm_data.scalar, p)) if norm_data.mode == "neron" else 0
+
+
+def level_rows(tower: MazurTateTower, shift: int) -> list:
+    """Per-level invariants of theta_0 .. theta_{n_max}, mu also in the operative normalization."""
+    rows = []
+    for n, theta in enumerate(tower.thetas):
+        inv = theta.iwasawa_invariants()
+        mu_op = inv.mu + shift
+        rows.append(LevelRow(n, inv.mu, mu_op, inv.lam, inv.lam == tower.p**n - 1, mu_op >= 0))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -98,17 +115,7 @@ class DichotomyReport:
             "normalization_shift": self.normalization_shift,
             "norm_relation_verified": self.norm_relation_verified,
             "theta0_identity_verified": self.theta0_identity_verified,
-            "per_level": [
-                {
-                    "n": r.n,
-                    "mu_coh": r.mu_coh,
-                    "mu": r.mu,
-                    "lambda": r.lam,
-                    "is_maximal": r.is_maximal,
-                    "integral": r.integral,
-                }
-                for r in self.per_level
-            ],
+            "per_level": [r.to_dict() for r in self.per_level],
             "stabilized": [
                 {"n": r.n, "mu": r.mu, "lambda": r.lam, "settled": r.settled} for r in self.stabilized
             ],
@@ -144,14 +151,11 @@ def classify(request: MTRequest) -> DichotomyReport:
     """Run the full pipeline and classify into the finite-level dichotomy."""
     curve, p, n_max = request.curve, request.p, request.n_max
     _require_good_ordinary(curve, p)
-    space = cached_space(curve.conductor)
-    sym = eigensymbol(space, curve)
-    sym, norm_data = normalize(sym, curve, request.mode)
+    sym, norm_data = load_symbol(curve, request.mode, request.cache_dir)
 
-    shift = 0
+    shift = normalization_shift(norm_data, p)
     lratio_val = None
     if request.mode == "neron":
-        shift = int(valuation(norm_data.scalar, p))
         lratio_val = int(valuation(curve.lratio, p)) if curve.lratio else 0
 
     report = DichotomyReport(
@@ -164,15 +168,10 @@ def classify(request: MTRequest) -> DichotomyReport:
         normalization_shift=shift,
     )
 
-    elements = [mazur_tate(sym, p, n) for n in range(n_max + 1)]
-    for n, theta in enumerate(elements):
-        inv = theta.iwasawa_invariants()
-        mu_op = inv.mu + shift
-        report.per_level.append(
-            LevelRow(n, inv.mu, mu_op, inv.lam, inv.lam == p**n - 1, mu_op >= 0)
-        )
+    tower = MazurTateTower(sym, p, n_max)
+    report.per_level = level_rows(tower, shift)
 
-    report.theta0_identity_verified = check_theta0_identity(sym, curve, p)
+    report.theta0_identity_verified = tower.theta0_identity(curve)
     if not report.theta0_identity_verified:
         report.diagnostics.append("theta_0 interpolation identity failed")
 
@@ -180,7 +179,7 @@ def classify(request: MTRequest) -> DichotomyReport:
     for _ in range(3):
         try:
             alpha = unit_root(curve.a_ell(p), p, precision)
-            stabilized = [stabilized_mazur_tate(sym, alpha, p, n) for n in range(n_max + 1)]
+            stabilized = [tower.stabilized(alpha, n) for n in range(n_max + 1)]
             rows = []
             for n, s in enumerate(stabilized):
                 inv = s.iwasawa_invariants()
@@ -188,7 +187,7 @@ def classify(request: MTRequest) -> DichotomyReport:
                 rows.append(StabilizedRow(n, inv.mu, inv.lam, settled))
             report.stabilized = rows
             report.norm_relation_verified = all(
-                check_norm_relation(sym, alpha, p, n).passed for n in range(1, n_max + 1)
+                tower.norm_relation(alpha, n).passed for n in range(1, n_max + 1)
             )
             break
         except PrecisionInsufficient:
@@ -215,14 +214,11 @@ def classify(request: MTRequest) -> DichotomyReport:
 
 def _has_rational_p_torsion_signature(curve: EllipticCurve, p: int, ell_limit: int = 50) -> bool:
     """Eisenstein congruence signature a_ell = ell + 1 mod p at good ell."""
-    ell = 2
-    while ell <= ell_limit:
-        if curve.conductor % ell and (curve.a_ell(ell) - ell - 1) % p:
-            return False
-        ell += 1
-        while any(ell % d == 0 for d in range(2, int(ell**0.5) + 1)):
-            ell += 1
-    return True
+    return all(
+        (curve.a_ell(ell) - ell - 1) % p == 0
+        for ell in takewhile(lambda ell: ell <= ell_limit, primes())
+        if curve.conductor % ell
+    )
 
 
 def _apply_verdict(report: DichotomyReport, p: int, n_max: int, mode: str):
@@ -308,8 +304,8 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1, sample_bound: int 
     if t <= m:
         return MaximalityReport(False, t, m, tuple(candidates), None)
     verified = True
-    for n in range(n_max + 1):
-        inv = mazur_tate(sym, p, n).iwasawa_invariants()
+    for n, theta in enumerate(MazurTateTower(sym, p, n_max).thetas):
+        inv = theta.iwasawa_invariants()
         if inv.mu != m or inv.lam != p**n - 1:
             verified = False
     return MaximalityReport(True, t, m, tuple(candidates), verified)

@@ -19,12 +19,11 @@ from pathlib import Path
 
 from . import cache
 from .boundary import boundary_congruence
-from .classify import DichotomyReport, MTRequest, classify
+from .classify import DichotomyReport, MTRequest, classify, level_rows, normalization_shift
 from .curves import EllipticCurve
-from .elements import mazur_tate
+from .elements import MazurTateTower
 from .errors import InputError, MazurTateError
-from .hecke import normalize
-from .padics import is_prime, valuation
+from .primes import is_prime
 from .suites import run_all_suites
 
 CSV_ANALYZE_COLUMNS = [
@@ -157,7 +156,7 @@ def cmd_analyze(args) -> int:
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
-    request = MTRequest(curve, args.p, args.n_max, mode, args.precision)
+    request = MTRequest(curve, args.p, args.n_max, mode, args.precision, args.cache)
     report = classify(request)
     if args.format == "json":
         emit(args, render_json(report.to_dict()))
@@ -172,15 +171,9 @@ def cmd_invariants(args) -> int:
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
-    space = cache.load_space(curve.conductor, args.cache)
-    sym = cache.load_eigensymbol(space, curve, args.cache)
-    sym, norm = normalize(sym, curve, mode)
-    shift = int(valuation(norm.scalar, args.p)) if mode == "neron" else 0
-    per_level = []
-    for n in range(args.n_max + 1):
-        inv = mazur_tate(sym, args.p, n).iwasawa_invariants()
-        per_level.append({"n": n, "mu_coh": inv.mu, "mu": inv.mu + shift, "lambda": inv.lam,
-                          "is_maximal": inv.lam == args.p**n - 1, "integral": inv.mu + shift >= 0})
+    sym, norm = cache.load_symbol(curve, mode, args.cache)
+    shift = normalization_shift(norm, args.p)
+    per_level = [r.to_dict() for r in level_rows(MazurTateTower(sym, args.p, args.n_max), shift)]
     payload = {"label": curve.label, "p": args.p, "mode": mode,
                "normalization_shift": shift, "per_level": per_level}
     if args.format == "json":
@@ -199,9 +192,7 @@ def cmd_invariants(args) -> int:
 def cmd_boundary(args) -> int:
     curve = load_curve(args)
     _check_p(args.p)
-    space = cache.load_space(curve.conductor, args.cache)
-    sym = cache.load_eigensymbol(space, curve, args.cache)
-    sym, _ = normalize(sym, curve, "cohomological")
+    sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     res = boundary_congruence(sym, args.p)
     payload = {
         "label": curve.label,
@@ -234,13 +225,11 @@ def cmd_boundary(args) -> int:
 
 def cmd_eigensymbol(args) -> int:
     curve = load_curve(args)
-    space = cache.load_space(curve.conductor, args.cache)
-    sym = cache.load_eigensymbol(space, curve, args.cache)
-    sym, _ = normalize(sym, curve, "cohomological")
+    sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     payload = {
         "label": curve.label,
-        "level": space.N,
-        "dimension": space.dimension,
+        "level": sym.space.N,
+        "dimension": sym.space.dimension,
         "sign": "+",
         "coords": [str(c) for c in sym.coords],
         "generator_values": [str(v) for v in sym.generator_values()],

@@ -9,11 +9,12 @@ quadratic-residue test on -c6 breaks down).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
-from .padics import is_prime
+from .primes import is_prime
 
 DEFAULT_ELL_BOUND = 100000
 
@@ -43,11 +44,16 @@ class EllipticCurve:
             raise InputError("singular Weierstrass model")
         if self.conductor < 1:
             raise InputError("conductor must be positive")
-        for p in self.bad_primes():
-            if self.conductor % p != 0:
-                raise InputError(
-                    f"prime {p} divides the discriminant but not the stated conductor {self.conductor}"
-                )
+        # strip the conductor's primes from the discriminant; no factoring
+        rest = abs(self.discriminant)
+        g = math.gcd(rest, self.conductor)
+        while g > 1:
+            rest //= g
+            g = math.gcd(rest, self.conductor)
+        if rest != 1:
+            raise InputError(
+                f"the discriminant has a prime factor that does not divide the stated conductor {self.conductor}"
+            )
 
     # -- classical b/c quantities --
 
@@ -84,21 +90,6 @@ class EllipticCurve:
     @property
     def discriminant(self):
         return -self.b2 * self.b2 * self.b8 - 8 * self.b4**3 - 27 * self.b6 * self.b6 + 9 * self.b2 * self.b4 * self.b6
-
-    def bad_primes(self):
-        # primes dividing the discriminant (= bad reduction for a minimal model)
-        n = abs(self.discriminant)
-        out = []
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            out.append(n)
-        return out
 
     # -- point counts and eigenvalues --
 

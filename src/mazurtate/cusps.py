@@ -69,10 +69,6 @@ class CuspClassTable:
     def class_of_infinity(self) -> int:
         return self.classify((1, 0))
 
-    def class_of_zero(self) -> int:
-        return self.classify((0, 1))
-
-
 def cusp_classes(N: int) -> CuspClassTable:
     return CuspClassTable(N)
 

@@ -3,8 +3,10 @@
 The raw element of level n collects the values phi({inf}-{a/p^n}) over units
 a into the group ring of (Z/p^n)^x; the level-n element proper is its image
 in the ring of the degree-p^n layer, indexed by powers of gamma through the
-one-unit discrete logarithm.  Stabilized elements carry precision-tracked
-p-adic coefficients derived from the unit root alpha.
+one-unit discrete logarithm.  One MazurTateTower per (symbol, p) holds every
+level up to n_max; the module-level functions are thin calls into it.
+Stabilized elements carry precision-tracked p-adic coefficients derived from
+the unit root alpha.
 """
 from __future__ import annotations
 
@@ -32,14 +34,6 @@ class RawMazurTateElement:
     def coefficient_sum(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
-    def project_to_layer(self, generator_unit: int = 0) -> GroupRingElement:
-        """Image in the group ring of the degree-p^{n-1} layer."""
-        level = GroupLevel(self.p, self.n - 1, generator_unit)
-        coeffs = [Fraction(0)] * level.order
-        for a, v in self.values.items():
-            coeffs[level.exponent_of(a)] += v
-        return GroupRingElement(level, coeffs)
-
 
 def raw_mazur_tate(sym, p: int, n: int) -> RawMazurTateElement:
     """Level-n raw element (n >= 1); sym only needs value_infinity_minus."""
@@ -50,55 +44,88 @@ def raw_mazur_tate(sym, p: int, n: int) -> RawMazurTateElement:
     return RawMazurTateElement(p, n, values)
 
 
+class MazurTateTower:
+    """theta_0 .. theta_{n_max} of one symbol at p, each cusp evaluated once.
+
+    The levels are walked upward with raw_mazur_tate, keeping at most two
+    consecutive levels of raw values alive.  Beside theta_n, each layer keeps
+    the exact divisor-level sums of phi|[[p,0],[0,1]], the direct route of the
+    norm relation: phi|[[p,0],[0,1]] at a/p^(n+1) is phi({inf}-{a/p^n}), which
+    equals the level-n value at (a mod p^n)/p^n because z -> z+1 lies in
+    Gamma_0(N) and fixes infinity.  Only exact rationals are stored, so the
+    stabilized elements can be rebuilt at any precision.  sym only needs
+    value_infinity_minus.
+    """
+
+    def __init__(self, sym, p: int, n_max: int, generator_unit: int = 0):
+        if n_max < 0:
+            raise ValueError("levels start at 0")
+        self.p = p
+        self.phi0 = sym.value_infinity_minus(0)
+        self.thetas = []  # theta_n, exact
+        self.scaled = []  # per layer, the sums of phi|[[p,0],[0,1]], exact
+        below = None
+        for n in range(n_max + 1):
+            top = raw_mazur_tate(sym, p, n + 1).values
+            level = GroupLevel(p, n, generator_unit)
+            theta = [Fraction(0)] * level.order
+            scaled = [Fraction(0)] * level.order
+            q = p**n
+            for a, v in top.items():
+                k = level.exponent_of(a)
+                theta[k] += v
+                scaled[k] += below[a % q] if n else self.phi0
+            self.thetas.append(GroupRingElement(level, theta))
+            self.scaled.append(GroupRingElement(level, scaled))
+            below = top
+
+    def stabilized(self, alpha: PAdic, n: int) -> GroupRingElement:
+        """theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)) for n >= 1.
+
+        At n = 0 there is no level below, and the divisor-level sums serve.
+        """
+        if n == 0:
+            return self.stabilized_direct(alpha, 0)
+        precision = alpha.precision
+        plain = self.thetas[n].to_padic(precision)
+        lifted = self.thetas[n - 1].corestriction().to_padic(precision)
+        return plain - lifted.scale(alpha.inverse())
+
+    def stabilized_direct(self, alpha: PAdic, n: int) -> GroupRingElement:
+        """theta_n(phi^alpha) from the stabilized values phi - alpha^{-1} phi|[[p,0],[0,1]]."""
+        p, precision = self.p, alpha.precision
+        inv_alpha = alpha.inverse()
+        coeffs = [
+            PAdic.from_rational(x, p, precision) - inv_alpha * PAdic.from_rational(y, p, precision)
+            for x, y in zip(self.thetas[n].coeffs, self.scaled[n].coeffs)
+        ]
+        return GroupRingElement(self.thetas[n].level, coeffs)
+
+    def norm_relation(self, alpha: PAdic, n: int) -> ResidualReport:
+        """The two routes to theta_n(phi^alpha), compared to working precision."""
+        if n < 1:
+            raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
+        return _compare(self.stabilized_direct(alpha, n), self.stabilized(alpha, n), n)
+
+    def theta0_identity(self, curve) -> bool:
+        """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
+        expected = Fraction(theta0_interpolation_factor(curve, self.p)) * self.phi0
+        return self.thetas[0].coeffs == (expected,)
+
+
 def mazur_tate(sym, p: int, n: int, generator_unit: int = 0) -> GroupRingElement:
     """Level-n Mazur-Tate element (n >= 0) on the degree-p^n layer."""
-    return raw_mazur_tate(sym, p, n + 1).project_to_layer(generator_unit)
+    return MazurTateTower(sym, p, n, generator_unit).thetas[n]
 
 
 def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:
-    """theta_n of the p-stabilized symbol, via the corestriction identity.
-
-    For n >= 1 this is theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)); at
-    n = 0 the scaled-divisor evaluator is applied directly.
-    """
-    precision = alpha.precision
-    inv_alpha = alpha.inverse()
-    if n == 0:
-        scaled = sym.scaled(p)
-        s_new = Fraction(0)
-        s_old = Fraction(0)
-        for a in range(1, p):
-            s_new += sym.value_infinity_minus(Fraction(a, p))
-            s_old += scaled.value_infinity_minus(Fraction(a, p))
-        coeff = PAdic.from_rational(s_new, p, precision) - inv_alpha * PAdic.from_rational(s_old, p, precision)
-        return GroupRingElement(GroupLevel(p, 0), [coeff])
-    plain = mazur_tate(sym, p, n).to_padic(precision)
-    lifted = mazur_tate(sym, p, n - 1).corestriction().to_padic(precision)
-    return plain - lifted.scale(inv_alpha)
+    """theta_n of the p-stabilized symbol, via the corestriction identity."""
+    return MazurTateTower(sym, p, n).stabilized(alpha, n)
 
 
 def stabilized_mazur_tate_direct(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:
-    """Same element, recomputed from stabilized values divisor by divisor."""
-    precision = alpha.precision
-    inv_alpha = alpha.inverse()
-    if n == 0:
-        return stabilized_mazur_tate(sym, alpha, p, n)
-    level = GroupLevel(p, n)
-    scaled = sym.scaled(p)
-    q = p ** (n + 1)
-    s_new = [Fraction(0)] * level.order
-    s_old = [Fraction(0)] * level.order
-    for a in range(1, q):
-        if a % p == 0:
-            continue
-        k = level.exponent_of(a)
-        s_new[k] += sym.value_infinity_minus(Fraction(a, q))
-        s_old[k] += scaled.value_infinity_minus(Fraction(a, q))
-    coeffs = [
-        PAdic.from_rational(x, p, precision) - inv_alpha * PAdic.from_rational(y, p, precision)
-        for x, y in zip(s_new, s_old)
-    ]
-    return GroupRingElement(level, coeffs)
+    """Same element, from the stabilized values divisor by divisor."""
+    return MazurTateTower(sym, p, n).stabilized_direct(alpha, n)
 
 
 @dataclass(frozen=True)
@@ -122,17 +149,11 @@ def _compare(a: GroupRingElement, b: GroupRingElement, n: int) -> ResidualReport
 
 
 def check_norm_relation(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
-    """Recompute theta_n(phi^alpha) along both routes and compare exactly.
-
-    Left: divisor-level stabilized evaluation.  Right: group-ring combination
-    theta_n - alpha^{-1} cor(theta_{n-1}).  The difference must vanish to
-    working precision.
-    """
+    """theta_n(phi^alpha) along both routes, compared exactly: the divisor-level
+    stabilized sums against theta_n - alpha^{-1} cor(theta_{n-1})."""
     if n < 1:
         raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
-    left = stabilized_mazur_tate_direct(sym, alpha, p, n)
-    right = stabilized_mazur_tate(sym, alpha, p, n)
-    return _compare(left, right, n)
+    return MazurTateTower(sym, p, n).norm_relation(alpha, n)
 
 
 def check_norm_compatibility(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
@@ -141,8 +162,9 @@ def check_norm_compatibility(sym, alpha: PAdic, p: int, n: int) -> ResidualRepor
     Holds exactly (to precision) precisely when alpha is the unit root and
     sym is the matching eigensymbol; fails loudly for a corrupted alpha.
     """
-    upper = stabilized_mazur_tate(sym, alpha, p, n + 1).project()
-    lower = stabilized_mazur_tate(sym, alpha, p, n).scale(alpha)
+    tower = MazurTateTower(sym, p, n + 1)
+    upper = tower.stabilized(alpha, n + 1).project()
+    lower = tower.stabilized(alpha, n).scale(alpha)
     return _compare(upper, lower, n)
 
 
@@ -153,10 +175,11 @@ def interpolation_at_trivial_character(sym, alpha: PAdic, p: int) -> ResidualRep
     the bottom layer satisfies
         alpha^{-1} * aug(theta_0(phi^alpha)) = (1 - 1/alpha)^2 * phi({inf}-{0}).
     """
-    aug = stabilized_mazur_tate(sym, alpha, p, 0).augmentation()
+    tower = MazurTateTower(sym, p, 0)
+    aug = tower.stabilized(alpha, 0).augmentation()
     inv_alpha = alpha.inverse()
     one = PAdic.from_rational(1, p, alpha.precision)
-    phi0 = PAdic.from_rational(sym.value_infinity_minus(0), p, alpha.precision)
+    phi0 = PAdic.from_rational(tower.phi0, p, alpha.precision)
     expected = (one - inv_alpha) * (one - inv_alpha) * phi0
     diff = inv_alpha * aug - expected
     return ResidualReport(0, diff.is_zero_to_precision, (diff.valuation_lower_bound(),))
@@ -174,6 +197,4 @@ def theta0_interpolation_factor(curve, p: int) -> int:
 
 def check_theta0_identity(sym, curve, p: int) -> bool:
     """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
-    theta0 = mazur_tate(sym, p, 0)
-    expected = Fraction(theta0_interpolation_factor(curve, p)) * sym.value_infinity_minus(0)
-    return theta0.coeffs == (expected,)
+    return MazurTateTower(sym, p, 0).theta0_identity(curve)

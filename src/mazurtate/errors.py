@@ -54,8 +54,3 @@ class InconsistentEigenvalues(MazurTateError):
 class PrecisionInsufficient(MazurTateError):
     code = "precision_insufficient"
     exit_code = 4
-
-
-class CacheCorrupted(MazurTateError):
-    code = "cache_corrupted"
-    exit_code = 1

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
-from .padics import PAdic, is_prime, valuation
+from .padics import PAdic, valuation
+from .primes import is_prime
 
 
 @lru_cache(maxsize=64)

@@ -16,6 +16,7 @@ from .curves import EllipticCurve
 from .errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
 from .linalg import column_stack, mat_mul, nullspace
 from .modsym import ManinSymbolSpace, ModularSymbol, psi_index
+from .primes import primes
 
 
 def merel_matrices(n: int):
@@ -58,16 +59,6 @@ def sturm_bound(space: ManinSymbolSpace) -> int:
     return -(-psi_index(space.N) // 6)
 
 
-def _good_primes(N: int):
-    ell = 2
-    while True:
-        if N % ell != 0:
-            yield ell
-        ell += 1
-        while any(ell % d == 0 for d in range(2, int(math.isqrt(ell)) + 1)):
-            ell += 1
-
-
 def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
     """The plus-eigensymbol of the curve, cohomologically normalized.
 
@@ -85,7 +76,7 @@ def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
     if not K:
         raise InconsistentEigenvalues("plus-subspace is trivial")
     bound = sturm_bound(space)
-    for ell in _good_primes(space.N):
+    for ell in (ell for ell in primes() if space.N % ell):
         if ell > bound:
             raise EigenspaceNotOneDimensional(
                 f"eigenspace still {len(K)}-dimensional past the Sturm bound {bound}"

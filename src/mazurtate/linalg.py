@@ -165,20 +165,3 @@ def solve_mod_p(matrix, rhs, p):
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
     return x, None
-
-
-def nullspace_mod_p(matrix, p, ncols=None):
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    red, pivots, _ = rref_mod_p(matrix, p)
-    pivot_set = set(pivots)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivot_set):
-        v = [0] * ncols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red[r][f]) % p
-        basis.append(v)
-    return basis

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import LevelTooLarge
 from .linalg import mat_vec
+from .primes import prime_factors
 
 INFINITY = math.inf
 
@@ -115,34 +115,17 @@ def lift_to_sl2z(c: int, d: int, N: int):
 # --- standard index, elliptic point and cusp counting for X_0(N) ---
 
 
-def _prime_factors(N: int):
-    out = []
-    n = N
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def psi_index(N: int) -> int:
     """Index of Gamma_0(N) in SL_2(Z)."""
     out = N
-    for p, _ in _prime_factors(N):
+    for p, _ in prime_factors(N):
         out = out // p * (p + 1)
     return out
 
 
 def _euler_phi(n: int) -> int:
     out = n
-    for p, _ in _prime_factors(n):
+    for p, _ in prime_factors(n):
         out = out // p * (p - 1)
     return out
 
@@ -165,7 +148,7 @@ def elliptic_point_counts(N: int):
         nu2 = 0
     else:
         nu2 = 1
-        for p, _ in _prime_factors(N):
+        for p, _ in prime_factors(N):
             if p == 2:
                 continue
             nu2 *= 1 + (1 if p % 4 == 1 else -1)
@@ -173,7 +156,7 @@ def elliptic_point_counts(N: int):
         nu3 = 0
     else:
         nu3 = 1
-        for p, _ in _prime_factors(N):
+        for p, _ in prime_factors(N):
             if p == 3:
                 continue
             nu3 *= 1 + (1 if p % 3 == 1 else -1)
@@ -325,6 +308,8 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     """
     if N < 1:
         raise ValueError("level must be positive")
+    if N > max_index:  # psi(N) >= N; checked first so a huge N is never factored
+        raise LevelTooLarge(f"level {N} exceeds the index bound {max_index}")
     if psi_index(N) > max_index:
         raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {max_index}")
     p1 = P1List(N)
@@ -437,11 +422,6 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     return ManinSymbolSpace(N, p1, free, expressions, sigma, tau)
 
 
-@lru_cache(maxsize=32)
-def cached_space(N: int) -> ManinSymbolSpace:
-    return build_space(N)
-
-
 class ModularSymbol:
     """Rational modular symbol stored as coordinates over the quotient basis."""
 
@@ -487,9 +467,6 @@ class ModularSymbol:
                 vals.append(sum(expr[t] * coords[t] for t in nz) if nz else Fraction(0))
             self._generator_values = tuple(vals)
         return self._generator_values
-
-    def value_on_generator(self, i: int) -> Fraction:
-        return self.generator_values()[i]
 
     def value_infinity_minus(self, r) -> Fraction:
         """phi({inf} - {r}) by the Manin trick."""

@@ -10,23 +10,9 @@ import math
 from fractions import Fraction
 
 from .errors import NotOrdinary, PrecisionInsufficient
+from .primes import is_prime
 
 INFINITY = math.inf
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def int_valuation(n: int, p: int):
@@ -90,9 +76,6 @@ class PAdic:
 
     def valuation_lower_bound(self) -> int:
         return self.precision if self.residue == 0 else int_valuation(self.residue, self.p)
-
-    def unit_part(self) -> int:
-        return self.residue // self.p ** self.valuation()
 
     def _coerce(self, other) -> "PAdic":
         if isinstance(other, PAdic):

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from mazurtate import cache
+from mazurtate.cli import main
+from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import build_space
 
 from .conftest import make_curve
@@ -51,3 +55,49 @@ def test_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
     cache.load_space(11)
     assert (tmp_path / "space_N11.json").exists()
+
+
+def test_eigensymbol_cache_is_keyed_by_curve_not_label(tmp_path):
+    # 26a1's coefficients under 26b1's label must not be served 26b1's symbol
+    assert main(["eigensymbol", "--curve", "26b1", "--cache", str(tmp_path), "--format", "json"]) == 0
+    code = main(["eigensymbol", "--coeffs", "1,0,1,-5,-8", "--conductor", "26", "--label", "26b1",
+                 "--cache", str(tmp_path), "--format", "json", "--output", str(tmp_path / "out.json")])
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["coords"] == ["-2", "-3", "-3", "3", "0", "6", "2"]
+    assert len(list(tmp_path.glob("eigsym_N26_*_plus.json"))) == 2
+
+
+def test_label_does_not_reach_the_file_system(tmp_path):
+    cache_dir = tmp_path / "cache"
+    code = main(["eigensymbol", "--coeffs", "1,0,1,-5,-8", "--conductor", "26", "--label", "../escape",
+                 "--cache", str(cache_dir), "--format", "json", "--output", str(tmp_path / "out.json")])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "out.json"]
+    assert all(p.is_file() for p in cache_dir.iterdir())
+    assert len(list(cache_dir.glob("eigsym_N26_*_plus.json"))) == 1
+
+
+def test_stored_coefficients_are_checked_on_read(tmp_path):
+    space = cache.load_space(11, tmp_path)
+    curve = make_curve("11a")
+    cache.load_eigensymbol(space, curve, tmp_path)
+    (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
+    payload = json.loads(path.read_text())
+    payload.pop("checksum")
+    payload["coeffs"] = [0, 0, 0, 0, 0]
+    payload["coords"] = ["7"] * space.dimension
+    cache._write(path, payload)  # checksum-clean, but for another curve
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+
+
+def test_directory_at_old_temp_name_does_not_block_writes(tmp_path):
+    (tmp_path / "space_N11.tmp").mkdir()
+    space = cache.load_space(11, tmp_path)
+    assert cache._read(tmp_path / "space_N11.json") is not None
+    assert space.dimension == build_space(11).dimension
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        cache._write(tmp_path / "space_N11.json", {"kind": object()})
+    assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ import pytest
 
 from mazurtate.classify import MTRequest, classify, maximality_criterion
 from mazurtate.errors import NotGoodOrdinary
+from mazurtate.modsym import ModularSymbol, as_cusp
 
 from .conftest import make_curve
 
@@ -123,3 +124,19 @@ def test_mtrequest_validation():
         MTRequest(make_curve("11a"), 5, -1)
     with pytest.raises(ValueError):
         MTRequest(make_curve("11a"), 5, 1, mode="bogus")
+
+
+def test_classify_evaluates_each_cusp_once(monkeypatch):
+    # every cusp a/p^k of the tower is evaluated once; only {inf}-{0} repeats,
+    # in the normalization (content-one rescaling and the Neron scalar)
+    original = ModularSymbol.value_infinity_minus
+    calls = []
+
+    def counted(sym, r):
+        calls.append((sym.coords, as_cusp(r)))
+        return original(sym, r)
+
+    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
+    assert report.norm_relation_verified and report.theta0_identity_verified
+    assert len(calls) <= len(set(calls)) + 2

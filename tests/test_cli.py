@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -143,3 +144,29 @@ def test_output_to_file(tmp_path, capsys):
                  "--format", "json", "--output", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["per_level"][1]["lambda"] == 4
+
+
+def test_analyze_goes_through_the_cache(tmp_path, capsys):
+    argv = ["analyze", "--curve", "26b1", "--p", "7", "--n-max", "2", "--format", "json"]
+    uncached = run_cli(capsys, *argv)
+    cold = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert (tmp_path / "space_N26.json").is_file()
+    assert len(list(tmp_path.glob("eigsym_N26_*_plus.json"))) == 1
+    warm = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert cold == uncached and warm == uncached
+
+
+def test_invariants_rows_match_analyze(capsys):
+    common = ["--curve", "26b1", "--p", "7", "--n-max", "3", "--format", "json"]
+    _, out_a, _ = run_cli(capsys, "analyze", *common)
+    _, out_i, _ = run_cli(capsys, "invariants", *common)
+    assert json.loads(out_i)["per_level"] == json.loads(out_a)["per_level"]
+
+
+def test_huge_conductor_ends_with_coded_error(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "eigensymbol", "--coeffs", "0,-1,1,-10,-20",
+                           "--conductor", "11000000000000000000033")
+    assert code == 3
+    assert json.loads(err)["error"] == "level_too_large"
+    assert time.perf_counter() - start < 10

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mazurtate.curves import EllipticCurve
@@ -84,6 +86,19 @@ def test_input_validation():
         EllipticCurve(0, 0, 0, 0, 0, conductor=11)  # singular
     with pytest.raises(InputError):
         EllipticCurve(0, -1, 1, -10, -20, conductor=7)  # 11 | disc but not 7
+
+
+def test_validation_does_not_factor_the_discriminant():
+    # the discriminant has a 13-digit prime factor; stripping gcds with the
+    # conductor decides without factoring
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        EllipticCurve(0, 0, 0, -1, 10**12 + 39, conductor=1)
+    assert time.perf_counter() - start < 1
+    curve = make_curve("174b1")
+    assert EllipticCurve(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6, conductor=174).conductor == 174
+    with pytest.raises(InputError):
+        EllipticCurve(curve.a1, curve.a2, curve.a3, curve.a4, curve.a6, conductor=58)  # 3 | disc
 
 
 def test_json_roundtrip(tmp_path):

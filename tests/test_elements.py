@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mazurtate.elements import (
+    MazurTateTower,
     check_norm_compatibility,
     check_norm_relation,
     check_theta0_identity,
@@ -15,6 +16,7 @@ from mazurtate.elements import (
     theta0_interpolation_factor,
     working_precision,
 )
+from mazurtate.groupring import GroupLevel
 from mazurtate.padics import PAdic, unit_root
 
 
@@ -154,3 +156,33 @@ def test_raw_levels_require_n_at_least_one(eigensymbols):
         raw_mazur_tate(eigensymbols["11a"], 5, 0)
     with pytest.raises(ValueError):
         check_norm_relation(eigensymbols["11a"], PAdic(5, 1, 5), 5, 0)
+
+
+def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
+    # the tower reads phi|[[p,0],[0,1]] at a/p^(n+1) off the level below;
+    # compare with evaluating the scaled symbol at every divisor
+    sym, p = eigensymbols["26b1"], 5
+    tower = MazurTateTower(sym, p, 2)
+    scaled = sym.scaled(p)
+    for n in range(3):
+        level = GroupLevel(p, n)
+        sums = [Fraction(0)] * level.order
+        for a in range(1, p ** (n + 1)):
+            if a % p:
+                sums[level.exponent_of(a)] += scaled.value_infinity_minus(Fraction(a, p ** (n + 1)))
+        assert tower.scaled[n].coeffs == tuple(sums)
+        assert tower.thetas[n] == mazur_tate(sym, p, n)
+
+
+def test_tower_serves_every_route_at_any_precision(eigensymbols):
+    # one tower, rebuilt at two precisions, as classify does on a retry
+    tower = MazurTateTower(eigensymbols["11a"], 5, 3)
+    low, high = unit_root(1, 5, 4), unit_root(1, 5, 30)
+    for n in range(4):
+        coarse, fine = tower.stabilized(low, n), tower.stabilized(high, n)
+        assert {c.precision for c in coarse.coeffs} == {4}
+        assert {c.precision for c in fine.coeffs} == {30}
+        assert coarse == fine  # equal modulo 5^4
+    assert all(tower.norm_relation(alpha, n).passed for alpha in (low, high) for n in range(1, 4))
+    with pytest.raises(ValueError):
+        MazurTateTower(eigensymbols["11a"], 5, -1)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,13 @@ def test_n26_cusp_count_is_4():
 def test_level_too_large():
     with pytest.raises(LevelTooLarge):
         build_space(5000, max_index=100)
+
+
+def test_huge_level_is_refused_before_factoring():
+    start = time.perf_counter()
+    with pytest.raises(LevelTooLarge):
+        build_space(11000000000000000000033)
+    assert time.perf_counter() - start < 1
 
 
 def test_relations_hold_identically_on_expressions():
