@@ -59,6 +59,22 @@ class BoundaryCongruenceResult:
     boundary_rank: int
     class_representatives: tuple
 
+    def to_dict(self) -> dict:
+        d = {
+            "p": self.p,
+            "solvable": self.solvable,
+            "boundary_rank": self.boundary_rank,
+            "cusp_classes": [f"{a}/{c}" for a, c in self.class_representatives],
+        }
+        if self.witness is not None:
+            d["witness"] = list(self.witness.values)
+        if self.certificate is not None:
+            d["refutation"] = {
+                "combination": [[i, c] for i, c in self.certificate.combination],
+                "inconsistent_value": self.certificate.inconsistent_value,
+            }
+        return d
+
 
 def boundary_congruence(sym, p: int) -> BoundaryCongruenceResult:
     """Witness psi with phi = psi-induced boundary symbol mod p, or a refutation.

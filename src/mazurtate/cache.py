@@ -21,6 +21,10 @@ from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
 
+# Spaces are stored as sparse (coordinate, value) pairs; files of any other
+# kind, such as the older dense "manin_space" rows, are rebuilt on read.
+SPACE_KIND = "manin_space_sparse"
+
 
 def default_cache_dir() -> Path | None:
     env = os.environ.get(ENV_CACHE_DIR)
@@ -60,10 +64,10 @@ def _read(path: Path) -> dict | None:
 
 def space_payload(space: ManinSymbolSpace) -> dict:
     return {
-        "kind": "manin_space",
+        "kind": SPACE_KIND,
         "N": space.N,
         "basis": list(space.basis),
-        "expressions": [[str(x) for x in e] for e in space.expressions],
+        "expressions": [[[t, str(c)] for t, c in e] for e in space.expressions],
         "sigma": list(space.sigma),
         "tau": list(space.tau),
     }
@@ -72,7 +76,7 @@ def space_payload(space: ManinSymbolSpace) -> dict:
 def space_from_payload(payload: dict) -> ManinSymbolSpace:
     N = payload["N"]
     p1 = P1List(N)
-    expressions = [tuple(Fraction(x) for x in row) for row in payload["expressions"]]
+    expressions = [tuple((t, Fraction(c)) for t, c in e) for e in payload["expressions"]]
     return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
 
 
@@ -83,7 +87,7 @@ def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
         return build_space(N)
     path = Path(cache_dir) / f"space_N{N}.json"
     payload = _read(path)
-    if payload is not None and payload.get("N") == N and payload.get("kind") == "manin_space":
+    if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
         return space_from_payload(payload)
     space = build_space(N)
     _write(path, space_payload(space))

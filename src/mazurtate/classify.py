@@ -123,20 +123,7 @@ class DichotomyReport:
             "commentary": self.commentary,
         }
         if self.boundary is not None:
-            b = {
-                "p": self.boundary.p,
-                "solvable": self.boundary.solvable,
-                "boundary_rank": self.boundary.boundary_rank,
-                "cusp_classes": [f"{a}/{c}" for a, c in self.boundary.class_representatives],
-            }
-            if self.boundary.witness is not None:
-                b["witness"] = list(self.boundary.witness.values)
-            if self.boundary.certificate is not None:
-                b["refutation"] = {
-                    "combination": [[i, c] for i, c in self.boundary.certificate.combination],
-                    "inconsistent_value": self.boundary.certificate.inconsistent_value,
-                }
-            d["boundary"] = b
+            d["boundary"] = self.boundary.to_dict()
         return d
 
 

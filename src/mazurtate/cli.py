@@ -20,9 +20,9 @@ from pathlib import Path
 from . import cache
 from .boundary import boundary_congruence
 from .classify import DichotomyReport, MTRequest, classify, level_rows, normalization_shift
-from .curves import EllipticCurve
+from .curves import DEFAULT_ELL_BOUND, EllipticCurve
 from .elements import MazurTateTower
-from .errors import InputError, MazurTateError
+from .errors import BoundExceeded, InputError, MazurTateError
 from .primes import is_prime
 from .suites import run_all_suites
 
@@ -77,6 +77,8 @@ def resolve_mode(args, curve) -> str:
 
 
 def _check_p(p: int):
+    if p > DEFAULT_ELL_BOUND:  # before is_prime, which trial-divides up to sqrt(p)
+        raise BoundExceeded(f"--p {p} exceeds the point-counting bound {DEFAULT_ELL_BOUND}")
     if p == 2 or not is_prime(p):
         raise InputError(f"--p must be an odd prime, got {p}")
 
@@ -194,20 +196,7 @@ def cmd_boundary(args) -> int:
     _check_p(args.p)
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     res = boundary_congruence(sym, args.p)
-    payload = {
-        "label": curve.label,
-        "p": args.p,
-        "solvable": res.solvable,
-        "boundary_rank": res.boundary_rank,
-        "cusp_classes": [f"{a}/{c}" for a, c in res.class_representatives],
-    }
-    if res.witness is not None:
-        payload["witness"] = list(res.witness.values)
-    if res.certificate is not None:
-        payload["refutation"] = {
-            "combination": [[i, c] for i, c in res.certificate.combination],
-            "inconsistent_value": res.certificate.inconsistent_value,
-        }
+    payload = {"label": curve.label, **res.to_dict()}
     if args.format == "json":
         emit(args, render_json(payload))
     else:

@@ -57,7 +57,7 @@ class MazurTateTower:
     value_infinity_minus.
     """
 
-    def __init__(self, sym, p: int, n_max: int, generator_unit: int = 0):
+    def __init__(self, sym, p: int, n_max: int):
         if n_max < 0:
             raise ValueError("levels start at 0")
         self.p = p
@@ -67,7 +67,7 @@ class MazurTateTower:
         below = None
         for n in range(n_max + 1):
             top = raw_mazur_tate(sym, p, n + 1).values
-            level = GroupLevel(p, n, generator_unit)
+            level = GroupLevel(p, n)
             theta = [Fraction(0)] * level.order
             scaled = [Fraction(0)] * level.order
             q = p**n
@@ -113,9 +113,9 @@ class MazurTateTower:
         return self.thetas[0].coeffs == (expected,)
 
 
-def mazur_tate(sym, p: int, n: int, generator_unit: int = 0) -> GroupRingElement:
+def mazur_tate(sym, p: int, n: int) -> GroupRingElement:
     """Level-n Mazur-Tate element (n >= 0) on the degree-p^n layer."""
-    return MazurTateTower(sym, p, n, generator_unit).thetas[n]
+    return MazurTateTower(sym, p, n).thetas[n]
 
 
 def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:

@@ -39,19 +39,12 @@ def hecke_matrix(space: ManinSymbolSpace, ell: int):
     """Matrix of T_ell on basis coordinates (ell must not divide the level)."""
     if space.N % ell == 0:
         raise ValueError(f"T_{ell} via Merel matrices requires ell coprime to the level")
-    N = space.N
     index = space.p1.index
-    dim = space.dimension
     rows = []
     for b in space.basis:
         c, d = space.p1[b]
-        acc = [Fraction(0)] * dim
-        for p, q, r, s in merel_matrices(ell):
-            expr = space.expressions[index((c * p + d * r) % N, (c * q + d * s) % N)]
-            for t in range(dim):
-                if expr[t]:
-                    acc[t] += expr[t]
-        rows.append(acc)
+        rows.append(space.coordinate_row(index(c * p + d * r, c * q + d * s)
+                                         for p, q, r, s in merel_matrices(ell)))
     return rows
 
 
@@ -121,6 +114,8 @@ def _content_one(sym: ModularSymbol) -> ModularSymbol:
     lead = anchor if anchor else nonzero[0]
     if lead * scale < 0:
         scale = -scale
+    if scale == 1:
+        return sym
     return ModularSymbol(sym.space, [scale * c for c in sym.coords], sign=sym.sign)
 
 

@@ -12,13 +12,6 @@ def zeros(rows: int, cols: int):
     return [[Fraction(0)] * cols for _ in range(rows)]
 
 
-def identity(n: int):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
 def mat_mul(a, b):
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0
@@ -82,23 +75,6 @@ def nullspace(matrix, ncols=None):
             v[c] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def solve(matrix, rhs):
-    """One solution x of matrix @ x = rhs, or None if inconsistent."""
-    ncols = len(matrix[0]) if matrix else 0
-    aug = [row + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return x
-
-
-def rank(matrix) -> int:
-    return len(rref(matrix)[1]) if matrix else 0
 
 
 def column_stack(vectors):

@@ -1,8 +1,8 @@
 """Weight-2 modular symbols for Gamma_0(N) via Manin symbols.
 
 The space is presented as the free Q-module on P^1(Z/N) modulo the two-term
-and three-term relations of Manin; every generator carries an expression over
-a chosen quotient basis, and arbitrary divisors are evaluated through the
+and three-term relations of Manin; every generator carries a sparse expression
+over a chosen quotient basis, and arbitrary divisors are evaluated through the
 continued-fraction (Manin) trick.  The generator indexed by (c:d), with
 SL_2(Z) lift g having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
 """
@@ -47,13 +47,13 @@ class P1List:
         if N == 1:
             self._list = [(0, 0)]
         else:
-            reps = set()
-            for u in range(N):
-                for v in range(N):
-                    r = self.normalize(u, v)
-                    if r is not None:
-                        reps.add(r)
-            self._list = sorted(reps)
+            # every class has a representative (g, v) with g = gcd(u, N), so
+            # one divisor at a time, in ascending order, yields the sorted list
+            self._list = [(0, 1)] + [(1, v) for v in range(N)]
+            for g in range(2, N):
+                if N % g == 0:
+                    self._list += [(g, v) for v in range(N)
+                                   if math.gcd(v, g) == 1 and self.normalize(g, v) == (g, v)]
         self._index = {r: i for i, r in enumerate(self._list)}
 
     def normalize(self, u: int, v: int):
@@ -264,14 +264,11 @@ class ManinSymbolSpace:
         self.N = N
         self.p1 = p1
         self.basis = basis          # P^1 indices of the free generators
-        self.expressions = expressions  # per P^1 index: tuple of Fraction over basis
+        self.expressions = expressions  # per P^1 index: sorted (coordinate, Fraction) pairs
         self.sigma = sigma          # index action of the order-2 relation matrix
         self.tau = tau              # index action of the order-3 relation matrix
         self.dimension = len(basis)
         self._involution = None
-
-    def expression(self, i: int):
-        return self.expressions[i]
 
     def generator_matrix(self, i: int):
         c, d = self.p1[i]
@@ -289,8 +286,16 @@ class ManinSymbolSpace:
     def involution_matrix(self):
         """Matrix of the sign involution on basis coordinates."""
         if self._involution is None:
-            self._involution = [list(self.expressions[self.involution_index(b)]) for b in self.basis]
+            self._involution = [self.coordinate_row([self.involution_index(b)]) for b in self.basis]
         return self._involution
+
+    def coordinate_row(self, indices):
+        """Dense basis coordinates of the sum of the generators at these P^1 indices."""
+        row = [Fraction(0)] * self.dimension
+        for i in indices:
+            for t, c in self.expressions[i]:
+                row[t] += c
+        return row
 
     def symbol(self, coords, sign=None) -> "ModularSymbol":
         return ModularSymbol(self, coords, sign)
@@ -394,26 +399,16 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     dim = len(free)
     pos = {b: t for t, b in enumerate(free)}
 
-    zero_expr = tuple([Fraction(0)] * dim)
-    var_expr = {}
-    for v in variables:
-        if v in pivot_rows:
-            e = [Fraction(0)] * dim
-            for k, c in pivot_rows[v].items():
-                e[pos[k]] = -c
-            var_expr[v] = tuple(e)
-        else:
-            e = [Fraction(0)] * dim
-            e[pos[v]] = Fraction(1)
-            var_expr[v] = tuple(e)
-
+    var_expr = {v: ((pos[v], Fraction(1)),) for v in free}
+    for v, row in pivot_rows.items():
+        var_expr[v] = tuple(sorted((pos[k], -c) for k, c in row.items()))
     expressions = []
     for i in range(m):
         if zero[i]:
-            expressions.append(zero_expr)
+            expressions.append(())
         else:
             base = var_expr[rep[i]]
-            expressions.append(base if rep_sign[i] == 1 else tuple(-x for x in base))
+            expressions.append(base if rep_sign[i] == 1 else tuple((t, -c) for t, c in base))
 
     expected = 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
     if dim != expected:
@@ -461,11 +456,9 @@ class ModularSymbol:
         """Values on every Manin generator (index-aligned with P^1)."""
         if self._generator_values is None:
             coords = self.coords
-            nz = [t for t, c in enumerate(coords) if c]
-            vals = []
-            for expr in self.space.expressions:
-                vals.append(sum(expr[t] * coords[t] for t in nz) if nz else Fraction(0))
-            self._generator_values = tuple(vals)
+            self._generator_values = tuple(
+                sum((c * coords[t] for t, c in expr), Fraction(0)) for expr in self.space.expressions
+            )
         return self._generator_values
 
     def value_infinity_minus(self, r) -> Fraction:

@@ -101,3 +101,44 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
         cache._write(tmp_path / "space_N11.json", {"kind": object()})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_old_dense_space_file_is_rebuilt(tmp_path):
+    space = build_space(11)
+    path = tmp_path / "space_N11.json"
+    dense = [[str(x) for x in space.coordinate_row([i])] for i in range(len(space.p1))]
+    cache._write(path, {"kind": "manin_space", "N": 11, "basis": list(space.basis), "expressions": dense,
+                        "sigma": list(space.sigma), "tau": list(space.tau)})
+    assert cache.load_space(11, tmp_path).expressions == space.expressions
+    payload = cache._read(path)
+    assert payload["kind"] == cache.SPACE_KIND
+    assert payload == cache.space_payload(space)
+
+
+class CountingList(list):
+    """A list that counts the full passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_load_symbol_passes_over_p1_twice(monkeypatch):
+    # one pass for the eigenline's symbol and one for its content-one rescaling;
+    # normalize must not rebuild a symbol that is already content-one
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    spaces = []
+
+    def counted_space(N):
+        space = build_space(N)
+        space.expressions = CountingList(space.expressions)
+        spaces.append(space)
+        return space
+
+    monkeypatch.setattr(cache, "build_space", counted_space)
+    sym, _ = cache.load_symbol(make_curve("26b1"))
+    sym.generator_values()
+    (space,) = spaces
+    assert space.expressions.passes == 2

@@ -170,3 +170,12 @@ def test_huge_conductor_ends_with_coded_error(capsys):
     assert code == 3
     assert json.loads(err)["error"] == "level_too_large"
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("command", ["analyze", "boundary"])
+def test_huge_prime_p_ends_with_coded_error(capsys, command):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, command, "--curve", "11a", "--p", "2305843009213693951")
+    assert code == 3
+    assert json.loads(err)["error"] == "bound_exceeded"
+    assert time.perf_counter() - start < 1

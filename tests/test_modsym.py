@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -106,15 +107,59 @@ def test_huge_level_is_refused_before_factoring():
     assert time.perf_counter() - start < 1
 
 
+def dense(expr, dim):
+    """The (coordinate, value) pairs of one expression as a dense row."""
+    row = [Fraction(0)] * dim
+    for t, c in expr:
+        row[t] += c
+    return row
+
+
 def test_relations_hold_identically_on_expressions():
     for N in (11, 26, 45, 50):
         sp = build_space(N)
-        e = sp.expressions
+        e = [dense(expr, sp.dimension) for expr in sp.expressions]
         for i in range(len(sp.p1)):
             s = [a + b for a, b in zip(e[i], e[sp.sigma[i]])]
             assert all(x == 0 for x in s)
             t = [a + b + c for a, b, c in zip(e[i], e[sp.tau[i]], e[sp.tau[sp.tau[i]]])]
             assert all(x == 0 for x in t)
+
+
+def test_expressions_are_sorted_nonzero_pairs():
+    for N in (11, 26, 45, 50):
+        sp = build_space(N)
+        for i, expr in enumerate(sp.expressions):
+            coords = [t for t, _ in expr]
+            assert coords == sorted(set(coords))
+            assert all(c for _, c in expr)
+            assert sp.coordinate_row([i]) == dense(expr, sp.dimension)
+        basis_rows = [sp.coordinate_row([b]) for b in sp.basis]
+        assert basis_rows == [[Fraction(int(s == t)) for t in range(sp.dimension)] for s in range(sp.dimension)]
+
+
+def brute_force_p1(N):
+    """P^1(Z/N) over all N^2 pairs: primitive pairs modulo units, each class
+    named by its least pair, which is met first in this scan."""
+    units = [t for t in range(N) if math.gcd(t, N) == 1]
+    seen = bytearray(N * N)
+    reps = []
+    for x in range(N * N):
+        if seen[x]:
+            continue
+        u, v = divmod(x, N)
+        if math.gcd(u, v, N) == 1:
+            for t in units:
+                seen[t * u % N * N + t * v % N] = 1
+            reps.append((u, v))
+    return reps
+
+
+def test_p1_list_matches_brute_force():
+    for N in list(range(1, 301)) + [681]:
+        p1 = P1List(N)
+        assert list(p1) == brute_force_p1(N), N
+        assert len(p1) == psi_index(N)
 
 
 def test_psi_index_multiplicative_structure():
