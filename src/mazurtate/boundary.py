@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cusps import boundary_space_matrix
-from .linalg import rref_mod_p, solve_mod_p
+from .linalg import solve_mod_p
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def boundary_congruence(sym, p: int) -> BoundaryCongruenceResult:
         raise ValueError("boundary congruence needs an integrally normalized symbol")
     rhs = [int(v) % p for v in vals]
     matrix, table = boundary_space_matrix(space, p)
-    rank = len(rref_mod_p(matrix, p)[1])
-    solution, cert = solve_mod_p(matrix, rhs, p)
+    solution, cert, rank = solve_mod_p(matrix, rhs, p)
     if solution is None:
         val = 0
         for i, c in cert:

@@ -18,10 +18,12 @@ from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
 from .elements import MazurTateTower, working_precision
-from .errors import NotGoodOrdinary, PrecisionInsufficient
+from .errors import BoundExceeded, NotGoodOrdinary, PrecisionInsufficient
 from .hecke import NormalizationData
 from .padics import unit_root, valuation
 from .primes import primes
+
+MAX_PRECISION = 1000  # p-adic digits; a larger --precision is refused
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -44,6 +46,8 @@ class MTRequest:
             raise ValueError("n_max must be nonnegative")
         if self.mode not in ("neron", "cohomological"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.precision is not None and self.precision > MAX_PRECISION:
+            raise BoundExceeded(f"precision {self.precision} exceeds the bound {MAX_PRECISION}")
 
 
 @dataclass(frozen=True)

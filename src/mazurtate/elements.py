@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BoundExceeded
 from .groupring import GroupLevel, GroupRingElement
 from .padics import PAdic
 
 DEFAULT_GUARD_DIGITS = 20
+MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
 
 
 def working_precision(n_max: int, mu_floor: int = 0) -> int:
@@ -60,6 +62,10 @@ class MazurTateTower:
     def __init__(self, sym, p: int, n_max: int):
         if n_max < 0:
             raise ValueError("levels start at 0")
+        # 2^bit_length exceeds the bound, so capping the exponent there is exact
+        # for p >= 2 and p^n_max is never formed for a huge n_max
+        if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
+            raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
         self.p = p
         self.phi0 = sym.value_infinity_minus(0)
         self.thetas = []  # theta_n, exact

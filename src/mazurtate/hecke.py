@@ -2,9 +2,10 @@
 
 T_ell (ell coprime to the level) acts through Merel's family of integral
 matrices of determinant ell; the one-dimensional eigenspace attached to a
-rational newform is cut out by intersecting kernels of T_ell - a_ell on the
-plus-subspace of the sign involution, walking primes in ascending order up to
-the Sturm bound.
+rational newform is cut out by one sparse exact elimination (linalg.echelon):
+the rows of J - 1 (J the sign involution) go in first, then the rows of
+T_ell - a_ell for good primes ell in ascending order up to the Sturm bound,
+until the kernel is a line.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .curves import EllipticCurve
 from .errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
-from .linalg import column_stack, mat_mul, nullspace
+from .linalg import echelon, kernel
 from .modsym import ManinSymbolSpace, ModularSymbol, psi_index
 from .primes import primes
 
@@ -48,6 +49,14 @@ def hecke_matrix(space: ManinSymbolSpace, ell: int):
     return rows
 
 
+def _shifted_rows(matrix, a):
+    """Sparse rows of matrix - a * identity."""
+    for i, row in enumerate(matrix):
+        row = dict(enumerate(row))
+        row[i] -= a
+        yield row
+
+
 def sturm_bound(space: ManinSymbolSpace) -> int:
     return -(-psi_index(space.N) // 6)
 
@@ -55,41 +64,29 @@ def sturm_bound(space: ManinSymbolSpace) -> int:
 def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
     """The plus-eigensymbol of the curve, cohomologically normalized.
 
-    Intersects kernels of (T_ell - a_ell) inside the +1-eigenspace of the
-    sign involution until the cut is one-dimensional.
+    Folds the equations of the +1-eigenspace of the sign involution, then
+    those of T_ell - a_ell prime by prime, until the kernel is one-dimensional.
     """
     if curve.conductor != space.N:
         raise ValueError("curve conductor does not match the space level")
     dim = space.dimension
-    J = space.involution_matrix()
-    jm = [row[:] for row in J]
-    for i in range(dim):
-        jm[i][i] -= 1
-    K = nullspace(jm, dim)  # columns spanning the plus subspace
-    if not K:
+    pivots = echelon(_shifted_rows(space.involution_matrix(), 1))  # kernel: the plus subspace
+    if len(pivots) == dim:
         raise InconsistentEigenvalues("plus-subspace is trivial")
     bound = sturm_bound(space)
     for ell in (ell for ell in primes() if space.N % ell):
         if ell > bound:
             raise EigenspaceNotOneDimensional(
-                f"eigenspace still {len(K)}-dimensional past the Sturm bound {bound}"
+                f"eigenspace still {dim - len(pivots)}-dimensional past the Sturm bound {bound}"
             )
-        a = curve.a_ell(ell)
-        T = hecke_matrix(space, ell)
-        Kmat = column_stack(K)
-        M = mat_mul(T, Kmat)
-        for i, col in enumerate(K):
-            for r in range(dim):
-                M[r][i] -= a * col[r]
-        Z = nullspace(M, len(K))
-        K = [[sum(Kmat[r][j] * z[j] for j in range(len(z))) for r in range(dim)] for z in Z]
-        if not K:
+        echelon(_shifted_rows(hecke_matrix(space, ell), curve.a_ell(ell)), pivots)
+        if len(pivots) == dim:
             raise InconsistentEigenvalues(
                 f"no symbol matches the eigenvalue system at ell = {ell}"
             )
-        if len(K) == 1:
+        if len(pivots) == dim - 1:
             break
-    sym = ModularSymbol(space, K[0], sign="+")
+    sym = ModularSymbol(space, kernel(pivots, dim)[0], sign="+")
     return _content_one(sym)
 
 

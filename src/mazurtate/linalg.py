@@ -1,21 +1,21 @@
-"""Small dense exact linear algebra over Q (Fraction entries) and over F_p.
+"""Exact linear algebra: sparse elimination over Q, dense elimination over F_p.
 
-Matrices are lists of row lists.  Sizes here are tiny (at most a few hundred
-columns), so plain Gaussian elimination is enough; everything stays exact.
+Over Q, rows are sparse dicts {column: Fraction}.  `echelon` folds them into
+pivot rows, each stating a pivot variable as a combination of non-pivot
+columns; `kernel` reads a kernel basis off those pivots.  The Manin-symbol
+relation quotient and the Hecke eigenline are both computed this way.  Over
+F_p, matrices are lists of row lists of plain ints.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
+from heapq import heappop, heappush
 
 
 def mat_mul(a, b):
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0
-    out = zeros(n, cols)
+    out = [[Fraction(0)] * cols for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -33,65 +33,93 @@ def mat_vec(a, v):
     return [sum(ai[j] * v[j] for j in range(len(v)) if v[j]) for ai in a]
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
+def echelon(rows, pivots=None):
+    """Fold sparse rows {column: value} into pivot rows; returns the pivots.
+
+    pivots[v] = {column: c} states x_v = sum c * x_column over non-pivot
+    columns, for every solution x of the rows folded in so far; passing in
+    earlier pivots extends them.  Each incoming row has its pivot columns
+    cleared oldest pivot first (a pivot row never holds an older pivot
+    column, so each pivot is eliminated at most once), then pivots on its
+    entry of least (denominator, |numerator|, column).  One back-substitution
+    in reverse insertion order, after the batch, leaves every pivot row in
+    non-pivot columns only.
+    """
+    if pivots is None:
+        pivots = {}
+    order = list(pivots)
+    rank = {v: r for r, v in enumerate(order)}
+    for row in rows:
+        row = {k: Fraction(x) for k, x in row.items() if x}
+        heap = [rank[k] for k in row if k in rank]
+        heap.sort()
+        while heap:
+            v = order[heappop(heap)]
+            a = row.pop(v)
+            if not a:
+                continue
+            for k, c in pivots[v].items():
+                if k in row:
+                    row[k] += a * c
+                else:
+                    row[k] = a * c
+                    if k in rank:
+                        heappush(heap, rank[k])
+        row = {k: x for k, x in row.items() if x}
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        piv = min(row, key=lambda k: (row[k].denominator, abs(row[k].numerator), k))
+        c = -row.pop(piv)
+        pivots[piv] = {k: x / c for k, x in row.items()}
+        rank[piv] = len(order)
+        order.append(piv)
+    for v in reversed(order):
+        row = pivots[v]
+        eliminated = [k for k in row if k in pivots]
+        for k in eliminated:
+            a = row.pop(k)
+            for k2, c in pivots[k].items():
+                row[k2] = row.get(k2, 0) + a * c
+        if eliminated:
+            pivots[v] = {k: x for k, x in row.items() if x}
+    return pivots
+
+
+def kernel(pivots, ncols):
+    """Kernel basis of echelon pivots, one vector per non-pivot column, ascending."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for piv, row in pivots.items():
+            if f in row:
+                v[piv] = row[f]
+        basis.append(v)
+    return basis
 
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel, as a list of column vectors."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
-    if not matrix:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
+    return kernel(echelon({j: x for j, x in enumerate(row) if x} for row in matrix), ncols)
 
 
-def column_stack(vectors):
-    n = len(vectors[0])
-    return [[v[i] for v in vectors] for i in range(n)]
+# --- F_p (entries plain ints reduced mod p) ---
 
 
-# --- F_p versions (entries plain ints reduced mod p) ---
+def rref_mod_p(matrix, p):
+    """RREF over F_p; returns (rref_rows, pivot_columns, combinations).
 
-
-def rref_mod_p(matrix, p, track_combinations=False):
-    """RREF over F_p.  With track_combinations, also row-reduces an identity
-    block so each output row is tagged with its expression in the input rows."""
+    combinations[r] is a sparse {input_row: coefficient} with
+    rref_rows[r] = sum coefficient * matrix[input_row] mod p.
+    """
     m = [[x % p for x in row] for row in matrix]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    combo = identity_mod(nrows) if track_combinations else None
+    combo = [{i: 1} for i in range(nrows)]
     pivots = []
     r = 0
     for c in range(ncols):
@@ -99,18 +127,16 @@ def rref_mod_p(matrix, p, track_combinations=False):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        if combo is not None:
-            combo[r], combo[pivot] = combo[pivot], combo[r]
+        combo[r], combo[pivot] = combo[pivot], combo[r]
         inv = pow(m[r][c], -1, p)
         m[r] = [x * inv % p for x in m[r]]
-        if combo is not None:
-            combo[r] = [x * inv % p for x in combo[r]]
+        combo[r] = {j: x * inv % p for j, x in combo[r].items()}
         for i in range(nrows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-                if combo is not None:
-                    combo[i] = [(a - f * b) % p for a, b in zip(combo[i], combo[r])]
+                ci, cr = combo[i], combo[r]
+                combo[i] = {j: y for j in ci.keys() | cr.keys() if (y := (ci.get(j, 0) - f * cr.get(j, 0)) % p)}
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -118,26 +144,20 @@ def rref_mod_p(matrix, p, track_combinations=False):
     return m, pivots, combo
 
 
-def identity_mod(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def solve_mod_p(matrix, rhs, p):
-    """Solve matrix @ x = rhs over F_p.
+    """Solve matrix @ x = rhs over F_p; returns (solution, certificate, rank).
 
-    Returns (solution, None) when consistent, else (None, certificate) where
-    the certificate is a list of (row_index, coefficient) whose combination of
-    input equations reads 0 = nonzero.
+    solution is None when the system is inconsistent; the certificate is then
+    a list of (row_index, coefficient) whose combination of input equations
+    reads 0 = nonzero.  rank is the rank of matrix mod p.
     """
-    nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     aug = [row + [b] for row, b in zip(matrix, rhs)]
-    red, pivots, combo = rref_mod_p(aug, p, track_combinations=True)
+    red, pivots, combo = rref_mod_p(aug, p)
     if ncols in pivots:
         bad = pivots.index(ncols)
-        cert = [(j, combo[bad][j]) for j in range(nrows) if combo[bad][j]]
-        return None, cert
+        return None, sorted(combo[bad].items()), bad
     x = [0] * ncols
     for r, c in enumerate(pivots):
         x[c] = red[r][ncols]
-    return x, None
+    return x, None, len(pivots)

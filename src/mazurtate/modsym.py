@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import LevelTooLarge
-from .linalg import mat_vec
+from .linalg import echelon, mat_vec
 from .primes import prime_factors
 
 INFINITY = math.inf
@@ -308,8 +308,8 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     """Construct the Manin-symbol presentation at level N.
 
     Two-term relations are folded in combinatorially (they pair generators up
-    to sign); the remaining three-term relations go through sparse Gaussian
-    elimination over Q, pivoting on smallest-denominator entries.
+    to sign); the remaining three-term relations go through linalg.echelon,
+    the sparse elimination over Q.
     """
     if N < 1:
         raise ValueError("level must be positive")
@@ -355,53 +355,19 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
             if t is None:
                 continue
             var, sgn = t
-            row[var] = row.get(var, Fraction(0)) + sgn
-        row = {k: v for k, v in row.items() if v}
-        if row:
-            rows.append(row)
+            row[var] = row.get(var, 0) + sgn
+        rows.append(row)
 
-    # sparse elimination; pivot_rows maps pivot variable -> reduced row
-    pivot_rows = {}
-    pivot_order = []
-    for row in rows:
-        row = dict(row)
-        changed = True
-        while changed:
-            changed = False
-            for var in list(row):
-                if var in pivot_rows and row.get(var):
-                    coeff = row.pop(var)
-                    for v2, c2 in pivot_rows[var].items():
-                        row[v2] = row.get(v2, Fraction(0)) - coeff * c2
-                        if not row[v2]:
-                            del row[v2]
-                    changed = True
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
-        piv = min(row, key=lambda k: (row[k].denominator, abs(row[k].numerator), k))
-        c = row.pop(piv)
-        pivot_rows[piv] = {k: v / c for k, v in row.items()}
-        pivot_order.append(piv)
-
-    # back-substitute so pivot rows involve free variables only
-    for piv in reversed(pivot_order):
-        row = pivot_rows[piv]
-        for var in [v for v in row if v in pivot_rows]:
-            coeff = row.pop(var)
-            for v2, c2 in pivot_rows[var].items():
-                row[v2] = row.get(v2, Fraction(0)) - coeff * c2
-                if not row[v2]:
-                    del row[v2]
+    pivots = echelon(rows)
 
     variables = [i for i in range(m) if not zero[i] and rep[i] == i]
-    free = sorted(v for v in variables if v not in pivot_rows)
+    free = sorted(v for v in variables if v not in pivots)
     dim = len(free)
     pos = {b: t for t, b in enumerate(free)}
 
     var_expr = {v: ((pos[v], Fraction(1)),) for v in free}
-    for v, row in pivot_rows.items():
-        var_expr[v] = tuple(sorted((pos[k], -c) for k, c in row.items()))
+    for v, row in pivots.items():
+        var_expr[v] = tuple(sorted((pos[k], c) for k, c in row.items()))
     expressions = []
     for i in range(m):
         if zero[i]:

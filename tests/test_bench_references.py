@@ -21,6 +21,10 @@ JOBS = [
     "analyze --curve 11a --p 5 --n-max 1 --format json",
     "analyze --curve 26b1 --p 7 --n-max 3 --format json",
     "invariants --curve 26b1 --p 7 --n-max 3 --format json",
+    "eigensymbol --coeffs 0,-1,1,-929,-10595 --conductor 571 --label 571a1 --format json",
+    "eigensymbol --coeffs 1,1,0,-1154,-15345 --conductor 681 --label 681b1 --format json",
+    "boundary --coeffs 1,1,0,-1154,-15345 --conductor 681 --label 681b1 --p 3 --format json",
+    "boundary --coeffs 0,1,1,-2,0 --conductor 389 --label 389a1 --p 3 --format json",
 ]
 
 

@@ -179,3 +179,16 @@ def test_huge_prime_p_ends_with_coded_error(capsys, command):
     assert code == 3
     assert json.loads(err)["error"] == "bound_exceeded"
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--curve", "11a", "--p", "3", "--n-max", "40"],
+    ["invariants", "--curve", "11a", "--p", "3", "--n-max", "40"],
+    ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000"],
+])
+def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 3
+    assert json.loads(err)["error"] == "bound_exceeded"
+    assert time.perf_counter() - start < 2

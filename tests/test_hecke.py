@@ -96,8 +96,9 @@ def test_wrong_eigenvalues_raise():
     sp = build_space(11)
     curve = make_curve("11a")
     curve._ap_cache.update({2: 1, 3: 2})  # deliberately wrong
-    with pytest.raises(InconsistentEigenvalues):
+    with pytest.raises(InconsistentEigenvalues) as exc:
         eigensymbol(sp, curve)
+    assert str(exc.value) == "no symbol matches the eigenvalue system at ell = 2"
 
 
 def test_eisenstein_system_never_cuts_to_dimension_one():
@@ -106,8 +107,23 @@ def test_eisenstein_system_never_cuts_to_dimension_one():
     sp = build_space(26)
     curve = make_curve("26b1")
     curve._ap_cache.update({ell: ell + 1 for ell in (3, 5, 7, 11, 17, 19, 23, 29, 31, 37, 41, 43)})
-    with pytest.raises(EigenspaceNotOneDimensional):
+    with pytest.raises(EigenspaceNotOneDimensional) as exc:
         eigensymbol(sp, curve)
+    assert str(exc.value) == "eigenspace still 3-dimensional past the Sturm bound 7"
+
+
+@pytest.mark.parametrize("eigenvalues,error,message", [
+    ({5: 0}, InconsistentEigenvalues, "no symbol matches the eigenvalue system at ell = 5"),
+    ({ell: ell + 1 for ell in (5, 7, 11, 13, 17, 19, 23, 31, 37, 41, 43, 47, 53, 59)},
+     EigenspaceNotOneDimensional, "eigenspace still 7-dimensional past the Sturm bound 60"),
+])
+def test_eigensymbol_errors_at_level_174(spaces, eigenvalues, error, message):
+    # a wrong a_5, and a fake Eisenstein system up to the Sturm bound
+    curve = make_curve("174b1")
+    curve._ap_cache.update(eigenvalues)
+    with pytest.raises(error) as exc:
+        eigensymbol(spaces[174], curve)
+    assert str(exc.value) == message
 
 
 def test_conductor_level_mismatch():

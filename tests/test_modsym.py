@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -105,6 +107,24 @@ def test_huge_level_is_refused_before_factoring():
     with pytest.raises(LevelTooLarge):
         build_space(11000000000000000000033)
     assert time.perf_counter() - start < 1
+
+
+# sha256 of (basis, expressions) as recorded before the relation elimination
+# moved into linalg.echelon; the quotient presentation must not change
+SPACE_DIGESTS = {
+    11: "5ad9458ca15820b02eb3e943eb6aa313aaabb086c22abf26b11e283f0f2ecf1b",
+    26: "86bcc480629b9b3e9bc08eaaa60f5cf2f2772158ff14ac51541357ce9c27cbf8",
+    174: "eb5b0bf2d8f53660b24cd7d6012a47cca1a7902d49690d98d1d06bd2fc8d7530",
+    389: "a822b5fa160635dc1e3b0afd6bce9c459b58e55c08dd7c9eb3df04a9a4624f52",
+    681: "c940883d8a72a87e8ef7f58900822bf6f44e3aa9306d2d6d5ae747778989f0c4",
+}
+
+
+@pytest.mark.parametrize("N", sorted(SPACE_DIGESTS))
+def test_space_presentation_is_pinned(N):
+    sp = build_space(N)
+    payload = json.dumps([list(sp.basis), [[[t, str(c)] for t, c in e] for e in sp.expressions]])
+    assert hashlib.sha256(payload.encode()).hexdigest() == SPACE_DIGESTS[N]
 
 
 def dense(expr, dim):
