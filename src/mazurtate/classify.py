@@ -18,7 +18,7 @@ from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
 from .elements import MazurTateTower, working_precision
-from .errors import BoundExceeded, NotGoodOrdinary, PrecisionInsufficient
+from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from .hecke import NormalizationData
 from .padics import unit_root, valuation
 from .primes import primes
@@ -30,6 +30,16 @@ MULTIPLICITY_ONE_NOTE = (
     "pattern for the Eisenstein eigenvalue system; a refutation for a curve "
     "with rational p-torsion indicates that multiplicity one fails."
 )
+
+
+def check_precision(precision: int | None) -> None:
+    """Refuse a requested p-adic precision outside 1..MAX_PRECISION; None means automatic."""
+    if precision is None:
+        return
+    if precision < 1:
+        raise InputError(f"precision must be at least 1, got {precision}")
+    if precision > MAX_PRECISION:
+        raise BoundExceeded(f"precision {precision} exceeds the bound {MAX_PRECISION}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +56,7 @@ class MTRequest:
             raise ValueError("n_max must be nonnegative")
         if self.mode not in ("neron", "cohomological"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.precision is not None and self.precision > MAX_PRECISION:
-            raise BoundExceeded(f"precision {self.precision} exceeds the bound {MAX_PRECISION}")
+        check_precision(self.precision)
 
 
 @dataclass(frozen=True)

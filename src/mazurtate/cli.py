@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import cache
 from .boundary import boundary_congruence
-from .classify import DichotomyReport, MTRequest, classify, level_rows, normalization_shift
+from .classify import (DichotomyReport, MTRequest, check_precision, classify, level_rows,
+                       normalization_shift)
 from .curves import DEFAULT_ELL_BOUND, EllipticCurve
 from .elements import MazurTateTower
 from .errors import BoundExceeded, InputError, MazurTateError
@@ -173,6 +174,7 @@ def cmd_invariants(args) -> int:
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
+    check_precision(args.precision)  # invariants are exact, but the option is checked as in analyze
     sym, norm = cache.load_symbol(curve, mode, args.cache)
     shift = normalization_shift(norm, args.p)
     per_level = [r.to_dict() for r in level_rows(MazurTateTower(sym, args.p, args.n_max), shift)]

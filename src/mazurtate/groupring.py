@@ -1,10 +1,14 @@
 """Finite-level group-ring calculus and Iwasawa mu/lambda invariants.
 
 Elements of K[G_n] (G_n cyclic of order p^n, generated by the image gamma of
-sigma_{1+p}) are stored as coefficient arrays on powers of gamma.  Invariants
-are read off the coefficients in the T = gamma - 1 basis, reached through the
-integral binomial change of basis.  Coefficients are uniformly exact rationals
-or uniformly precision-tracked p-adics; the two kinds never mix.
+sigma_{1+p}) are stored as coefficient arrays on powers of gamma.  The
+invariants are those of the coefficients in the T = gamma - 1 basis, but they
+are read without building that basis: the binomial change of basis gamma ->
+1 + T is unitriangular over Z, so mu is the least valuation of the gamma-
+coefficients, and lambda is the first nonzero T-coefficient of their Taylor
+shift mod p, which Lucas's theorem splits into one p-point shift per base-p
+digit.  Coefficients are uniformly exact rationals or uniformly
+precision-tracked p-adics; the two kinds never mix.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
-from .padics import PAdic, valuation
+from .padics import PAdic, int_valuation
 from .primes import is_prime
 
 
@@ -95,6 +99,30 @@ def _taylor_shift_by_one(coeffs):
     for i in range(m - 1):
         for j in range(m - 2, i - 1, -1):
             c[j] += c[j + 1]
+    return c
+
+
+def _taylor_shift_mod_p(coeffs, p: int):
+    """Coefficients of f(x+1) mod p from those of f(x), for len(coeffs) = p^n.
+
+    By Lucas's theorem C(i, k) = prod_d C(i_d, k_d) mod p over the base-p
+    digits of i and k, so the shift is one p-point shift per digit.  Each pass
+    applies Horner's scheme mod p to every block of p consecutive entries
+    (only the lowest digit varies within a block), then lists the entries
+    lowest digit first (the slices c[j::p]), which rotates the digits one
+    place; after n passes every digit has been shifted once and the order is
+    restored.  That is n p^{n-1} p(p-1)/2 additions of residues instead of
+    p^n(p^n - 1)/2 additions of growing integers.
+    """
+    c = [x % p for x in coeffs]
+    m = len(c)
+    while m > 1:
+        m //= p
+        for start in range(0, len(c), p):
+            for i in range(start, start + p - 1):
+                for j in range(start + p - 2, i - 1, -1):
+                    c[j] = (c[j] + c[j + 1]) % p
+        c = [x for j in range(p) for x in c[j::p]]
     return c
 
 
@@ -201,46 +229,55 @@ class GroupRingElement:
 
     # -- the T-basis and invariants --
 
+    def _integer_coefficients(self):
+        """Integers B_i and a scale: c_i = B_i / den exactly, den the lcm of the
+        denominators; or, for p-adic coefficients, c_i = B_i mod p^prec at the
+        least precision prec."""
+        if self.is_padic:
+            prec = min(c.precision for c in self.coeffs)
+            return [c.residue % self.level.p**prec for c in self.coeffs], prec
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
+
     def t_coefficients(self):
         """Coefficients of F as a polynomial in T = gamma - 1 of degree < p^n.
 
-        a_k = sum_i C(i,k) c_i, computed as the Taylor shift gamma -> 1 + T by
-        Horner's scheme on integers (denominators cleared first), which keeps
-        the transform exact and cheap.
+        a_k = sum_i C(i,k) c_i, computed exactly as the Taylor shift gamma ->
+        1 + T by Horner's scheme on integers (denominators cleared first).
+        That is p^n(p^n - 1)/2 big-integer additions; ``iwasawa_invariants``
+        does not need them.
         """
-        m = self.level.order
+        ints, scale = self._integer_coefficients()
+        shifted = _taylor_shift_by_one(ints)
         if self.is_padic:
-            prec = min(c.precision for c in self.coeffs)
-            ints = _taylor_shift_by_one([c.residue for c in self.coeffs])
-            return [PAdic(self.level.p, r, prec) for r in ints]
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        ints = _taylor_shift_by_one([c.numerator * (den // c.denominator) for c in self.coeffs])
-        return [Fraction(r, den) for r in ints]
+            return [PAdic(self.level.p, r, scale) for r in shifted]
+        return [Fraction(r, scale) for r in shifted]
 
     def iwasawa_invariants(self) -> IwasawaInvariants:
-        """mu = min ord_p over T-coefficients, lambda = least index attaining it."""
+        """mu = min ord_p over T-coefficients, lambda = least index attaining it.
+
+        Both are read off the integers B_i of ``_integer_coefficients``.  The
+        change of basis to T is unitriangular over Z, invertible also over
+        Z/p^prec, so it keeps the least valuation v of the B_i; lambda is the
+        first nonzero coefficient of the Taylor shift of B_i / p^v mod p.
+        """
         if self.is_zero():
             if self.is_padic:
                 raise PrecisionInsufficient("all coefficients vanish to working precision")
             raise ZeroElement("invariants of the zero element are undefined")
         p = self.level.p
-        tc = self.t_coefficients()
+        ints, scale = self._integer_coefficients()
         if self.is_padic:
-            certified = [(i, c.valuation()) for i, c in enumerate(tc) if not c.is_zero_to_precision]
-            if not certified:
+            if not any(ints):
                 raise PrecisionInsufficient("all T-coefficients vanish to working precision")
-            mu = min(v for _, v in certified)
-            floors = [c.precision for c in tc if c.is_zero_to_precision]
-            if any(f <= mu for f in floors):
-                raise PrecisionInsufficient("an uncertified coefficient could attain the minimum valuation")
-            lam = next(i for i, v in certified if v == mu)
-            return IwasawaInvariants(mu, lam)
-        vals = [valuation(c, p) for c in tc]
-        mu = min(vals)
-        lam = vals.index(mu)
-        return IwasawaInvariants(int(mu), lam)
+            den_valuation = 0
+        else:
+            den_valuation = int_valuation(scale, p)
+        v = int_valuation(math.gcd(*ints), p)
+        unit = p**v
+        shifted = _taylor_shift_mod_p([b // unit for b in ints], p)
+        lam = next(k for k, a in enumerate(shifted) if a)
+        return IwasawaInvariants(v - den_valuation, lam)
 
     # -- maps between layers --
 

@@ -1,10 +1,11 @@
-"""The cheap benchmark jobs, run in-process, against bench/references.json.
+"""The benchmark jobs, run in-process, against bench/references.json.
 
 Each job's exit code and stdout sha256 must equal the recorded reference, as
-in the benchmark's own output gate.  The file is only read.
+in the benchmark's own output gate.  The benchmark's files are only read.
 """
 import hashlib
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from mazurtate import cache
 from mazurtate.cli import main
 
-REFERENCES = json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REFERENCES = json.loads((BENCH / "references.json").read_text())
 
 JOBS = [
     "eigensymbol --coeffs 0,0,1,-1,0 --conductor 37 --label 37a1 --format json",
@@ -25,6 +27,10 @@ JOBS = [
     "eigensymbol --coeffs 1,1,0,-1154,-15345 --conductor 681 --label 681b1 --format json",
     "boundary --coeffs 1,1,0,-1154,-15345 --conductor 681 --label 681b1 --p 3 --format json",
     "boundary --coeffs 0,1,1,-2,0 --conductor 389 --label 389a1 --p 3 --format json",
+    "analyze --curve 11a --p 5 --n-max 5 --format json",
+    "analyze --curve 11a --p 3 --n-max 7 --format json",
+    "analyze --curve 174b1 --p 5 --n-max 4 --format json",
+    "invariants --curve 11a --p 5 --n-max 4 --format json",
 ]
 
 
@@ -35,3 +41,16 @@ def test_job_matches_reference(job, capsys, monkeypatch):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     ref = REFERENCES[job]
     assert (code, digest) == (ref["exit_code"], ref["stdout_sha256"])
+
+
+def test_traced_names_exist():
+    # Tracer.install looks up every (owner, attribute) of TRACED, so a renamed
+    # or deleted function would break the traced benchmark run.  The source is
+    # compiled in memory, so no bytecode is written beside it.
+    path = BENCH / "traced_cli.py"
+    module = types.ModuleType("traced_cli")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    assert module.TRACED
+    missing = [name for owner, attr, name in module.TRACED if not hasattr(owner, attr)]
+    assert missing == []

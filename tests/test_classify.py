@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate.classify import MTRequest, classify, maximality_criterion
-from mazurtate.errors import NotGoodOrdinary
+from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
+from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.modsym import ModularSymbol, as_cusp
 
 from .conftest import make_curve
@@ -124,6 +124,19 @@ def test_mtrequest_validation():
         MTRequest(make_curve("11a"), 5, -1)
     with pytest.raises(ValueError):
         MTRequest(make_curve("11a"), 5, 1, mode="bogus")
+
+
+@pytest.mark.parametrize("precision", [-5, 0])
+def test_mtrequest_refuses_precision_below_one(precision):
+    with pytest.raises(InputError, match=f"precision must be at least 1, got {precision}"):
+        MTRequest(make_curve("11a"), 5, 1, precision=precision)
+
+
+def test_mtrequest_precision_range():
+    for precision in (None, 1, MAX_PRECISION):
+        assert MTRequest(make_curve("11a"), 5, 1, precision=precision).precision == precision
+    with pytest.raises(BoundExceeded):
+        MTRequest(make_curve("11a"), 5, 1, precision=MAX_PRECISION + 1)
 
 
 def test_classify_evaluates_each_cusp_once(monkeypatch):

@@ -192,3 +192,23 @@ def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
     assert code == 3
     assert json.loads(err)["error"] == "bound_exceeded"
     assert time.perf_counter() - start < 2
+
+
+def test_invariants_refuses_precision_above_bound_as_analyze_does(capsys):
+    common = ["--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000", "--format", "json"]
+    code_a, _, err_a = run_cli(capsys, "analyze", *common)
+    code_i, out_i, err_i = run_cli(capsys, "invariants", *common)
+    assert code_i == code_a == 3
+    assert out_i == ""
+    assert json.loads(err_i) == json.loads(err_a)
+    assert json.loads(err_i)["error"] == "bound_exceeded"
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+@pytest.mark.parametrize("precision", ["-5", "0"])
+def test_precision_below_one_is_an_input_error(capsys, command, precision):
+    code, out, err = run_cli(capsys, command, "--curve", "11a", "--p", "5", "--n-max", "1",
+                             "--precision", precision, "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "input_error", "message": f"precision must be at least 1, got {precision}"}

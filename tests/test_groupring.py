@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from mazurtate import cache, groupring
+from mazurtate.classify import normalization_shift
+from mazurtate.elements import MazurTateTower, working_precision
 from mazurtate.errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from mazurtate.groupring import (
     GroupLevel,
@@ -12,7 +15,9 @@ from mazurtate.groupring import (
     one_unit_exponent,
     sum_cancellation_check,
 )
-from mazurtate.padics import PAdic
+from mazurtate.padics import PAdic, unit_root, valuation
+
+from .conftest import make_curve
 
 
 def test_t_basis_of_gamma():
@@ -164,3 +169,141 @@ def test_serialization_roundtrip():
 def test_wrong_length_rejected():
     with pytest.raises(ValueError):
         GroupRingElement(GroupLevel(3, 2), [Fraction(1)] * 3)
+
+
+# -- the invariants against the full-shift route --
+
+
+def full_shift_invariants(F):
+    """Reference route: mu and lambda read off every exact T-coefficient."""
+    if F.is_zero():
+        if F.is_padic:
+            raise PrecisionInsufficient("all coefficients vanish to working precision")
+        raise ZeroElement("invariants of the zero element are undefined")
+    tc = F.t_coefficients()
+    if F.is_padic:
+        certified = [(i, c.valuation()) for i, c in enumerate(tc) if not c.is_zero_to_precision]
+        if not certified:
+            raise PrecisionInsufficient("all T-coefficients vanish to working precision")
+        mu = min(v for _, v in certified)
+        if any(c.precision <= mu for c in tc if c.is_zero_to_precision):
+            raise PrecisionInsufficient("an uncertified coefficient could attain the minimum valuation")
+        return (mu, next(i for i, v in certified if v == mu))
+    vals = [valuation(c, F.level.p) for c in tc]
+    mu = min(vals)
+    return (int(mu), vals.index(mu))
+
+
+def outcome(invariants, F):
+    try:
+        return invariants(F)
+    except (PrecisionInsufficient, ZeroElement) as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same_as_full_shift(F):
+    new = outcome(lambda G: G.iwasawa_invariants().as_tuple(), F)
+    assert new == outcome(full_shift_invariants, F)
+    return new
+
+
+def random_rational(rng, p):
+    if rng.random() < 0.3:
+        return Fraction(0)
+    den = p ** rng.choice([0, 0, 1, 2]) * rng.choice([1, 2, 13, 16])
+    return Fraction(rng.randint(-99, 99) * p ** rng.choice([0, 0, 1, 3]), den)
+
+
+LEVELS = [(p, n) for p in (3, 5, 7, 11) for n in range(4) if p**n <= 343] + [(11, 3)]
+
+
+@pytest.mark.parametrize("p, n", LEVELS)
+def test_exact_invariants_match_full_shift(p, n):
+    rng = random.Random(p * 10 + n)
+    L = GroupLevel(p, n)
+    cases = 2 if L.order > 343 else 12
+    for _ in range(cases):
+        F = GroupRingElement(L, [random_rational(rng, p) for _ in range(L.order)])
+        assert_same_as_full_shift(F)
+        assert_same_as_full_shift(F.scale(Fraction(p**3, 2)))
+        assert_same_as_full_shift(F.scale(Fraction(1, p**2)))
+    assert_same_as_full_shift(GroupRingElement.zero(L))
+    assert_same_as_full_shift(GroupRingElement.norm_element(L))
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (11, 2)])
+def test_invariants_from_t_coefficients_match_full_shift(p, n):
+    # T-coefficients divisible by p below a chosen index push lambda up to it
+    rng = random.Random(p * 100 + n)
+    L = GroupLevel(p, n)
+    lams = set()
+    for _ in range(10):
+        lam = rng.randrange(L.order)
+        mu = rng.randint(-2, 2)
+        unit = Fraction(p) ** mu
+        t = [unit * p * Fraction(rng.randint(-9, 9), rng.choice([1, 2, 4])) for _ in range(lam)]
+        t.append(unit * Fraction(rng.choice([1, -1, 2, p - 1]), rng.choice([1, 2, 4])))
+        t += [unit * p**2 * random_rational(rng, p) for _ in range(L.order - lam - 1)]
+        F = GroupRingElement.from_t_coefficients(L, t)
+        assert assert_same_as_full_shift(F) == (mu, lam)
+        lams.add(lam)
+    assert len(lams) > 1
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2), (11, 1), (11, 2)])
+def test_padic_invariants_match_full_shift(p, n):
+    rng = random.Random(p * 1000 + n)
+    L = GroupLevel(p, n)
+    for _ in range(20):
+        precs = [rng.randint(1, 6) for _ in range(L.order)]
+        least = min(precs)
+        coeffs = []
+        for prec in precs:
+            kind = rng.random()
+            if kind < 0.3:
+                r = 0
+            elif kind < 0.6:
+                r = p**least * rng.randint(1, p**prec)  # vanishes once reduced to the least precision
+            else:
+                r = p ** rng.randint(0, prec) * rng.randint(1, p**prec)
+            coeffs.append(PAdic(p, r, prec))
+        assert_same_as_full_shift(GroupRingElement(L, coeffs))
+    assert_same_as_full_shift(GroupRingElement(L, [PAdic(p, 0, 3)] * L.order))
+    vanishing = [PAdic(p, p**2, 3)] + [PAdic(p, 0, 2)] * (L.order - 1)
+    assert outcome(lambda G: G.iwasawa_invariants().as_tuple(), GroupRingElement(L, vanishing)) == (
+        PrecisionInsufficient, "all T-coefficients vanish to working precision")
+    assert_same_as_full_shift(GroupRingElement(L, vanishing))
+
+
+# (curve, p, n_max): the towers the benchmark runs, and 50b1 at the p = 3 depth of the level ladder
+FIXTURE_TOWERS = [("11a", 5, 5), ("11a", 3, 7), ("26b1", 7, 3), ("174b1", 5, 4), ("174b1", 7, 3), ("50b1", 3, 5)]
+
+
+@pytest.mark.parametrize("label, p, n_max", FIXTURE_TOWERS)
+def test_fixture_tower_invariants_match_full_shift(label, p, n_max, monkeypatch):
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    curve = make_curve(label)
+    sym, norm = cache.load_symbol(curve, "neron")
+    tower = MazurTateTower(sym, p, n_max)
+    alpha = unit_root(curve.a_ell(p), p, working_precision(n_max, min(0, normalization_shift(norm, p))))
+    for n in range(n_max + 1):
+        assert_same_as_full_shift(tower.thetas[n])
+        assert_same_as_full_shift(tower.stabilized(alpha, n))
+
+
+def test_invariants_never_take_the_exact_shift(monkeypatch):
+    L = GroupLevel(5, 2)
+    elements = [
+        GroupRingElement(L, [Fraction(k % 7 - 3, 5) for k in range(25)]),
+        GroupRingElement.norm_element(L),
+        GroupRingElement(L, [PAdic(5, 5 * k + 5, 4) for k in range(25)]),
+    ]
+    expected = [full_shift_invariants(F) for F in elements]
+
+    def refuse(coeffs):
+        raise AssertionError("the exact Taylor shift was called")
+
+    monkeypatch.setattr(groupring, "_taylor_shift_by_one", refuse)
+    assert [F.iwasawa_invariants().as_tuple() for F in elements] == expected
+    with pytest.raises(AssertionError):
+        elements[0].t_coefficients()
