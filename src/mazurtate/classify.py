@@ -9,6 +9,7 @@ computed range the report says so instead of extrapolating.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
@@ -20,10 +21,11 @@ from .curves import EllipticCurve
 from .elements import MazurTateTower, working_precision
 from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from .hecke import NormalizationData
-from .padics import unit_root, valuation
+from .padics import PAdic, unit_root, valuation
 from .primes import primes
 
 MAX_PRECISION = 1000  # p-adic digits; a larger --precision is refused
+MAXIMALITY_SAMPLE_BOUND = 10000  # maximality_criterion samples a beyond p^{n+1} above this
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -267,17 +269,15 @@ class MaximalityReport:
     conclusions_verified: bool | None
 
 
-def maximality_criterion(sym, p: int, n_max: int, t: int = 1, sample_bound: int = 10000, rng=None) -> MaximalityReport:
+def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityReport:
     """Search for a unit alpha with phi({inf}-{a/p^{n+1}}) = alpha phi({inf}-{a/p^n}) mod p^t.
 
-    Exhaustive over a when p^{n+1} <= sample_bound, random sampling beyond.
+    Exhaustive over a when p^{n+1} <= MAXIMALITY_SAMPLE_BOUND, random sampling beyond.
     When a witness exists and t > ord_p(phi({inf}-{0})), the level-n elements
     must have mu = ord_p(phi({inf}-{0})) and maximal lambda; that conclusion
     is re-verified on computed invariants.
     """
-    import random
-
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     phi0 = sym.value_infinity_minus(0)
     if phi0 == 0:
         raise ValueError("criterion needs phi({inf}-{0}) nonzero")
@@ -286,7 +286,7 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1, sample_bound: int 
     candidates = [u for u in range(1, modulus) if u % p]
     for n in range(0, n_max + 1):
         q = p ** (n + 1)
-        if q <= sample_bound:
+        if q <= MAXIMALITY_SAMPLE_BOUND:
             a_values = [a for a in range(1, q) if a % p]
         else:
             a_values = {rng.randrange(1, q) for _ in range(200)}
@@ -296,8 +296,8 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1, sample_bound: int 
             upper = sym.value_infinity_minus(Fraction(a, q))
             if lower.denominator % p == 0 or upper.denominator % p == 0:
                 raise ValueError("criterion needs a p-integral symbol")
-            x = int(lower) % modulus if lower.denominator == 1 else (lower.numerator * pow(lower.denominator, -1, modulus)) % modulus
-            y = int(upper) % modulus if upper.denominator == 1 else (upper.numerator * pow(upper.denominator, -1, modulus)) % modulus
+            x = PAdic.from_rational(lower, p, t).residue
+            y = PAdic.from_rational(upper, p, t).residue
             candidates = [u for u in candidates if (y - u * x) % modulus == 0]
             if not candidates:
                 return MaximalityReport(False, t, m, (), None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import cache
 from .boundary import boundary_congruence
 from .classify import (DichotomyReport, MTRequest, check_precision, classify, level_rows,
                        normalization_shift)
-from .curves import DEFAULT_ELL_BOUND, EllipticCurve
+from .curves import DEFAULT_ELL_BOUND, EllipticCurve, parse_lratio
 from .elements import MazurTateTower
 from .errors import BoundExceeded, InputError, MazurTateError
 from .primes import is_prime
@@ -58,14 +57,14 @@ def load_curve(args) -> EllipticCurve:
             raise InputError(f"--coeffs expects a1,a2,a3,a4,a6: {exc}") from exc
         if args.conductor is None:
             raise InputError("--coeffs requires --conductor")
-        lratio = Fraction(args.lratio) if args.lratio else None
+        lratio = parse_lratio(args.lratio) if args.lratio else None
         curve = EllipticCurve(a1, a2, a3, a4, a6, conductor=args.conductor,
                               label=args.label, lratio=lratio,
                               lratio_source="user-supplied" if lratio is not None else None)
     else:
         raise InputError("provide --curve PATH or --coeffs a1,a2,a3,a4,a6 --conductor N")
     if getattr(args, "lratio", None) and args.curve:
-        curve.lratio = Fraction(args.lratio)
+        curve.lratio = parse_lratio(args.lratio)
         curve.lratio_source = "user-supplied"
     return curve
 

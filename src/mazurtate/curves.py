@@ -26,6 +26,22 @@ def _legendre(a: int, ell: int) -> int:
     return 1 if pow(a, (ell - 1) // 2, ell) == 1 else -1
 
 
+def parse_lratio(text) -> Fraction:
+    """L(E,1)/Omega_E from a decimal or num/den string (or a JSON number)."""
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed L-ratio {text!r}: {exc}") from exc
+
+
+def _integer_field(d: dict, key: str) -> int:
+    """An integer or integer string; floats and booleans are refused, not truncated."""
+    value = d[key]
+    if isinstance(value, (bool, float)):
+        raise InputError(f"malformed curve record: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class EllipticCurve:
     a1: int
@@ -78,10 +94,6 @@ class EllipticCurve:
             + self.a2 * self.a3 * self.a3
             - self.a4 * self.a4
         )
-
-    @property
-    def c4(self):
-        return self.b2 * self.b2 - 24 * self.b4
 
     @property
     def c6(self):
@@ -170,22 +182,19 @@ class EllipticCurve:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EllipticCurve":
+        if not isinstance(d, dict):
+            raise InputError(f"malformed curve record: expected an object, got {type(d).__name__}")
         try:
             lratio = None
             if d.get("lratio") is not None:
-                lratio = Fraction(str(d["lratio"]))
+                lratio = parse_lratio(d["lratio"])
             return cls(
-                a1=int(d["a1"]),
-                a2=int(d["a2"]),
-                a3=int(d["a3"]),
-                a4=int(d["a4"]),
-                a6=int(d["a6"]),
-                conductor=int(d["conductor"]),
+                **{key: _integer_field(d, key) for key in ("a1", "a2", "a3", "a4", "a6", "conductor")},
                 label=d.get("label"),
                 lratio=lratio,
                 lratio_source=d.get("lratio_source"),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed curve record: {exc}") from exc
 
     @classmethod

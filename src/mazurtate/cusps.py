@@ -23,7 +23,6 @@ def _cusps_equivalent(N: int, c1, c2) -> bool:
 
 def _class_representatives(N: int):
     reps = []
-    d = 1
     divisors = sorted(k for k in range(1, N + 1) if N % k == 0)
     for d in divisors:
         g = math.gcd(d, N // d)

@@ -130,11 +130,6 @@ def _taylor_shift_mod_p(coeffs, p: int):
 class IwasawaInvariants:
     mu: int
     lam: int
-    normalization_shift: int = 0
-
-    @property
-    def shifted_mu(self) -> int:
-        return self.mu + self.normalization_shift
 
     def as_tuple(self):
         return (self.mu, self.lam)
@@ -153,7 +148,7 @@ class GroupRingElement:
         if len(kinds) > 1:
             raise ValueError("rational and p-adic coefficients must not mix")
         if not kinds.pop():
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
         self.level = level
         self.coeffs = coeffs
 
@@ -175,18 +170,14 @@ class GroupRingElement:
 
     @classmethod
     def from_t_coefficients(cls, level: GroupLevel, t_coeffs) -> "GroupRingElement":
-        """Inverse binomial transform: T^k = sum_j C(k,j)(-1)^{k-j} gamma^j."""
-        m = level.order
-        t_coeffs = list(t_coeffs)
-        coeffs = []
-        for j in range(m):
-            acc = sum(
-                ((-1) ** (k - j)) * math.comb(k, j) * t_coeffs[k]
-                for k in range(j, m)
-                if t_coeffs[k]
-            )
-            coeffs.append(acc if acc else Fraction(0))
-        return cls(level, coeffs)
+        """The element sum_k t_k T^k, T = gamma - 1.
+
+        Its gamma^j coefficient is (-1)^j sum_k C(k, j) (-1)^k t_k, so the
+        inverse transform is ``t_coefficients`` between two sign alternations.
+        P-adic results are at the least precision of the input.
+        """
+        alternated = cls(level, [-c if k % 2 else c for k, c in enumerate(t_coeffs)])
+        return cls(level, [-c if j % 2 else c for j, c in enumerate(alternated.t_coefficients())])
 
     # -- basic structure --
 
@@ -244,6 +235,8 @@ class GroupRingElement:
 
         a_k = sum_i C(i,k) c_i, computed exactly as the Taylor shift gamma ->
         1 + T by Horner's scheme on integers (denominators cleared first).
+        With the signs of c_i and a_k alternated it is the inverse transform
+        (see ``from_t_coefficients``).
         That is p^n(p^n - 1)/2 big-integer additions; ``iwasawa_invariants``
         does not need them.
         """

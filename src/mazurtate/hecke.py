@@ -137,6 +137,8 @@ def normalize(sym: ModularSymbol, curve: EllipticCurve, mode: str = "cohomologic
         raise ValueError(f"unknown normalization mode {mode!r}")
     if curve.lratio is None:
         raise RankPositive("neron mode requires the L(E,1)/Omega_E ratio")
+    if curve.lratio == 0:
+        raise RankPositive("neron normalization undefined: L(E,1)/Omega_E = 0")
     phi0 = sym.value_infinity_minus(0)
     if phi0 == 0:
         raise RankPositive("neron normalization undefined: phi({inf}-{0}) = 0")

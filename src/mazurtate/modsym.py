@@ -222,10 +222,6 @@ class Divisor:
         """{r} - {s}"""
         return cls([(1, r), (-1, s)])
 
-    @classmethod
-    def infinity_minus(cls, r):
-        return cls.difference(INFINITY, r)
-
     def apply_matrix(self, mat):
         return Divisor([(c, apply_matrix_to_cusp(mat, pt)) for c, pt in self.terms])
 

@@ -85,27 +85,18 @@ def check_tower(case: TowerCase) -> TowerVerdict:
     """Decide applicability from the data alone, then verify the conclusion."""
     p = case.p
     seq = case.sequence
+    increments = (seq[n] - seq[n - 1].corestriction().scale(1 / case.alpha) for n in range(1, len(seq)))
     increments_integral = all(
-        min(valuation(c, p) for c in (seq[n] - seq[n - 1].corestriction().scale(1 / case.alpha)).coeffs) >= 0
-        for n in range(1, len(seq))
-        if not (seq[n] - seq[n - 1].corestriction().scale(1 / case.alpha)).is_zero()
+        min(valuation(c, p) for c in d.coeffs) >= 0 for d in increments if not d.is_zero()
     )
-    mus = []
-    for theta in seq:
-        if theta.is_zero():
-            mus.append(None)
-        else:
-            mus.append(theta.iwasawa_invariants().mu)
-    some_negative = any(m is not None and m < 0 for m in mus)
-    applicable = increments_integral and some_negative
-    if not applicable:
+    invs = [None if theta.is_zero() else theta.iwasawa_invariants() for theta in seq]
+    some_negative = any(inv is not None and inv.mu < 0 for inv in invs)
+    if not (increments_integral and some_negative):
         return TowerVerdict(False, None)
-    mu0 = seq[0].iwasawa_invariants().mu
-    holds = True
-    for n, theta in enumerate(seq):
-        inv = theta.iwasawa_invariants()
-        if inv.mu != mu0 or inv.lam != p**n - 1:
-            holds = False
+    # with alpha a unit, integral increments would make every level integral
+    # if one were zero, so every level is nonzero here
+    mu0 = invs[0].mu
+    holds = all(inv.mu == mu0 and inv.lam == p**n - 1 for n, inv in enumerate(invs))
     return TowerVerdict(True, holds)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -138,6 +139,17 @@ def test_selftest_small_deterministic(capsys):
     assert payload["passed"]
 
 
+# sha256 of the stdout recorded before from_t_coefficients became the sign-alternated
+# Taylor shift; the suites must draw and judge the same elements
+SELFTEST_SEED3_CASES20_DIGEST = "f0157cfb605c8b75a89a3a92ba35856da3ac4a017d7bc851846211e62aa4b65e"
+
+
+def test_selftest_output_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "selftest", "--seed", "3", "--cases", "20", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SEED3_CASES20_DIGEST
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["invariants", "--curve", "11a", "--p", "5", "--n-max", "1",
@@ -212,3 +224,65 @@ def test_precision_below_one_is_an_input_error(capsys, command, precision):
     assert code == 3
     assert out == ""
     assert json.loads(err) == {"error": "input_error", "message": f"precision must be at least 1, got {precision}"}
+
+
+def write_curve(tmp_path, record):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+RECORD_11A = {"a1": 0, "a2": -1, "a3": 1, "a4": -10, "a6": -20, "conductor": 11}
+
+
+@pytest.mark.parametrize("source", ["flag", "coeffs", "file"])
+@pytest.mark.parametrize("lratio", ["1/0", "one fifth"])
+def test_malformed_lratio_is_an_input_error(tmp_path, capsys, source, lratio):
+    if source == "flag":
+        curve = ["--curve", "11a", "--lratio", lratio]
+    elif source == "coeffs":
+        curve = ["--coeffs", "0,-1,1,-10,-20", "--conductor", "11", "--lratio", lratio]
+    else:
+        curve = ["--curve", write_curve(tmp_path, {**RECORD_11A, "lratio": lratio})]
+    code, out, err = run_cli(capsys, "invariants", *curve, "--p", "5", "--n-max", "1", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "input_error"
+    assert "malformed L-ratio" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("record", [[1, 2, 3], "11a", 11, None])
+def test_curve_file_that_is_not_an_object_is_an_input_error(tmp_path, capsys, record):
+    code, _, err = run_cli(capsys, "analyze", "--curve", write_curve(tmp_path, record), "--p", "5")
+    assert code == 3
+    assert json.loads(err)["error"] == "input_error"
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+@pytest.mark.parametrize("mode", ["neron", "auto"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_zero_lratio_is_rank_positive_in_neron_mode(tmp_path, capsys, command, mode, source):
+    if source == "flag":
+        curve = ["--curve", "11a", "--lratio", "0"]
+    else:
+        curve = ["--curve", write_curve(tmp_path, {**RECORD_11A, "lratio": "0"})]
+    code, out, err = run_cli(capsys, command, *curve, "--p", "5", "--n-max", "1", "--mode", mode, "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "rank_positive"
+
+
+def test_zero_lratio_in_cohomological_mode_still_runs(capsys):
+    code, out, _ = run_cli(capsys, "invariants", "--curve", "11a", "--lratio", "0", "--p", "5", "--n-max", "1",
+                           "--mode", "coh", "--format", "json")
+    assert code == 0
+    assert [r["lambda"] for r in json.loads(out)["per_level"]] == [0, 4]
+
+
+@pytest.mark.parametrize("key, value", [("a2", -1.4), ("conductor", 11.9), ("conductor", 11.0), ("a1", False)])
+def test_non_integer_curve_fields_are_input_errors(tmp_path, capsys, key, value):
+    path = write_curve(tmp_path, {**RECORD_11A, key: value})
+    code, _, err = run_cli(capsys, "invariants", "--curve", path, "--p", "5", "--n-max", "1")
+    assert code == 3
+    assert json.loads(err)["error"] == "input_error"
+    assert key in json.loads(err)["message"]

@@ -115,3 +115,40 @@ def test_discriminants():
     assert make_curve("26b1").discriminant == -(2**7) * 13
     assert make_curve("50b1").discriminant == -(2**5) * 5**2
     assert abs(make_curve("174b1").discriminant) == 2**7 * 3**7 * 29
+
+
+CURVE_11A = {"a1": 0, "a2": -1, "a3": 1, "a4": -10, "a6": -20, "conductor": 11}
+
+
+@pytest.mark.parametrize("key", ["a1", "a2", "a3", "a4", "a6", "conductor"])
+@pytest.mark.parametrize("bad", [-1.4, 11.9, 0.0, 11.0, True, False])
+def test_from_dict_refuses_floats_and_booleans(key, bad):
+    with pytest.raises(InputError, match=key):
+        EllipticCurve.from_dict({**CURVE_11A, key: bad})
+
+
+def test_from_dict_accepts_integer_strings():
+    curve = EllipticCurve.from_dict({key: str(value) for key, value in CURVE_11A.items()})
+    assert curve.to_dict() == CURVE_11A
+
+
+@pytest.mark.parametrize("record", [
+    [0, -1, 1, -10, -20, 11],
+    "11a",
+    None,
+    {**CURVE_11A, "a4": None},
+    {**CURVE_11A, "lratio": "1/0"},
+    {**CURVE_11A, "lratio": [1, 5]},
+])
+def test_from_dict_malformed_records_are_input_errors(record):
+    with pytest.raises(InputError):
+        EllipticCurve.from_dict(record)
+
+
+@pytest.mark.parametrize("label", ["11a", "26b1", "50b1", "174b1"])
+def test_shipped_fixtures_load_unchanged(label):
+    from importlib import resources
+
+    path = resources.files("mazurtate").joinpath("fixtures", f"{label}.json")
+    loaded = EllipticCurve.from_json_file(path)
+    assert loaded.to_dict() == {**make_curve(label).to_dict(), "lratio_source": loaded.lratio_source}

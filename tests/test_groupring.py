@@ -307,3 +307,69 @@ def test_invariants_never_take_the_exact_shift(monkeypatch):
     assert [F.iwasawa_invariants().as_tuple() for F in elements] == expected
     with pytest.raises(AssertionError):
         elements[0].t_coefficients()
+
+
+# -- from_t_coefficients against the binomial formula --
+
+
+def binomial_from_t_coefficients(level, t_coeffs):
+    """Reference inverse transform: T^k = sum_j C(k, j) (-1)^(k - j) gamma^j."""
+    m = level.order
+    coeffs = []
+    for j in range(m):
+        acc = sum(((-1) ** (k - j)) * math.comb(k, j) * t_coeffs[k] for k in range(j, m) if t_coeffs[k])
+        coeffs.append(acc if acc else Fraction(0))
+    return GroupRingElement(level, coeffs)
+
+
+SMALL_LEVELS = [(p, n) for p in (3, 5, 7, 11) for n in range(4) if p**n <= 125]
+
+
+@pytest.mark.parametrize("p, n", SMALL_LEVELS)
+def test_from_t_coefficients_matches_binomial_formula(p, n):
+    rng = random.Random(p * 7 + n)
+    L = GroupLevel(p, n)
+    for _ in range(10):
+        t = [random_rational(rng, p) for _ in range(L.order)]
+        assert GroupRingElement.from_t_coefficients(L, t) == binomial_from_t_coefficients(L, t)
+
+
+@pytest.mark.parametrize("p, n", SMALL_LEVELS)
+def test_padic_from_t_coefficients_matches_binomial_formula(p, n):
+    rng = random.Random(p * 11 + n)
+    L = GroupLevel(p, n)
+    for _ in range(10):
+        prec = rng.randint(1, 6)
+        t = [PAdic(p, rng.randrange(p**prec) if rng.random() < 0.7 else 0, prec) for _ in range(L.order)]
+        new = GroupRingElement.from_t_coefficients(L, t)
+        old = binomial_from_t_coefficients(L, t)
+        assert new.is_padic and {c.precision for c in new.coeffs} == {prec}
+        assert [c.residue for c in new.coeffs] == [c.residue for c in old.coeffs]
+
+
+@pytest.mark.parametrize("length", [8, 10])
+def test_from_t_coefficients_wrong_length_rejected(length):
+    with pytest.raises(ValueError):
+        GroupRingElement.from_t_coefficients(GroupLevel(3, 2), [Fraction(1)] * length)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (5, 3)])
+def test_from_t_coefficients_is_linear(p, n):
+    # the sum-cancellation suite builds F2 = from_t(d) - F1 instead of from_t(-t(F1) + d)
+    rng = random.Random(p * 13 + n)
+    L = GroupLevel(p, n)
+    for _ in range(10):
+        F = GroupRingElement(L, [random_rational(rng, p) for _ in range(L.order)])
+        d = [0] * L.order
+        for j in rng.sample(range(L.order), 2):
+            d[j] = rng.choice([1, 2, -1, p + 1]) * Fraction(p) ** rng.randint(-2, 2)
+        assert GroupRingElement.from_t_coefficients(L, d) - F == GroupRingElement.from_t_coefficients(
+            L, [-c + e for c, e in zip(F.t_coefficients(), d)])
+
+
+def test_constructor_keeps_fractions_and_converts_other_rationals():
+    half = Fraction(1, 2)
+    F = GroupRingElement(GroupLevel(3, 1), [half, 2, 0.25])
+    assert F.coeffs[0] is half
+    assert all(type(c) is Fraction for c in F.coeffs)
+    assert F.coeffs == (half, Fraction(2), Fraction(1, 4))

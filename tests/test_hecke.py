@@ -170,3 +170,12 @@ def test_neron_requires_nonvanishing_central_value():
     assert sym.value_infinity_minus(0) == 0
     with pytest.raises(RankPositive):
         normalize(sym, curve, "neron")
+
+
+def test_neron_refuses_a_zero_lratio(eigensymbols, curves):
+    # 11a has phi({inf}-{0}) != 0, so only the stated ratio can be at fault
+    curve = EllipticCurve(**{**curves["11a"].to_dict(), "lratio": Fraction(0)})
+    with pytest.raises(RankPositive, match="L\\(E,1\\)/Omega_E = 0"):
+        normalize(eigensymbols["11a"], curve, "neron")
+    sym, data = normalize(eigensymbols["11a"], curve, "cohomological")
+    assert data.mode == "cohomological" and sym.value_infinity_minus(0) != 0
