@@ -164,7 +164,8 @@ class EllipticCurve:
             a = ell - nonsingular
             if ell >= 5 and self._multiplicity(ell) == 1:
                 # cross-check against the quadratic-residue criterion on -c6
-                assert a == _legendre(-self.c6, ell), "split/nonsplit criteria disagree"
+                if a != _legendre(-self.c6, ell):
+                    raise RuntimeError("split/nonsplit criteria disagree")
         self._ap_cache[ell] = a
         return a
 

@@ -48,7 +48,8 @@ class CuspClassTable:
         self.N = N
         self.representatives = _class_representatives(N)
         expected = sum(_euler_phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
-        assert len(self.representatives) == expected
+        if len(self.representatives) != expected:
+            raise RuntimeError(f"{len(self.representatives)} cusp classes at level {N}, expected {expected}")
         self._cache = {}
 
     def __len__(self):

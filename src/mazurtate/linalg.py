@@ -1,15 +1,26 @@
-"""Exact linear algebra: sparse elimination over Q, dense elimination over F_p.
+"""Exact linear algebra: sparse elimination over Q and mod a prime, dense over F_p.
 
 Over Q, rows are sparse dicts {column: Fraction}.  `echelon` folds them into
 pivot rows, each stating a pivot variable as a combination of non-pivot
 columns; `kernel` reads a kernel basis off those pivots.  The Manin-symbol
-relation quotient and the Hecke eigenline are both computed this way.  Over
-F_p, matrices are lists of row lists of plain ints.
+relation quotient is computed this way, and so is the Hecke eigenline when
+its fast path cannot be certified.
+
+The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
+rational row (None if a denominator is divisible by the prime), `echelon_mod`
+folds residue rows with the same insertion-rank scheme as `echelon`,
+`kernel_mod` reads kernel vectors off its pivots, and
+`rational_reconstruction` lifts a residue back to a small fraction.  Nothing
+computed mod the prime is a result by itself: the caller certifies the lift
+over Q.  Dense F_p matrices are lists of row lists of plain ints.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import gcd, isqrt
+
+MODULUS = 2**61 - 1  # a Mersenne prime
 
 
 def mat_mul(a, b):
@@ -105,6 +116,104 @@ def nullspace(matrix, ncols=None):
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
     return kernel(echelon({j: x for j, x in enumerate(row) if x} for row in matrix), ncols)
+
+
+# --- sparse rows mod a large prime q (residues are ints in [0, q)) ---
+
+
+def residue_row(row, q):
+    """Sparse {column: rational} row reduced mod q, or None if a denominator is divisible by q."""
+    out = {}
+    for k, x in row.items():
+        den = x.denominator  # 1 for an int
+        if den % q == 0:
+            return None
+        x = x.numerator % q if den == 1 else x.numerator * pow(den, -1, q) % q
+        if x:
+            out[k] = x
+    return out
+
+
+def echelon_mod(rows, q, pivots=None, until=None):
+    """Fold sparse residue rows mod the prime q into pivot rows; returns the pivots.
+
+    The fold is that of `echelon`, on ints mod q: each incoming row has its
+    pivot columns cleared oldest pivot first, then pivots on its greatest
+    column (on Hecke rows this fills in far less than the least column: 4x
+    fewer updates at level 5077).  There is no back-substitution, so a pivot
+    row may still hold newer pivot columns (never older ones); `kernel_mod`
+    resolves them.  Folding stops before the next row once `until` pivots
+    exist.
+    """
+    if pivots is None:
+        pivots = {}
+    order = list(pivots)
+    rank = {v: r for r, v in enumerate(order)}
+    for row in rows:
+        if until is not None and len(order) >= until:
+            break
+        row = dict(row)
+        heap = [rank[k] for k in row if k in rank]
+        heap.sort()
+        while heap:
+            v = order[heappop(heap)]
+            a = row.pop(v) % q
+            if not a:
+                continue
+            for k, c in pivots[v].items():
+                if k in row:
+                    row[k] += a * c
+                else:
+                    row[k] = a * c
+                    if k in rank:
+                        heappush(heap, rank[k])
+        row = {k: r for k, x in row.items() if (r := x % q)}
+        if not row:
+            continue
+        piv = max(row)
+        c = q - pow(row.pop(piv), -1, q)
+        pivots[piv] = {k: x * c % q for k, x in row.items()}
+        rank[piv] = len(order)
+        order.append(piv)
+    return pivots
+
+
+def kernel_mod(pivots, ncols, q):
+    """Kernel basis mod q of echelon_mod pivots, one vector per non-pivot column, ascending.
+
+    Pivot values are resolved newest pivot first, since a pivot row holds
+    only non-pivot columns and newer pivots.
+    """
+    order = list(reversed(pivots))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for piv in order:
+            v[piv] = sum(c * v[k] for k, c in pivots[piv].items()) % q
+        basis.append(v)
+    return basis
+
+
+def rational_reconstruction(a, m):
+    """The fraction n/d with n = a d mod m, |n| and 0 < d at most sqrt(m/2); None if none exists.
+
+    Extended Euclid on (m, a), stopped at the first remainder within the
+    bound (Wang's method; see Monagan, ISSAC 2004).  Such a fraction is
+    unique when it exists.
+    """
+    bound = isqrt(m // 2)
+    r0, r1 = m, a % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        t = r0 // r1
+        r0, r1 = r1, r0 - t * r1
+        s0, s1 = s1, s0 - t * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 # --- F_p (entries plain ints reduced mod p) ---

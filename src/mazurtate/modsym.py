@@ -107,7 +107,8 @@ def lift_to_sl2z(c: int, d: int, N: int):
             k += 1
         d += k * N
     x, y, g = _xgcd(c, d)
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"lifted bottom row ({c}, {d}) has gcd {g}, not 1")
     # bottom row (c,d); top row solves a*d - b*c = 1
     return (y, -x, c, d)
 
@@ -166,7 +167,8 @@ def elliptic_point_counts(N: int):
 def genus_x0(N: int) -> int:
     nu2, nu3 = elliptic_point_counts(N)
     g = Fraction(1) + Fraction(psi_index(N), 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(cusp_count(N), 2)
-    assert g.denominator == 1
+    if g.denominator != 1:
+        raise RuntimeError(f"genus formula gives {g} at level {N}, not an integer")
     return int(g)
 
 

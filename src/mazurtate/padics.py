@@ -167,5 +167,6 @@ def unit_root(a_p: int, p: int, precision: int) -> PAdic:
         dfx = (2 * x - a_p) % m
         x = (x - fx * pow(dfx, -1, m)) % m
     root = PAdic(p, x, precision)
-    assert (x * x - a_p * x + p) % p**precision == 0
+    if (x * x - a_p * x + p) % p**precision:
+        raise RuntimeError(f"unit root of x^2 - {a_p} x + {p} fails its check mod {p}^{precision}")
     return root

@@ -94,7 +94,10 @@ def check_tower(case: TowerCase) -> TowerVerdict:
     if not (increments_integral and some_negative):
         return TowerVerdict(False, None)
     # with alpha a unit, integral increments would make every level integral
-    # if one were zero, so every level is nonzero here
+    # if one were zero; a zero level (alpha not a unit) has no invariants, so
+    # the conclusion fails there
+    if None in invs:
+        return TowerVerdict(True, False)
     mu0 = invs[0].mu
     holds = all(inv.mu == mu0 and inv.lam == p**n - 1 for n, inv in enumerate(invs))
     return TowerVerdict(True, holds)

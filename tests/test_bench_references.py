@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mazurtate import cache
+from mazurtate import cache, hecke
 from mazurtate.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -34,13 +34,36 @@ JOBS = [
 ]
 
 
-@pytest.mark.parametrize("job", JOBS)
-def test_job_matches_reference(job, capsys, monkeypatch):
+def run_job(job, capsys, monkeypatch):
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)  # the jobs run uncached
     code = main(job.split())
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     ref = REFERENCES[job]
-    assert (code, digest) == (ref["exit_code"], ref["stdout_sha256"])
+    return (code, digest) == (ref["exit_code"], ref["stdout_sha256"])
+
+
+@pytest.mark.parametrize("job", JOBS)
+def test_job_matches_reference(job, capsys, monkeypatch):
+    assert run_job(job, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("job", [job for job in JOBS if job.startswith(("eigensymbol", "boundary"))
+                                 and any(label in job for label in ("37a1", "389a1", "571a1", "174b1"))])
+def test_job_matches_reference_with_a_tiny_modulus(job, capsys, monkeypatch):
+    # mod 3 the eigenline mostly fails to certify, so the exact elimination
+    # over Q runs instead; the output must not change either way
+    monkeypatch.setattr(hecke, "MODULUS", 3)
+    assert run_job(job, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("job", [job for job in JOBS if job.startswith("eigensymbol")
+                                 and any(label in job for label in ("389a1", "571a1", "681b1"))])
+def test_eigensymbol_jobs_never_take_the_exact_elimination(job, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact elimination was called")
+
+    monkeypatch.setattr(hecke, "echelon", refuse)
+    assert run_job(job, capsys, monkeypatch)
 
 
 def test_traced_names_exist():

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from mazurtate import hecke
 from mazurtate.curves import EllipticCurve
 from mazurtate.errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
 from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize, sturm_bound
 from mazurtate.linalg import mat_mul, mat_vec, nullspace
-from mazurtate.modsym import build_space
+from mazurtate.modsym import ModularSymbol, build_space
 
 from .conftest import make_curve
 
@@ -179,3 +181,100 @@ def test_neron_refuses_a_zero_lratio(eigensymbols, curves):
         normalize(eigensymbols["11a"], curve, "neron")
     sym, data = normalize(eigensymbols["11a"], curve, "cohomological")
     assert data.mode == "cohomological" and sym.value_infinity_minus(0) != 0
+
+
+# --- the certified mod-q eigenline against the exact elimination over Q ---
+
+LEVEL_CURVES = {  # label: (a1, a2, a3, a4, a6, conductor), beyond the conftest fixtures
+    "37a1": (0, 0, 1, -1, 0, 37),
+    "389a1": (0, 1, 1, -2, 0, 389),
+    "571a1": (0, -1, 1, -929, -10595, 571),
+    "681b1": (1, 1, 0, -1154, -15345, 681),
+}
+EIGENLINE_LABELS = ["11a", "26b1", "50b1", "174b1", "37a1", "389a1", "571a1", "681b1"]
+
+
+@pytest.fixture(scope="module")
+def level_cases(spaces, curves):
+    """label -> (space, curve, content-one coordinates from the exact elimination)."""
+    cases = {label: (spaces[curve.conductor], curve) for label, curve in curves.items()}
+    for label, (*coeffs, N) in LEVEL_CURVES.items():
+        cases[label] = (build_space(N), EllipticCurve(*coeffs, conductor=N, label=label))
+    return {
+        label: (space, curve, _content_one_coords(space, hecke._exact_eigenline(space, curve, partial(hecke_matrix, space))))
+        for label, (space, curve) in cases.items()
+    }
+
+
+def _content_one_coords(space, coords):
+    return hecke._content_one(ModularSymbol(space, coords, sign="+")).coords
+
+
+def _count_exact_runs(monkeypatch):
+    calls = []
+    exact = hecke.echelon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(hecke, "echelon", counted)
+    return calls
+
+
+@pytest.mark.parametrize("label", EIGENLINE_LABELS)
+def test_certified_eigenline_matches_the_exact_one(level_cases, label):
+    space, curve, expected = level_cases[label]
+    coords = hecke._certified_eigenline(space, curve, partial(hecke_matrix, space))
+    assert coords is not None and all(isinstance(c, int) for c in coords)
+    assert _content_one_coords(space, coords) == expected
+    assert eigensymbol(space, curve).coords == expected
+
+
+@pytest.mark.parametrize("label", ["11a", "26b1", "50b1", "174b1", "389a1", "571a1", "681b1"])
+def test_tiny_modulus_falls_back_to_the_exact_elimination(level_cases, label, monkeypatch):
+    # mod 3 these kernels are wider than a line, or their vectors do not lift
+    monkeypatch.setattr(hecke, "MODULUS", 3)
+    calls = _count_exact_runs(monkeypatch)
+    space, curve, expected = level_cases[label]
+    assert eigensymbol(space, curve).coords == expected
+    assert calls
+
+
+def test_tiny_modulus_may_still_certify(level_cases, monkeypatch):
+    # 37a1's eigenline lifts from mod 3 and passes the exact check: no fallback
+    monkeypatch.setattr(hecke, "MODULUS", 3)
+    calls = _count_exact_runs(monkeypatch)
+    space, curve, expected = level_cases["37a1"]
+    assert eigensymbol(space, curve).coords == expected
+    assert not calls
+
+
+@pytest.mark.parametrize("label", ["26b1", "389a1", "681b1"])
+def test_perturbed_reconstruction_is_refused(level_cases, label, monkeypatch):
+    lifted = []
+    reconstruct = hecke.rational_reconstruction
+
+    def perturb_one(a, m):
+        x = reconstruct(a, m)
+        lifted.append(x)
+        return x + 1 if len(lifted) == 1 else x
+
+    monkeypatch.setattr(hecke, "rational_reconstruction", perturb_one)
+    space, curve, expected = level_cases[label]
+    assert hecke._certified_eigenline(space, curve, partial(hecke_matrix, space)) is None
+    calls = _count_exact_runs(monkeypatch)
+    lifted.clear()
+    assert eigensymbol(space, curve).coords == expected
+    assert calls and len(lifted) == space.dimension
+
+
+def test_shared_hecke_matrices_are_built_once(monkeypatch):
+    # the fake Eisenstein system sends both paths to the Sturm bound
+    built = []
+    monkeypatch.setattr(hecke, "hecke_matrix", lambda space, ell: built.append(ell) or hecke_matrix(space, ell))
+    curve = make_curve("26b1")
+    curve._ap_cache.update({ell: ell + 1 for ell in (3, 5, 7)})
+    with pytest.raises(EigenspaceNotOneDimensional):
+        eigensymbol(build_space(26), curve)
+    assert built == [3, 5, 7]

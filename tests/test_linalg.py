@@ -3,7 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate.linalg import echelon, kernel, nullspace, rref_mod_p, solve_mod_p
+from mazurtate.linalg import (
+    MODULUS,
+    echelon,
+    echelon_mod,
+    kernel,
+    kernel_mod,
+    nullspace,
+    rational_reconstruction,
+    residue_row,
+    rref_mod_p,
+    solve_mod_p,
+)
 
 
 def dense_rref(matrix):
@@ -113,3 +124,84 @@ def test_solve_mod_p_reports_rank_and_verifiable_certificate():
             assert sum(c * rhs[i] for i, c in cert) % p != 0
         else:
             assert [sum(a * x for a, x in zip(row, solution)) % p for row in matrix] == rhs
+
+
+# --- sparse elimination mod a prime ---
+
+
+def pivot_matrix_mod(pivots, ncols, q):
+    """Dense rows e_v - sum c e_column mod q, one per echelon_mod pivot."""
+    rows = []
+    for v, row in pivots.items():
+        dense = [0] * ncols
+        dense[v] = 1
+        for k, c in row.items():
+            dense[k] = (dense[k] - c) % q
+        rows.append(dense)
+    return rows
+
+
+def residues(matrix, q):
+    return [{j: x % q for j, x in enumerate(row) if x % q} for row in matrix]
+
+
+@pytest.mark.parametrize("q", [MODULUS, 7])
+@pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
+def test_echelon_mod_matches_dense_reference(seed, nrows, ncols, rank, q):
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, nrows, ncols, rank)
+    pivots = echelon_mod(residues(matrix, q), q)
+    reference, reference_pivots, _ = rref_mod_p(matrix, q)
+    assert len(pivots) == len(reference_pivots)
+    # same row space: the pivot equations have the reference's RREF
+    assert rref_mod_p(pivot_matrix_mod(pivots, ncols, q), q)[0][:len(pivots)] == reference[:len(pivots)]
+    # no pivot row holds an older pivot column
+    order = list(pivots)
+    assert all(order.index(k) > order.index(v) for v, row in pivots.items() for k in row if k in pivots)
+    basis = kernel_mod(pivots, ncols, q)
+    assert len(basis) == ncols - len(pivots)
+    for v in basis:
+        assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in matrix)
+    assert len(rref_mod_p(basis, q)[1]) == len(basis)
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
+def test_echelon_mod_over_the_large_prime_has_the_rank_over_q(seed, nrows, ncols, rank):
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, nrows, ncols, rank)
+    assert len(echelon_mod(residues(matrix, MODULUS), MODULUS)) == len(dense_rref(matrix))
+
+
+def test_echelon_mod_stops_at_the_requested_rank():
+    rows = residues([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], MODULUS)
+    pivots = echelon_mod(rows, MODULUS, until=2)
+    assert len(pivots) == 2
+    assert len(echelon_mod(rows, MODULUS, pivots)) == 3  # extends the same pivots
+    assert echelon_mod(rows, MODULUS, until=0) == {}
+
+
+def test_residue_row():
+    q = MODULUS
+    row = {0: Fraction(3, 2), 1: 0, 2: -1, 3: Fraction(q), 4: Fraction(-5)}
+    assert residue_row(row, q) == {0: 3 * pow(2, -1, q) % q, 2: q - 1, 4: q - 5}
+    assert residue_row({0: 1, 1: Fraction(1, 2 * q)}, q) is None
+    assert residue_row({0: Fraction(1, 3)}, 7) == {0: 5}
+
+
+def test_rational_reconstruction_recovers_small_fractions():
+    rng = random.Random(11)
+    bound = 2**30  # below sqrt(MODULUS / 2)
+    for _ in range(300):
+        x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        a = x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS
+        assert rational_reconstruction(a, MODULUS) == x
+    assert rational_reconstruction(0, MODULUS) == 0
+    assert rational_reconstruction(MODULUS - 1, MODULUS) == -1
+
+
+def test_rational_reconstruction_refuses_large_values():
+    # 2^60 is beyond the bound sqrt(q/2), so it never comes back as itself
+    assert rational_reconstruction(2**60, MODULUS) != 2**60
+    # mod 7 the bound is 1, so only 0, 1 and -1 lift; 3 does not
+    assert rational_reconstruction(3, 7) is None
+    assert [rational_reconstruction(a, 7) for a in (0, 1, 6)] == [0, 1, -1]

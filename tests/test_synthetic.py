@@ -4,6 +4,7 @@ from fractions import Fraction
 from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.synthetic import (
     TowerCase,
+    TowerVerdict,
     check_tower,
     make_admissible_tower,
     make_plain_tower,
@@ -54,3 +55,23 @@ def test_suite_200_admissible_sequences_zero_violations():
         assert report.passed
         total_admissible += report.applicable
     assert total_admissible == 200
+
+
+def test_non_unit_alpha_breaks_the_conclusion():
+    # alpha = 5 is not a unit: theta_1 = cor(theta_0)/5 has integral increment
+    # and mu(theta_1) = -2 != mu(theta_0) = -1, so the checker must say so
+    theta0 = GroupRingElement(GroupLevel(5, 0), [Fraction(1, 5)])
+    theta1 = theta0.corestriction().scale(Fraction(1, 5))
+    verdict = check_tower(TowerCase(5, Fraction(5), (theta0, theta1), True))
+    assert verdict == TowerVerdict(True, False)
+
+
+def test_zero_level_fails_the_conclusion():
+    # theta_0 = 0, theta_1 = 1, theta_2 = cor(theta_1)/5 with alpha = 5: the
+    # increments are integral and mu(theta_2) = -1, but level 0 is zero
+    theta0 = GroupRingElement(GroupLevel(5, 0), [Fraction(0)])
+    theta1 = GroupRingElement(GroupLevel(5, 1), [Fraction(1)] + [Fraction(0)] * 4)
+    theta2 = theta1.corestriction().scale(Fraction(1, 5))
+    assert theta2.iwasawa_invariants().mu == -1
+    verdict = check_tower(TowerCase(5, Fraction(5), (theta0, theta1, theta2), True))
+    assert verdict == TowerVerdict(True, False)
