@@ -24,13 +24,14 @@ from .curves import DEFAULT_ELL_BOUND, EllipticCurve, parse_lratio
 from .elements import MazurTateTower
 from .errors import BoundExceeded, InputError, MazurTateError
 from .primes import is_prime
-from .suites import run_all_suites
 
 CSV_ANALYZE_COLUMNS = [
     "label", "p", "mode", "n", "mu_coh", "mu", "lambda",
     "is_maximal", "integral", "stab_mu", "stab_lambda", "verdict",
 ]
 CSV_INVARIANTS_COLUMNS = ["label", "p", "mode", "n", "mu_coh", "mu", "lambda"]
+DEFAULT_SELFTEST_CASES = 500
+MAX_SELFTEST_CASES = 20 * DEFAULT_SELFTEST_CASES
 
 
 def _fixture_path(name: str) -> Path | None:
@@ -233,6 +234,12 @@ def cmd_eigensymbol(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.cases < 1:
+        raise InputError(f"--cases must be at least 1, got {args.cases}")
+    if args.cases > MAX_SELFTEST_CASES:
+        raise BoundExceeded(f"--cases {args.cases} exceeds the bound {MAX_SELFTEST_CASES}")
+    from .suites import run_all_suites  # only selftest pays for the suites' import
+
     results = run_all_suites(cases_per_pair=args.cases, tower_cases=200, seed=args.seed)
     payload = {
         "seed": args.seed,
@@ -294,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("selftest", parents=[common],
                         help="run the randomized property battery")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cases", type=int, default=500, help="cases per (p, n) pair")
+    sp.add_argument("--cases", type=int, default=DEFAULT_SELFTEST_CASES,
+                    help=f"cases per (p, n) pair, 1 to {MAX_SELFTEST_CASES}")
     sp.set_defaults(func=cmd_selftest)
     return parser
 

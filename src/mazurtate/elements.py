@@ -31,18 +31,29 @@ class RawMazurTateElement:
 
     p: int
     n: int
-    values: dict  # unit a mod p^n -> Fraction
+    values: dict  # unit a mod p^n -> int or Fraction
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
 
 def raw_mazur_tate(sym, p: int, n: int) -> RawMazurTateElement:
-    """Level-n raw element (n >= 1); sym only needs value_infinity_minus."""
+    """Level-n raw element (n >= 1).
+
+    sym needs value_infinity_minus; if it also has is_plus() and that exact
+    test holds, only a < p^n/2 is evaluated and the value at p^n - a is
+    copied, since phi({inf}-{-a/q}) = phi({inf}-{a/q}) and z -> z+1 lies in
+    Gamma_0(N).  Every other symbol is evaluated at every unit a.
+    """
     if n < 1:
         raise ValueError("raw elements start at level 1")
     q = p**n
-    values = {a: sym.value_infinity_minus(Fraction(a, q)) for a in range(1, q) if a % p}
+    is_plus = getattr(sym, "is_plus", None)
+    if is_plus is not None and is_plus():
+        values = {a: sym.value_infinity_minus((a, q)) for a in range(1, q // 2 + 1) if a % p}
+        values.update([(q - a, v) for a, v in reversed(values.items())])
+    else:
+        values = {a: sym.value_infinity_minus((a, q)) for a in range(1, q) if a % p}
     return RawMazurTateElement(p, n, values)
 
 
@@ -54,9 +65,11 @@ class MazurTateTower:
     the exact divisor-level sums of phi|[[p,0],[0,1]], the direct route of the
     norm relation: phi|[[p,0],[0,1]] at a/p^(n+1) is phi({inf}-{a/p^n}), which
     equals the level-n value at (a mod p^n)/p^n because z -> z+1 lies in
-    Gamma_0(N) and fixes infinity.  Only exact rationals are stored, so the
-    stabilized elements can be rebuilt at any precision.  sym only needs
-    value_infinity_minus.
+    Gamma_0(N) and fixes infinity.  The sums run in ints for an integral
+    symbol; each coefficient becomes a Fraction once, in GroupRingElement.
+    Only exact rationals are stored, so the stabilized elements can be
+    rebuilt at any precision.  sym needs value_infinity_minus, and is_plus
+    if a plus symbol is to be evaluated at half the cusps (raw_mazur_tate).
     """
 
     def __init__(self, sym, p: int, n_max: int):
@@ -74,8 +87,8 @@ class MazurTateTower:
         for n in range(n_max + 1):
             top = raw_mazur_tate(sym, p, n + 1).values
             level = GroupLevel(p, n)
-            theta = [Fraction(0)] * level.order
-            scaled = [Fraction(0)] * level.order
+            theta = [0] * level.order
+            scaled = [0] * level.order
             q = p**n
             for a, v in top.items():
                 k = level.exponent_of(a)

@@ -391,6 +391,9 @@ class ModularSymbol:
             raise ValueError("coordinate length does not match space dimension")
         self.sign = sign
         self._generator_values = None
+        self._table = None      # generator values, ints when all are integral
+        self._cusp_memo = None  # u*N + v -> value on (u:v), filled as cusps are evaluated
+        self._is_plus = None
 
     # -- linear structure --
 
@@ -425,20 +428,31 @@ class ModularSymbol:
             )
         return self._generator_values
 
-    def value_infinity_minus(self, r) -> Fraction:
-        """phi({inf} - {r}) by the Manin trick."""
-        cusp = as_cusp(r)
-        if cusp[1] == 0:
-            return Fraction(0)
-        vals = self.generator_values()
+    def value_infinity_minus(self, r):
+        """phi({inf} - {r}) by the Manin trick.
+
+        An int when every generator value is integral (0 at infinity), a
+        Fraction otherwise.  Each symbol memoizes its value per (u mod N,
+        v mod N), so P^1 normalization runs once per pair it meets.
+        """
+        memo = self._cusp_memo
+        if memo is None:
+            vals = self.generator_values()
+            if all(v.denominator == 1 for v in vals):
+                vals = tuple(v.numerator for v in vals)
+            self._table = vals
+            memo = self._cusp_memo = {}
         N = self.space.N
-        index = self.space.p1.index
-        total = Fraction(0)
-        for qk, qk1 in convergent_symbol_pairs(cusp):
-            total += vals[index(qk % N, qk1 % N)]
+        total = 0
+        for qk, qk1 in convergent_symbol_pairs(as_cusp(r)):
+            u, v = qk % N, qk1 % N
+            value = memo.get(u * N + v)
+            if value is None:
+                value = memo[u * N + v] = self._table[self.space.p1.index(u, v)]
+            total += value
         return total
 
-    def value(self, divisor: Divisor) -> Fraction:
+    def value(self, divisor: Divisor):
         return sum((-c) * self.value_infinity_minus(pt) for c, pt in divisor.terms)
 
     def scaled(self, m: int) -> "ScaledSymbol":
@@ -446,6 +460,18 @@ class ModularSymbol:
         return ScaledSymbol(self, m)
 
     # -- sign involution --
+
+    def is_plus(self) -> bool:
+        """Exact J-invariance: the value on (c:d) equals the value on (-c:d) for every generator.
+
+        Then phi({inf}-{-r}) = phi({inf}-{r}) for every cusp r.  Decided from
+        the values alone, whatever the sign label says.
+        """
+        if self._is_plus is None:
+            vals = self.generator_values()
+            involution_index = self.space.involution_index
+            self._is_plus = all(v == vals[involution_index(i)] for i, v in enumerate(vals))
+        return self._is_plus
 
     def involution(self) -> "ModularSymbol":
         new = mat_vec(self.space.involution_matrix(), list(self.coords))
@@ -473,8 +499,12 @@ class ScaledSymbol:
         self.symbol = symbol
         self.m = m
 
-    def value_infinity_minus(self, r) -> Fraction:
+    def value_infinity_minus(self, r):
         return self.symbol.value_infinity_minus(scale_cusp(self.m, as_cusp(r)))
 
-    def value(self, divisor: Divisor) -> Fraction:
+    def is_plus(self) -> bool:
+        # diag(m, 1) commutes with J = diag(-1, 1)
+        return self.symbol.is_plus()
+
+    def value(self, divisor: Divisor):
         return self.symbol.value(divisor.scale(self.m))

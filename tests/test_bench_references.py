@@ -31,6 +31,8 @@ JOBS = [
     "analyze --curve 11a --p 3 --n-max 7 --format json",
     "analyze --curve 174b1 --p 5 --n-max 4 --format json",
     "invariants --curve 11a --p 5 --n-max 4 --format json",
+    "analyze --curve 174b1 --p 7 --n-max 3 --format json",
+    "invariants --curve 174b1 --p 5 --n-max 3 --format json",
 ]
 
 

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,25 @@ def test_selftest_output_is_pinned(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--seed", "3", "--cases", "20", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SEED3_CASES20_DIGEST
+
+
+@pytest.mark.parametrize("cases,error", [("0", "input_error"), ("-3", "input_error"),
+                                         ("100000000000", "bound_exceeded")])
+def test_selftest_refuses_bad_case_counts_before_any_suite(capsys, cases, error):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "selftest", "--cases", cases, "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == error
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_import_leaves_the_suites_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, mazurtate.cli; print(sorted(m for m in ('mazurtate.suites', 'mazurtate.synthetic') if m in sys.modules))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_output_to_file(tmp_path, capsys):

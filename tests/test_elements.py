@@ -17,6 +17,7 @@ from mazurtate.elements import (
     working_precision,
 )
 from mazurtate.groupring import GroupLevel
+from mazurtate.modsym import ModularSymbol
 from mazurtate.padics import PAdic, unit_root
 
 
@@ -186,3 +187,55 @@ def test_tower_serves_every_route_at_any_precision(eigensymbols):
     assert all(tower.norm_relation(alpha, n).passed for alpha in (low, high) for n in range(1, 4))
     with pytest.raises(ValueError):
         MazurTateTower(eigensymbols["11a"], 5, -1)
+
+
+def count_evaluations(monkeypatch):
+    """Record the cusp of every ModularSymbol.value_infinity_minus call."""
+    original = ModularSymbol.value_infinity_minus
+    cusps = []
+
+    def counted(sym, r):
+        cusps.append(r)
+        return original(sym, r)
+
+    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    return cusps
+
+
+def test_plus_symbol_tower_evaluates_half_the_cusps(eigensymbols, monkeypatch):
+    sym = eigensymbols["11a"]
+    assert sym.is_plus()
+    cusps = count_evaluations(monkeypatch)
+    tower = MazurTateTower(sym, 5, 3)
+    # phi({inf}-{0}), then a < 5^k/2 prime to 5 for k = 1..4: 2 + 10 + 50 + 250
+    assert len(cusps) == 313
+    assert len(set(cusps)) == 313
+    assert all(2 * a < q for a, q in cusps[1:])
+    for n, theta in enumerate(tower.thetas):
+        assert all(type(c) is Fraction for c in theta.coeffs)
+        assert all(type(c) is Fraction for c in tower.scaled[n].coeffs)
+
+
+def test_halved_raw_values_match_every_cusp(eigensymbols):
+    for label, p in (("11a", 5), ("26b1", 7), ("174b1", 5)):
+        sym = eigensymbols[label]
+        for n in (1, 2):
+            q = p**n
+            raw = raw_mazur_tate(sym, p, n)
+            assert list(raw.values) == [a for a in range(1, q) if a % p]
+            assert all(v == sym.value_infinity_minus(Fraction(a, q)) for a, v in raw.values.items())
+
+
+def test_forged_plus_label_keeps_the_full_loop(spaces, monkeypatch):
+    rng = random.Random(5)
+    sp = spaces[26]
+    forged = ModularSymbol(sp, [rng.randint(-9, 9) for _ in range(sp.dimension)], sign="+")
+    assert not forged.is_plus()
+    expected = {a: forged.value_infinity_minus(Fraction(a, 49)) for a in range(1, 49) if a % 7}
+    cusps = count_evaluations(monkeypatch)
+    raw = raw_mazur_tate(forged, 7, 2)
+    assert sorted(a for a, _ in cusps) == sorted(expected)
+    assert raw.values == expected
+    # copying values[q - a] would be wrong here, and would break theta(phi) = theta(phi^+)
+    assert any(v != expected[49 - a] for a, v in expected.items())
+    assert mazur_tate(forged, 7, 1) == mazur_tate(forged.plus_part(), 7, 1)

@@ -12,9 +12,11 @@ from mazurtate.modsym import (
     INFINITY,
     Divisor,
     P1List,
+    ModularSymbol,
     apply_matrix_to_cusp,
     as_cusp,
     build_space,
+    convergent_symbol_pairs,
     cusp_count,
     genus_x0,
     psi_index,
@@ -263,3 +265,53 @@ def test_zero_symbol_evaluates_to_zero():
     sp = build_space(26)
     z = sp.zero_symbol()
     assert z.value_infinity_minus(Fraction(5, 49)) == 0
+
+
+def reference_value(sym, r):
+    """phi({inf}-{r}) as a Fraction sum over the Manin path, without the memo."""
+    vals = sym.generator_values()
+    N = sym.space.N
+    pairs = convergent_symbol_pairs(as_cusp(r))
+    return sum((vals[sym.space.p1.index(qk % N, qk1 % N)] for qk, qk1 in pairs), Fraction(0))
+
+
+def random_cusps(rng, count=60):
+    return [Fraction(rng.randint(-400, 400), rng.randint(1, 400)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("label", ["11a", "26b1", "174b1"])
+def test_integral_symbol_values_are_ints(eigensymbols, label):
+    sym = eigensymbols[label]
+    assert all(v.denominator == 1 for v in sym.generator_values())
+    for r in random_cusps(random.Random(label)) + [0, INFINITY]:
+        value = sym.value_infinity_minus(r)
+        assert type(value) is int
+        assert value == reference_value(sym, r)
+    # a second pass reads the memo and must agree
+    for r in random_cusps(random.Random(label)):
+        assert sym.value_infinity_minus(r) == reference_value(sym, r)
+
+
+@pytest.mark.parametrize("label", ["11a", "26b1", "174b1"])
+def test_non_integral_symbol_values_are_fractions(eigensymbols, label):
+    sym = eigensymbols[label]
+    rng = random.Random(7)
+    random_sym = sym.space.symbol([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in sym.coords])
+    for phi in (Fraction(1, 7) * sym, random_sym):
+        assert any(v.denominator != 1 for v in phi.generator_values())
+        for r in random_cusps(rng):
+            value = phi.value_infinity_minus(r)
+            assert type(value) is Fraction
+            assert value == reference_value(phi, r)
+
+
+def test_is_plus_reads_the_values_not_the_label(eigensymbols, random_symbol):
+    plus, minus = random_symbol.split()
+    assert plus.is_plus() and plus.scaled(5).is_plus()
+    assert not minus.is_plus() and not random_symbol.is_plus()
+    # a forged label does not make a symbol J-invariant
+    forged = ModularSymbol(random_symbol.space, random_symbol.coords, sign="+")
+    assert not forged.is_plus() and not forged.scaled(5).is_plus()
+    # the zero symbol is J-invariant, and so is every stored eigensymbol
+    assert random_symbol.space.zero_symbol().is_plus()
+    assert all(sym.is_plus() for sym in eigensymbols.values())
