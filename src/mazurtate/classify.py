@@ -18,7 +18,7 @@ from pathlib import Path
 from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import MazurTateTower, working_precision
+from .elements import MazurTateTower, theta0_interpolation_factor, working_precision
 from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from .hecke import NormalizationData
 from .padics import PAdic, unit_root, valuation
@@ -201,9 +201,10 @@ def classify(request: MTRequest) -> DichotomyReport:
     if report.boundary.solvable or _has_rational_p_torsion_signature(curve, p):
         report.commentary = MULTIPLICITY_ONE_NOTE
 
-    if request.mode == "neron" and curve.a_ell(p) != 2:
-        # theta_0 = (a_p - 2) phi({inf}-{0}) sigma_1 forces this valuation
-        expected_mu0 = lratio_val + int(valuation(Fraction(curve.a_ell(p) - 2), p))
+    # theta_0 = (a_p - 2) phi({inf}-{0}) sigma_1 at a good p forces this valuation
+    factor = theta0_interpolation_factor(curve, p)
+    if request.mode == "neron" and factor != 0:
+        expected_mu0 = lratio_val + int(valuation(factor, p))
         if report.per_level[0].mu != expected_mu0:
             report.diagnostics.append(
                 f"mu(theta_0) = {report.per_level[0].mu} differs from "

@@ -6,7 +6,8 @@ in the ring of the degree-p^n layer, indexed by powers of gamma through the
 one-unit discrete logarithm.  One MazurTateTower per (symbol, p) holds every
 level up to n_max; the module-level functions are thin calls into it.
 Stabilized elements carry precision-tracked p-adic coefficients derived from
-the unit root alpha.
+the unit root alpha, and each is built by one route; the norm relation that
+certifies the route is an exact identity over Q.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .errors import BoundExceeded
 from .groupring import GroupLevel, GroupRingElement
-from .padics import PAdic
+from .padics import PAdic, valuation
 
 DEFAULT_GUARD_DIGITS = 20
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
@@ -62,14 +63,15 @@ class MazurTateTower:
 
     The levels are walked upward with raw_mazur_tate, keeping at most two
     consecutive levels of raw values alive.  Beside theta_n, each layer keeps
-    the exact divisor-level sums of phi|[[p,0],[0,1]], the direct route of the
-    norm relation: phi|[[p,0],[0,1]] at a/p^(n+1) is phi({inf}-{a/p^n}), which
-    equals the level-n value at (a mod p^n)/p^n because z -> z+1 lies in
-    Gamma_0(N) and fixes infinity.  The sums run in ints for an integral
-    symbol; each coefficient becomes a Fraction once, in GroupRingElement.
-    Only exact rationals are stored, so the stabilized elements can be
-    rebuilt at any precision.  sym needs value_infinity_minus, and is_plus
-    if a plus symbol is to be evaluated at half the cusps (raw_mazur_tate).
+    S_n, the exact divisor-level sums of phi|[[p,0],[0,1]]: its value at
+    a/p^(n+1) is phi({inf}-{a/p^n}), which equals the level-n value at
+    (a mod p^n)/p^n because z -> z+1 lies in Gamma_0(N) and fixes infinity.
+    S_n serves the stabilized element at every level, and the norm relation
+    S_n = cor(theta_{n-1}) is checked exactly.  The sums run in ints for an
+    integral symbol; each coefficient becomes a Fraction once, in
+    GroupRingElement.  Only exact rationals are stored, so the stabilized
+    elements can be rebuilt at any precision.  sym needs value_infinity_minus,
+    and is_plus if a plus symbol is to be evaluated at half the cusps.
     """
 
     def __init__(self, sym, p: int, n_max: int):
@@ -82,7 +84,7 @@ class MazurTateTower:
         self.p = p
         self.phi0 = sym.value_infinity_minus(0)
         self.thetas = []  # theta_n, exact
-        self.scaled = []  # per layer, the sums of phi|[[p,0],[0,1]], exact
+        self.scaled = []  # S_n per layer, the sums of phi|[[p,0],[0,1]], exact
         below = None
         for n in range(n_max + 1):
             top = raw_mazur_tate(sym, p, n + 1).values
@@ -99,32 +101,30 @@ class MazurTateTower:
             below = top
 
     def stabilized(self, alpha: PAdic, n: int) -> GroupRingElement:
-        """theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)) for n >= 1.
+        """theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} S_n for every n >= 0.
 
-        At n = 0 there is no level below, and the divisor-level sums serve.
+        This is theta_n of phi^alpha = phi - alpha^{-1} phi|[[p,0],[0,1]]; for
+        n >= 1 it equals theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)), since
+        S_n = cor(theta_{n-1}) (norm_relation).
         """
-        if n == 0:
-            return self.stabilized_direct(alpha, 0)
         precision = alpha.precision
         plain = self.thetas[n].to_padic(precision)
-        lifted = self.thetas[n - 1].corestriction().to_padic(precision)
-        return plain - lifted.scale(alpha.inverse())
-
-    def stabilized_direct(self, alpha: PAdic, n: int) -> GroupRingElement:
-        """theta_n(phi^alpha) from the stabilized values phi - alpha^{-1} phi|[[p,0],[0,1]]."""
-        p, precision = self.p, alpha.precision
-        inv_alpha = alpha.inverse()
-        coeffs = [
-            PAdic.from_rational(x, p, precision) - inv_alpha * PAdic.from_rational(y, p, precision)
-            for x, y in zip(self.thetas[n].coeffs, self.scaled[n].coeffs)
-        ]
-        return GroupRingElement(self.thetas[n].level, coeffs)
+        return plain - self.scaled[n].to_padic(precision).scale(alpha.inverse())
 
     def norm_relation(self, alpha: PAdic, n: int) -> ResidualReport:
-        """The two routes to theta_n(phi^alpha), compared to working precision."""
+        """S_n = cor(theta_{n-1}), checked exactly over Q.
+
+        The two routes to theta_n(phi^alpha) differ by alpha^{-1} times
+        d = S_n - cor(theta_{n-1}); alpha is a unit, so each floor
+        min(ord_p(d_k), precision) is the one their p-adic comparison gives.
+        """
         if n < 1:
             raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
-        return _compare(self.stabilized_direct(alpha, n), self.stabilized(alpha, n), n)
+        alpha.inverse()  # refuses a non-unit alpha
+        precision = alpha.precision
+        d = self.scaled[n] - self.thetas[n - 1].corestriction()
+        floors = tuple(min(valuation(c, self.p), precision) for c in d.coeffs)
+        return ResidualReport(n, all(f == precision for f in floors), floors)
 
     def theta0_identity(self, curve) -> bool:
         """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
@@ -138,18 +138,14 @@ def mazur_tate(sym, p: int, n: int) -> GroupRingElement:
 
 
 def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:
-    """theta_n of the p-stabilized symbol, via the corestriction identity."""
+    """theta_n of the p-stabilized symbol (MazurTateTower.stabilized)."""
     return MazurTateTower(sym, p, n).stabilized(alpha, n)
-
-
-def stabilized_mazur_tate_direct(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:
-    """Same element, from the stabilized values divisor by divisor."""
-    return MazurTateTower(sym, p, n).stabilized_direct(alpha, n)
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Comparison of two p-adic group-ring elements coefficient by coefficient."""
+    """Valuation floors of a residual, coefficient by coefficient, capped at the
+    working precision; passed when every coefficient vanishes to precision."""
 
     level_n: int
     passed: bool
@@ -168,8 +164,7 @@ def _compare(a: GroupRingElement, b: GroupRingElement, n: int) -> ResidualReport
 
 
 def check_norm_relation(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
-    """theta_n(phi^alpha) along both routes, compared exactly: the divisor-level
-    stabilized sums against theta_n - alpha^{-1} cor(theta_{n-1})."""
+    """The norm relation at level n, exactly over Q (MazurTateTower.norm_relation)."""
     if n < 1:
         raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
     return MazurTateTower(sym, p, n).norm_relation(alpha, n)

@@ -36,9 +36,12 @@ JOBS = [
 ]
 
 
-def run_job(job, capsys, monkeypatch):
-    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)  # the jobs run uncached
-    code = main(job.split())
+CACHE_JOBS = json.loads((BENCH / "workloads.json").read_text())["workloads"]["cache-warm"]["jobs"]
+
+
+def run_job(job, capsys, monkeypatch, cache_dir=None):
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)  # a job uses a cache only with --cache
+    code = main(job.split() + (["--cache", str(cache_dir)] if cache_dir else []))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     ref = REFERENCES[job]
     return (code, digest) == (ref["exit_code"], ref["stdout_sha256"])
@@ -66,6 +69,22 @@ def test_eigensymbol_jobs_never_take_the_exact_elimination(job, capsys, monkeypa
 
     monkeypatch.setattr(hecke, "echelon", refuse)
     assert run_job(job, capsys, monkeypatch)
+
+
+def test_cache_jobs_match_reference_cold_and_warm(tmp_path, capsys, monkeypatch):
+    # the cached outputs must equal the uncached references, both when the
+    # jobs fill the cache and when they read it back without building anything
+    assert len(CACHE_JOBS) == 6
+    assert [job for job in CACHE_JOBS if not run_job(job, capsys, monkeypatch, tmp_path)] == []
+    assert sorted(path.name.split("_")[0] for path in tmp_path.glob("*.json")) == \
+        ["eigsym"] * 4 + ["space"] * 4
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached object was rebuilt")
+
+    monkeypatch.setattr(cache, "build_space", refuse)
+    monkeypatch.setattr(cache, "eigensymbol", refuse)
+    assert [job for job in CACHE_JOBS if not run_job(job, capsys, monkeypatch, tmp_path)] == []
 
 
 def test_traced_names_exist():

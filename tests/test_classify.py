@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
+from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.modsym import ModularSymbol, as_cusp
 
@@ -153,3 +154,19 @@ def test_classify_evaluates_each_cusp_once(monkeypatch):
     report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
     assert report.norm_relation_verified and report.theta0_identity_verified
     assert len(calls) <= len(set(calls)) + 2
+
+
+def test_classify_builds_each_stabilized_element_once(monkeypatch):
+    # the norm relation is checked exactly over Q, so it builds no stabilized
+    # element; classify builds theta_n(phi^alpha) once for n = 0 .. n_max
+    original = MazurTateTower.stabilized
+    calls = []
+
+    def counted(tower, alpha, n):
+        calls.append(n)
+        return original(tower, alpha, n)
+
+    monkeypatch.setattr(MazurTateTower, "stabilized", counted)
+    report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
+    assert report.norm_relation_verified
+    assert calls == [0, 1, 2, 3]

@@ -12,11 +12,11 @@ from mazurtate.elements import (
     mazur_tate,
     raw_mazur_tate,
     stabilized_mazur_tate,
-    stabilized_mazur_tate_direct,
     theta0_interpolation_factor,
     working_precision,
 )
-from mazurtate.groupring import GroupLevel
+from mazurtate.errors import PrecisionInsufficient
+from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.modsym import ModularSymbol
 from mazurtate.padics import PAdic, unit_root
 
@@ -100,11 +100,50 @@ def test_norm_relation_holds_for_any_symbol(spaces):
 
 
 def test_direct_and_cor_route_elements_agree(eigensymbols, curves):
-    alpha = unit_root(curves["26b1"].a_ell(7), 7, 15)
+    # reference: theta_n - alpha^{-1} cor(theta_{n-1}) for n >= 1, and at n = 0
+    # theta_0 - alpha^{-1} (p - 1) phi({inf}-{0}), since phi|[[p,0],[0,1]] at
+    # a/p is phi({inf}-{0}) for each of the p - 1 units a
+    sym, p, prec = eigensymbols["26b1"], 7, 15
+    alpha = unit_root(curves["26b1"].a_ell(p), p, prec)
+    inv_alpha = alpha.inverse()
     for n in (0, 1, 2):
-        a = stabilized_mazur_tate(eigensymbols["26b1"], alpha, 7, n)
-        b = stabilized_mazur_tate_direct(eigensymbols["26b1"], alpha, 7, n)
+        theta = mazur_tate(sym, p, n)
+        if n:
+            lifted = mazur_tate(sym, p, n - 1).corestriction()
+        else:
+            lifted = GroupRingElement(theta.level, [(p - 1) * sym.value_infinity_minus(0)])
+        b = theta.to_padic(prec) - lifted.to_padic(prec).scale(inv_alpha)
+        a = stabilized_mazur_tate(sym, alpha, p, n)
         assert all((x - y).is_zero_to_precision for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_exact_norm_relation_negative_control(eigensymbols, curves):
+    # perturb one coefficient of S_2 by p^k: the exact check must see ord_p = k
+    # below the working precision, and agree floor by floor with the p-adic
+    # comparison of the two routes, which cannot see k >= precision
+    p, prec = 5, 8
+    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
+    inv_alpha = alpha.inverse()
+    for k in (0, 1, 3, prec - 1, prec, prec + 2):
+        tower = MazurTateTower(eigensymbols["11a"], p, 2)
+        assert tower.norm_relation(alpha, 2).passed
+        coeffs = list(tower.scaled[2].coeffs)
+        coeffs[7] += p**k
+        tower.scaled[2] = GroupRingElement(tower.scaled[2].level, coeffs)
+        rep = tower.norm_relation(alpha, 2)
+        assert rep.passed == (k >= prec)
+        assert rep.min_floor == min(k, prec)
+        assert [f for f in rep.residual_valuation_floors if f != prec] == ([k] if k < prec else [])
+        cor_route = (tower.thetas[2].to_padic(prec)
+                     - tower.thetas[1].corestriction().to_padic(prec).scale(inv_alpha))
+        diff = tower.stabilized(alpha, 2) - cor_route
+        assert rep.residual_valuation_floors == tuple(c.valuation_lower_bound() for c in diff.coeffs)
+        assert rep.passed == all(c.is_zero_to_precision for c in diff.coeffs)
+        assert tower.norm_relation(alpha, 1).passed
+    with pytest.raises(PrecisionInsufficient):
+        tower.norm_relation(PAdic(p, 10, prec), 2)
+    with pytest.raises(PrecisionInsufficient):
+        check_norm_relation(eigensymbols["11a"], PAdic(p, 0, prec), p, 1)
 
 
 def test_norm_compatibility_and_negative_control(eigensymbols, curves):
