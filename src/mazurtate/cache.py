@@ -16,6 +16,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+from .errors import InputError
 from .hecke import eigensymbol, normalize
 from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space
 
@@ -31,6 +32,21 @@ def default_cache_dir() -> Path | None:
     return Path(env) if env else None
 
 
+def resolve_cache_dir(cache_dir: Path | None) -> Path | None:
+    """cache_dir, else $MT_CACHE_DIR, else None (no cache).
+
+    Creates the directory, so a path that cannot be one is refused before any build.
+    """
+    cache_dir = cache_dir or default_cache_dir()
+    if cache_dir is None:
+        return None
+    try:
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot use cache directory {cache_dir}: {exc.strerror}") from exc
+    return Path(cache_dir)
+
+
 def _checksum(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -39,7 +55,6 @@ def _checksum(payload: dict) -> str:
 def _write(path: Path, payload: dict):
     payload = dict(payload)
     payload["checksum"] = _checksum({k: v for k, v in payload.items() if k != "checksum"})
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -82,10 +97,10 @@ def space_from_payload(payload: dict) -> ManinSymbolSpace:
 
 def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
     """Cached space when a directory is configured; rebuild on any mismatch."""
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return build_space(N)
-    path = Path(cache_dir) / f"space_N{N}.json"
+    path = cache_dir / f"space_N{N}.json"
     payload = _read(path)
     if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
         return space_from_payload(payload)
@@ -95,12 +110,12 @@ def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
 
 
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:
-    cache_dir = cache_dir or default_cache_dir()
+    cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return eigensymbol(space, curve)
     coeffs = [curve.a1, curve.a2, curve.a3, curve.a4, curve.a6]
     key = hashlib.sha256(json.dumps(coeffs + [curve.conductor]).encode()).hexdigest()
-    path = Path(cache_dir) / f"eigsym_N{space.N}_{key}_plus.json"
+    path = cache_dir / f"eigsym_N{space.N}_{key}_plus.json"
     payload = _read(path)
     if (payload is not None and payload.get("kind") == "eigensymbol" and payload.get("N") == space.N
             and payload.get("coeffs") == coeffs and len(payload.get("coords", ())) == space.dimension):

@@ -86,7 +86,10 @@ def _check_p(p: int):
 
 def emit(args, text: str):
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -311,6 +314,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format == "csv" and args.command not in ("analyze", "invariants"):
+            raise InputError(f"--format csv is not available for {args.command}")
         return args.func(args)
     except MazurTateError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)

@@ -137,12 +137,7 @@ class EllipticCurve:
         """'good', 'split', 'nonsplit' or 'additive' at ell."""
         if self.conductor % ell != 0:
             return "good"
-        v = 0
-        n = self.conductor
-        while n % ell == 0:
-            n //= ell
-            v += 1
-        if v >= 2:
+        if self._multiplicity(ell) >= 2:
             return "additive"
         return "split" if self.a_ell(ell) == 1 else "nonsplit"
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .modsym import as_cusp, _euler_phi, _xgcd
+from .modsym import as_cusp, cusp_count, _xgcd
 
 
 def _cusps_equivalent(N: int, c1, c2) -> bool:
@@ -47,7 +47,7 @@ class CuspClassTable:
     def __init__(self, N: int):
         self.N = N
         self.representatives = _class_representatives(N)
-        expected = sum(_euler_phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+        expected = cusp_count(N)
         if len(self.representatives) != expected:
             raise RuntimeError(f"{len(self.representatives)} cusp classes at level {N}, expected {expected}")
         self._cache = {}

@@ -1,11 +1,11 @@
 """Hecke operators on Manin symbols and eigensymbol extraction.
 
-T_ell (ell coprime to the level) acts through Merel's family of integral
-matrices of determinant ell.  The one-dimensional eigenspace attached to a
-rational newform is cut out by one sparse elimination: the rows of J - 1
-(J the sign involution) go in first, then the rows of T_ell - a_ell for good
-primes ell in ascending order up to the Sturm bound, until the kernel is a
-line.
+T_ell (ell coprime to the level) acts through Merel's matrices of determinant
+ell; like the sign involution J, it is a list of sparse rows {coordinate:
+value}.  The eigenline of a rational newform is cut out by one sparse
+elimination: the rows of J - 1 go in first, then those of T_ell - a_ell for
+good primes ell ascending up to the Sturm bound (`_equations`), until the
+kernel is a line.
 
 The elimination runs first modulo the prime linalg.MODULUS, and stops as
 soon as the kernel mod the prime is a line.  Its vector, 1 at the free
@@ -49,7 +49,7 @@ def merel_matrices(n: int):
 
 
 def hecke_matrix(space: ManinSymbolSpace, ell: int):
-    """Matrix of T_ell on basis coordinates (ell must not divide the level)."""
+    """Sparse rows of T_ell on basis coordinates, one per basis generator (ell must not divide the level)."""
     if space.N % ell == 0:
         raise ValueError(f"T_{ell} via Merel matrices requires ell coprime to the level")
     index = space.p1.index
@@ -64,13 +64,24 @@ def hecke_matrix(space: ManinSymbolSpace, ell: int):
 def _shifted_rows(matrix, a):
     """Sparse rows of matrix - a * identity, integral entries as ints."""
     for i, row in enumerate(matrix):
-        row = {k: x.numerator if x.denominator == 1 else x for k, x in enumerate(row) if x}
+        row = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
         row[i] = row.get(i, 0) - a
         yield row
 
 
 def sturm_bound(space: ManinSymbolSpace) -> int:
     return -(-psi_index(space.N) // 6)
+
+
+def _equations(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
+    """(ell, rows) in folding order: (None, J - 1), then (ell, T_ell - a_ell) for good ell <= the Sturm bound."""
+    yield None, list(_shifted_rows(space.involution_matrix(), 1))
+    bound = sturm_bound(space)
+    for ell in primes():
+        if ell > bound:
+            return
+        if space.N % ell:
+            yield ell, list(_shifted_rows(matrix(ell), curve.a_ell(ell)))
 
 
 def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
@@ -104,24 +115,16 @@ def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     line = dim - 1
     pivots = {}
     folded = []  # exact sparse rows of every matrix touched, for the certificate
-
-    def fold(operator, a):
-        rows = list(_shifted_rows(operator, a))
+    for ell, rows in _equations(space, curve, matrix):
         folded.extend(rows)
         residues = [residue_row(row, q) for row in rows]
         if None in residues:
-            return False
-        echelon_mod(residues, q, pivots, until=line)
-        return True
-
-    if not fold(space.involution_matrix(), 1):
-        return None
-    bound = sturm_bound(space)
-    for ell in (ell for ell in primes() if space.N % ell):
-        if ell > bound or not fold(matrix(ell), curve.a_ell(ell)):
             return None
-        if len(pivots) == line:
+        echelon_mod(residues, q, pivots, until=line)
+        if ell is not None and len(pivots) == line:
             break
+    else:
+        return None
     (vector,) = kernel_mod(pivots, dim, q)
     coords = [rational_reconstruction(x, q) for x in vector]
     if None in coords:
@@ -136,23 +139,16 @@ def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
 def _exact_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """The eigenline by the exact elimination over Q, with its coded errors."""
     dim = space.dimension
-    pivots = echelon(_shifted_rows(space.involution_matrix(), 1))  # kernel: the plus subspace
-    if len(pivots) == dim:
-        raise InconsistentEigenvalues("plus-subspace is trivial")
-    bound = sturm_bound(space)
-    for ell in (ell for ell in primes() if space.N % ell):
-        if ell > bound:
-            raise EigenspaceNotOneDimensional(
-                f"eigenspace still {dim - len(pivots)}-dimensional past the Sturm bound {bound}"
-            )
-        echelon(_shifted_rows(matrix(ell), curve.a_ell(ell)), pivots)
+    pivots = {}
+    for ell, rows in _equations(space, curve, matrix):
+        echelon(rows, pivots)
         if len(pivots) == dim:
-            raise InconsistentEigenvalues(
-                f"no symbol matches the eigenvalue system at ell = {ell}"
-            )
-        if len(pivots) == dim - 1:
-            break
-    return kernel(pivots, dim)[0]
+            raise InconsistentEigenvalues("plus-subspace is trivial" if ell is None else
+                                          f"no symbol matches the eigenvalue system at ell = {ell}")
+        if ell is not None and len(pivots) == dim - 1:
+            return kernel(pivots, dim)[0]
+    raise EigenspaceNotOneDimensional(f"eigenspace still {dim - len(pivots)}-dimensional "
+                                      f"past the Sturm bound {sturm_bound(space)}")
 
 
 def _content_one(sym: ModularSymbol) -> ModularSymbol:
@@ -165,13 +161,8 @@ def _content_one(sym: ModularSymbol) -> ModularSymbol:
     nonzero = [v for v in vals if v]
     if not nonzero:
         return sym
-    den = 1
-    for v in nonzero:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    num = 0
-    for v in nonzero:
-        num = math.gcd(num, abs(v.numerator * (den // v.denominator)))
-    scale = Fraction(den, num)
+    den = math.lcm(*(v.denominator for v in nonzero))
+    scale = Fraction(den, math.gcd(*(v.numerator * (den // v.denominator) for v in nonzero)))
     anchor = sym.value_infinity_minus(0)
     lead = anchor if anchor else nonzero[0]
     if lead * scale < 0:

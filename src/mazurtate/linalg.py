@@ -1,10 +1,10 @@
 """Exact linear algebra: sparse elimination over Q and mod a prime, dense over F_p.
 
-Over Q, rows are sparse dicts {column: Fraction}.  `echelon` folds them into
-pivot rows, each stating a pivot variable as a combination of non-pivot
-columns; `kernel` reads a kernel basis off those pivots.  The Manin-symbol
-relation quotient is computed this way, and so is the Hecke eigenline when
-its fast path cannot be certified.
+Over Q, rows are sparse dicts {column: Fraction}, as are the sign involution
+and Hecke operators.  `echelon` folds them into pivot rows, each stating a
+pivot variable as a combination of non-pivot columns; `kernel` reads a kernel
+basis off those pivots.  The Manin-symbol relation quotient is computed this
+way, and so is the Hecke eigenline when its fast path cannot be certified.
 
 The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
 rational row (None if a denominator is divisible by the prime), `echelon_mod`
@@ -38,10 +38,6 @@ def mat_mul(a, b):
                     if bt[j]:
                         oi[j] += x * bt[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum(ai[j] * v[j] for j in range(len(v)) if v[j]) for ai in a]
 
 
 def echelon(rows, pivots=None):

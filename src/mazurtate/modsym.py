@@ -3,7 +3,8 @@
 The space is presented as the free Q-module on P^1(Z/N) modulo the two-term
 and three-term relations of Manin; every generator carries a sparse expression
 over a chosen quotient basis, and arbitrary divisors are evaluated through the
-continued-fraction (Manin) trick.  The generator indexed by (c:d), with
+continued-fraction (Manin) trick.  Operators (the sign involution, and T_ell
+in hecke) are lists of sparse rows.  The generator indexed by (c:d), with
 SL_2(Z) lift g having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import LevelTooLarge
-from .linalg import echelon, mat_vec
+from .linalg import echelon
 from .primes import prime_factors
 
 INFINITY = math.inf
@@ -282,18 +283,18 @@ class ManinSymbolSpace:
         return self.p1.index(-c, d)
 
     def involution_matrix(self):
-        """Matrix of the sign involution on basis coordinates."""
+        """Sparse rows of the sign involution on basis coordinates, one per basis generator."""
         if self._involution is None:
             self._involution = [self.coordinate_row([self.involution_index(b)]) for b in self.basis]
         return self._involution
 
     def coordinate_row(self, indices):
-        """Dense basis coordinates of the sum of the generators at these P^1 indices."""
-        row = [Fraction(0)] * self.dimension
+        """Sparse basis coordinates {coordinate: value} of the sum of the generators at these P^1 indices."""
+        row = {}
         for i in indices:
             for t, c in self.expressions[i]:
-                row[t] += c
-        return row
+                row[t] = row.get(t, 0) + c
+        return {t: c for t, c in row.items() if c}
 
     def symbol(self, coords, sign=None) -> "ModularSymbol":
         return ModularSymbol(self, coords, sign)
@@ -391,8 +392,7 @@ class ModularSymbol:
             raise ValueError("coordinate length does not match space dimension")
         self.sign = sign
         self._generator_values = None
-        self._table = None      # generator values, ints when all are integral
-        self._cusp_memo = None  # u*N + v -> value on (u:v), filled as cusps are evaluated
+        self._cusp_memo = {}  # u*N + v -> value on (u:v), filled as cusps are evaluated
         self._is_plus = None
 
     # -- linear structure --
@@ -420,12 +420,13 @@ class ModularSymbol:
     # -- values --
 
     def generator_values(self):
-        """Values on every Manin generator (index-aligned with P^1)."""
+        """Values on every Manin generator (index-aligned with P^1): all ints if all are integral, else Fractions."""
         if self._generator_values is None:
             coords = self.coords
-            self._generator_values = tuple(
-                sum((c * coords[t] for t, c in expr), Fraction(0)) for expr in self.space.expressions
-            )
+            vals = tuple(sum((c * coords[t] for t, c in expr), Fraction(0)) for expr in self.space.expressions)
+            if all(v.denominator == 1 for v in vals):
+                vals = tuple(v.numerator for v in vals)
+            self._generator_values = vals
         return self._generator_values
 
     def value_infinity_minus(self, r):
@@ -436,19 +437,13 @@ class ModularSymbol:
         v mod N), so P^1 normalization runs once per pair it meets.
         """
         memo = self._cusp_memo
-        if memo is None:
-            vals = self.generator_values()
-            if all(v.denominator == 1 for v in vals):
-                vals = tuple(v.numerator for v in vals)
-            self._table = vals
-            memo = self._cusp_memo = {}
         N = self.space.N
         total = 0
         for qk, qk1 in convergent_symbol_pairs(as_cusp(r)):
             u, v = qk % N, qk1 % N
             value = memo.get(u * N + v)
             if value is None:
-                value = memo[u * N + v] = self._table[self.space.p1.index(u, v)]
+                value = memo[u * N + v] = self.generator_values()[self.space.p1.index(u, v)]
             total += value
         return total
 
@@ -474,8 +469,8 @@ class ModularSymbol:
         return self._is_plus
 
     def involution(self) -> "ModularSymbol":
-        new = mat_vec(self.space.involution_matrix(), list(self.coords))
-        return ModularSymbol(self.space, new)
+        rows = self.space.involution_matrix()
+        return ModularSymbol(self.space, [sum(x * self.coords[k] for k, x in row.items()) for row in rows])
 
     def plus_part(self) -> "ModularSymbol":
         s = self + self.involution()

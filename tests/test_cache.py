@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from mazurtate import cache
 from mazurtate.cli import main
+from mazurtate.errors import InputError
 from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import build_space
 
@@ -106,7 +108,8 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
 def test_old_dense_space_file_is_rebuilt(tmp_path):
     space = build_space(11)
     path = tmp_path / "space_N11.json"
-    dense = [[str(x) for x in space.coordinate_row([i])] for i in range(len(space.p1))]
+    rows = [space.coordinate_row([i]) for i in range(len(space.p1))]
+    dense = [[str(row.get(t, Fraction(0))) for t in range(space.dimension)] for row in rows]
     cache._write(path, {"kind": "manin_space", "N": 11, "basis": list(space.basis), "expressions": dense,
                         "sigma": list(space.sigma), "tau": list(space.tau)})
     assert cache.load_space(11, tmp_path).expressions == space.expressions
@@ -142,3 +145,43 @@ def test_load_symbol_passes_over_p1_twice(monkeypatch):
     sym.generator_values()
     (space,) = spaces
     assert space.expressions.passes == 2
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cache_path_naming_a_file_is_refused_before_any_build(tmp_path, monkeypatch, under_file):
+    regular = tmp_path / "cache"
+    regular.write_text("")
+    not_a_dir = regular / "sub" if under_file else regular
+    monkeypatch.setattr(cache, "build_space", lambda N: pytest.fail("space built"))
+    monkeypatch.setattr(cache, "eigensymbol", lambda *a: pytest.fail("eigensymbol built"))
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        cache.load_space(11, not_a_dir)
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        cache.load_eigensymbol(build_space(11), make_curve("11a"), not_a_dir)
+    monkeypatch.setenv(cache.ENV_CACHE_DIR, str(not_a_dir))
+    with pytest.raises(InputError, match="cannot use cache directory"):
+        cache.load_symbol(make_curve("11a"))
+    assert regular.read_text() == ""
+
+
+def test_missing_cache_directory_is_created(tmp_path):
+    cache_dir = tmp_path / "a" / "b"
+    assert cache.resolve_cache_dir(cache_dir) == cache_dir and cache_dir.is_dir()
+    assert cache.resolve_cache_dir(cache_dir) == cache_dir  # an existing directory is reused
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+def test_cli_cache_naming_a_file_is_an_input_error(tmp_path, capsys, monkeypatch, from_env):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    argv = ["eigensymbol", "--curve", "11a", "--format", "json"]
+    if from_env:
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(not_a_dir))
+    else:
+        argv += ["--cache", str(not_a_dir)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["error"] == "input_error"
+    assert error["message"].startswith(f"cannot use cache directory {not_a_dir}: ")

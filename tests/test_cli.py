@@ -309,3 +309,30 @@ def test_non_integer_curve_fields_are_input_errors(tmp_path, capsys, key, value)
     assert code == 3
     assert json.loads(err)["error"] == "input_error"
     assert key in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--curve", "11a", "--p", "5"],
+    ["eigensymbol", "--curve", "11a"],
+    ["selftest", "--cases", "1"],
+])
+def test_csv_is_refused_where_no_csv_exists(capsys, monkeypatch, argv):
+    # refused before any computation: neither the eigensymbol nor the suites are reached
+    from mazurtate import cache, suites
+
+    monkeypatch.setattr(cache, "load_symbol", lambda *a, **k: pytest.fail("symbol loaded"))
+    monkeypatch.setattr(suites, "run_all_suites", lambda *a, **k: pytest.fail("suites run"))
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "input_error",
+                               "message": f"--format csv is not available for {argv[0]}"}
+
+
+def test_output_naming_a_directory_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "invariants", "--curve", "11a", "--p", "5", "--n-max", "1",
+                             "--output", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "input_error"
+    assert list(tmp_path.iterdir()) == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from mazurtate import cache
 from mazurtate.errors import LevelTooLarge
 from mazurtate.modsym import (
     INFINITY,
@@ -21,6 +22,8 @@ from mazurtate.modsym import (
     genus_x0,
     psi_index,
 )
+
+from .conftest import make_curve
 
 
 def random_gamma0(N, rng, steps=8):
@@ -137,6 +140,11 @@ def dense(expr, dim):
     return row
 
 
+def densify(row, dim):
+    """A sparse row {coordinate: value} as a dense Fraction row."""
+    return [row.get(t, Fraction(0)) for t in range(dim)]
+
+
 def test_relations_hold_identically_on_expressions():
     for N in (11, 26, 45, 50):
         sp = build_space(N)
@@ -155,8 +163,8 @@ def test_expressions_are_sorted_nonzero_pairs():
             coords = [t for t, _ in expr]
             assert coords == sorted(set(coords))
             assert all(c for _, c in expr)
-            assert sp.coordinate_row([i]) == dense(expr, sp.dimension)
-        basis_rows = [sp.coordinate_row([b]) for b in sp.basis]
+            assert densify(sp.coordinate_row([i]), sp.dimension) == dense(expr, sp.dimension)
+        basis_rows = [densify(sp.coordinate_row([b]), sp.dimension) for b in sp.basis]
         assert basis_rows == [[Fraction(int(s == t)) for t in range(sp.dimension)] for s in range(sp.dimension)]
 
 
@@ -303,6 +311,24 @@ def test_non_integral_symbol_values_are_fractions(eigensymbols, label):
             value = phi.value_infinity_minus(r)
             assert type(value) is Fraction
             assert value == reference_value(phi, r)
+
+
+def test_generator_values_are_all_ints_or_all_fractions(eigensymbols, tmp_path):
+    for label in eigensymbols:  # a cold fill, so that the symbols below are read back from disk
+        cache.load_symbol(make_curve(label), cache_dir=tmp_path)
+    stored = [cache.load_symbol(make_curve(label), cache_dir=tmp_path)[0] for label in eigensymbols]
+    for sym in list(eigensymbols.values()) + stored:
+        assert all(type(v) is int for v in sym.generator_values())
+        assert all(type(v) is Fraction for v in (Fraction(1, 7) * sym).generator_values())
+
+
+def test_coordinate_rows_drop_zero_entries(spaces):
+    sp = spaces[26]
+    for i in range(len(sp.p1)):
+        row = sp.coordinate_row([i])
+        assert all(row.values())
+        # the two-term relation x + x.S = 0 sums to the empty row
+        assert sp.coordinate_row([i, sp.sigma[i]]) == {}
 
 
 def test_is_plus_reads_the_values_not_the_label(eigensymbols, random_symbol):
