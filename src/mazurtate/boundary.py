@@ -87,7 +87,7 @@ def boundary_congruence(sym, p: int) -> BoundaryCongruenceResult:
     vals = sym.generator_values()
     if any(v.denominator != 1 for v in vals):
         raise ValueError("boundary congruence needs an integrally normalized symbol")
-    rhs = [int(v) % p for v in vals]
+    rhs = [v % p for v in vals]
     matrix, table = boundary_space_matrix(space, p)
     solution, cert, rank = solve_mod_p(matrix, rhs, p)
     if solution is None:

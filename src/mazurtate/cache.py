@@ -91,7 +91,8 @@ def space_payload(space: ManinSymbolSpace) -> dict:
 def space_from_payload(payload: dict) -> ManinSymbolSpace:
     N = payload["N"]
     p1 = P1List(N)
-    expressions = [tuple((t, Fraction(c)) for t, c in e) for e in payload["expressions"]]
+    # values are stored as str() of the exact format, so "/" marks the only Fractions
+    expressions = [tuple((t, Fraction(c) if "/" in c else int(c)) for t, c in e) for e in payload["expressions"]]
     return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
 
 
@@ -119,8 +120,7 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     payload = _read(path)
     if (payload is not None and payload.get("kind") == "eigensymbol" and payload.get("N") == space.N
             and payload.get("coeffs") == coeffs and len(payload.get("coords", ())) == space.dimension):
-        coords = [Fraction(x) for x in payload["coords"]]
-        return ModularSymbol(space, coords, sign="+")
+        return ModularSymbol(space, payload["coords"], sign="+")
     sym = eigensymbol(space, curve)
     _write(path, {"kind": "eigensymbol", "N": space.N, "coeffs": coeffs, "sign": "+",
                   "coords": [str(c) for c in sym.coords]})

@@ -241,6 +241,7 @@ def cmd_selftest(args) -> int:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
     if args.cases > MAX_SELFTEST_CASES:
         raise BoundExceeded(f"--cases {args.cases} exceeds the bound {MAX_SELFTEST_CASES}")
+    cache_dir = cache.resolve_cache_dir(args.cache) if args.cache else None  # refuses a non-directory up front
     from .suites import run_all_suites  # only selftest pays for the suites' import
 
     results = run_all_suites(cases_per_pair=args.cases, tower_cases=200, seed=args.seed)
@@ -249,8 +250,8 @@ def cmd_selftest(args) -> int:
         "suites": [{"name": r.name, "cases": r.cases, "violations": r.violations} for r in results],
         "passed": all(r.passed for r in results),
     }
-    if args.cache:
-        payload["cache"] = cache.verify_cache_dir(args.cache)
+    if cache_dir:
+        payload["cache"] = cache.verify_cache_dir(cache_dir)
     if args.format == "json":
         emit(args, render_json(payload))
     else:

@@ -67,8 +67,9 @@ class MazurTateTower:
     a/p^(n+1) is phi({inf}-{a/p^n}), which equals the level-n value at
     (a mod p^n)/p^n because z -> z+1 lies in Gamma_0(N) and fixes infinity.
     S_n serves the stabilized element at every level, and the norm relation
-    S_n = cor(theta_{n-1}) is checked exactly.  The sums run in ints for an
-    integral symbol; each coefficient becomes a Fraction once, in
+    S_n = cor(theta_{n-1}) is checked exactly.  Values are in the
+    linalg.exact format (an int when integral), so for an integral symbol
+    the sums run in ints; each coefficient becomes a Fraction once, in
     GroupRingElement.  Only exact rationals are stored, so the stabilized
     elements can be rebuilt at any precision.  sym needs value_infinity_minus,
     and is_plus if a plus symbol is to be evaluated at half the cusps.

@@ -62,9 +62,9 @@ def hecke_matrix(space: ManinSymbolSpace, ell: int):
 
 
 def _shifted_rows(matrix, a):
-    """Sparse rows of matrix - a * identity, integral entries as ints."""
+    """Sparse rows of matrix - a * identity."""
     for i, row in enumerate(matrix):
-        row = {k: x.numerator if x.denominator == 1 else x for k, x in row.items()}
+        row = dict(row)
         row[i] = row.get(i, 0) - a
         yield row
 
@@ -169,7 +169,7 @@ def _content_one(sym: ModularSymbol) -> ModularSymbol:
         scale = -scale
     if scale == 1:
         return sym
-    return ModularSymbol(sym.space, [scale * c for c in sym.coords], sign=sym.sign)
+    return scale * sym
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Exact linear algebra: sparse elimination over Q and mod a prime, dense over F_p.
 
-Over Q, rows are sparse dicts {column: Fraction}, as are the sign involution
-and Hecke operators.  `echelon` folds them into pivot rows, each stating a
-pivot variable as a combination of non-pivot columns; `kernel` reads a kernel
-basis off those pivots.  The Manin-symbol relation quotient is computed this
-way, and so is the Hecke eigenline when its fast path cannot be certified.
+Over Q, rows are sparse dicts {column: value}, as are the sign involution
+and Hecke operators.  Every exact rational on the symbol path, from these
+rows to a symbol's value table, is stored by one rule (`exact`): an int when
+it is integral, a Fraction only otherwise.  `echelon` folds rows into pivot
+rows, each stating a pivot variable as a combination of non-pivot columns;
+`kernel` reads a kernel basis off those pivots.  The Manin-symbol relation
+quotient is computed this way, and so is the Hecke eigenline when its fast
+path cannot be certified.
 
 The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
 rational row (None if a denominator is divisible by the prime), `echelon_mod`
@@ -21,6 +24,11 @@ from heapq import heappop, heappush
 from math import gcd, isqrt
 
 MODULUS = 2**61 - 1  # a Mersenne prime
+
+
+def exact(x):
+    """The exact rational x (an int or a Fraction) as an int when it is integral, else as a Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def mat_mul(a, b):
@@ -50,14 +58,14 @@ def echelon(rows, pivots=None):
     column, so each pivot is eliminated at most once), then pivots on its
     entry of least (denominator, |numerator|, column).  One back-substitution
     in reverse insertion order, after the batch, leaves every pivot row in
-    non-pivot columns only.
+    non-pivot columns only, its entries in the `exact` format.
     """
     if pivots is None:
         pivots = {}
     order = list(pivots)
     rank = {v: r for r, v in enumerate(order)}
     for row in rows:
-        row = {k: Fraction(x) for k, x in row.items() if x}
+        row = {k: x for k, x in row.items() if x}
         heap = [rank[k] for k in row if k in rank]
         heap.sort()
         while heap:
@@ -77,18 +85,17 @@ def echelon(rows, pivots=None):
             continue
         piv = min(row, key=lambda k: (row[k].denominator, abs(row[k].numerator), k))
         c = -row.pop(piv)
-        pivots[piv] = {k: x / c for k, x in row.items()}
+        pivots[piv] = ({k: x * c for k, x in row.items()} if c == 1 or c == -1 else
+                       {k: exact(Fraction(x) / c) for k, x in row.items()})
         rank[piv] = len(order)
         order.append(piv)
     for v in reversed(order):
         row = pivots[v]
-        eliminated = [k for k in row if k in pivots]
-        for k in eliminated:
+        for k in [k for k in row if k in pivots]:
             a = row.pop(k)
             for k2, c in pivots[k].items():
                 row[k2] = row.get(k2, 0) + a * c
-        if eliminated:
-            pivots[v] = {k: x for k, x in row.items() if x}
+        pivots[v] = {k: exact(x) for k, x in row.items() if x}
     return pivots
 
 
@@ -98,8 +105,8 @@ def kernel(pivots, ncols):
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for piv, row in pivots.items():
             if f in row:
                 v[piv] = row[f]

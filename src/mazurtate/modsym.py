@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import LevelTooLarge
-from .linalg import echelon
+from .linalg import echelon, exact
 from .primes import prime_factors
 
 INFINITY = math.inf
@@ -263,7 +263,7 @@ class ManinSymbolSpace:
         self.N = N
         self.p1 = p1
         self.basis = basis          # P^1 indices of the free generators
-        self.expressions = expressions  # per P^1 index: sorted (coordinate, Fraction) pairs
+        self.expressions = expressions  # per P^1 index: sorted (coordinate, value) pairs, values in the exact format
         self.sigma = sigma          # index action of the order-2 relation matrix
         self.tau = tau              # index action of the order-3 relation matrix
         self.dimension = len(basis)
@@ -300,7 +300,7 @@ class ManinSymbolSpace:
         return ModularSymbol(self, coords, sign)
 
     def zero_symbol(self) -> "ModularSymbol":
-        return ModularSymbol(self, [Fraction(0)] * self.dimension)
+        return ModularSymbol(self, [0] * self.dimension)
 
 
 def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
@@ -364,7 +364,7 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     dim = len(free)
     pos = {b: t for t, b in enumerate(free)}
 
-    var_expr = {v: ((pos[v], Fraction(1)),) for v in free}
+    var_expr = {v: ((pos[v], 1),) for v in free}
     for v, row in pivots.items():
         var_expr[v] = tuple(sorted((pos[k], c) for k, c in row.items()))
     expressions = []
@@ -387,7 +387,7 @@ class ModularSymbol:
 
     def __init__(self, space: ManinSymbolSpace, coords, sign=None):
         self.space = space
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(exact(Fraction(c)) for c in coords)
         if len(self.coords) != space.dimension:
             raise ValueError("coordinate length does not match space dimension")
         self.sign = sign
@@ -408,11 +408,14 @@ class ModularSymbol:
         return ModularSymbol(self.space, [a - b for a, b in zip(self.coords, other.coords)])
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        return ModularSymbol(self.space, [scalar * c for c in self.coords], self.sign)
+        scalar = exact(Fraction(scalar))
+        out = ModularSymbol(self.space, [scalar * c for c in self.coords], self.sign)
+        if self._generator_values is not None:  # scaled along, not summed over P^1 again
+            out._generator_values = tuple(exact(scalar * v) for v in self._generator_values)
+        return out
 
     def __neg__(self):
-        return Fraction(-1) * self
+        return -1 * self
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -420,21 +423,19 @@ class ModularSymbol:
     # -- values --
 
     def generator_values(self):
-        """Values on every Manin generator (index-aligned with P^1): all ints if all are integral, else Fractions."""
+        """Values on every Manin generator (index-aligned with P^1), each an int when integral, else a Fraction."""
         if self._generator_values is None:
             coords = self.coords
-            vals = tuple(sum((c * coords[t] for t, c in expr), Fraction(0)) for expr in self.space.expressions)
-            if all(v.denominator == 1 for v in vals):
-                vals = tuple(v.numerator for v in vals)
-            self._generator_values = vals
+            self._generator_values = tuple(exact(sum(c * coords[t] for t, c in expr))
+                                           for expr in self.space.expressions)
         return self._generator_values
 
     def value_infinity_minus(self, r):
         """phi({inf} - {r}) by the Manin trick.
 
-        An int when every generator value is integral (0 at infinity), a
-        Fraction otherwise.  Each symbol memoizes its value per (u mod N,
-        v mod N), so P^1 normalization runs once per pair it meets.
+        An int when integral, a Fraction otherwise (0 at infinity), so an
+        int for an integral symbol.  Each symbol memoizes its value per
+        (u mod N, v mod N), so P^1 normalization runs once per pair it meets.
         """
         memo = self._cusp_memo
         N = self.space.N
@@ -445,7 +446,7 @@ class ModularSymbol:
             if value is None:
                 value = memo[u * N + v] = self.generator_values()[self.space.p1.index(u, v)]
             total += value
-        return total
+        return exact(total)
 
     def value(self, divisor: Divisor):
         return sum((-c) * self.value_infinity_minus(pt) for c, pt in divisor.terms)
@@ -474,11 +475,11 @@ class ModularSymbol:
 
     def plus_part(self) -> "ModularSymbol":
         s = self + self.involution()
-        return ModularSymbol(self.space, [c / 2 for c in s.coords], sign="+")
+        return ModularSymbol(self.space, [Fraction(c, 2) for c in s.coords], sign="+")
 
     def minus_part(self) -> "ModularSymbol":
         s = self - self.involution()
-        return ModularSymbol(self.space, [c / 2 for c in s.coords], sign="-")
+        return ModularSymbol(self.space, [Fraction(c, 2) for c in s.coords], sign="-")
 
     def split(self):
         return self.plus_part(), self.minus_part()

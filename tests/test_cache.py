@@ -128,9 +128,9 @@ class CountingList(list):
         return super().__iter__()
 
 
-def test_load_symbol_passes_over_p1_twice(monkeypatch):
-    # one pass for the eigenline's symbol and one for its content-one rescaling;
-    # normalize must not rebuild a symbol that is already content-one
+def test_load_symbol_passes_over_p1_once(monkeypatch):
+    # one pass for the eigenline's symbol; its content-one rescaling scales that
+    # value table, and normalize must not rebuild a symbol that is already content-one
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     spaces = []
 
@@ -144,7 +144,7 @@ def test_load_symbol_passes_over_p1_twice(monkeypatch):
     sym, _ = cache.load_symbol(make_curve("26b1"))
     sym.generator_values()
     (space,) = spaces
-    assert space.expressions.passes == 2
+    assert space.expressions.passes == 1
 
 
 @pytest.mark.parametrize("under_file", [False, True])

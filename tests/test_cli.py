@@ -336,3 +336,19 @@ def test_output_naming_a_directory_is_an_input_error(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"] == "input_error"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_selftest_refuses_a_cache_path_naming_a_file_before_any_suite(tmp_path, capsys, monkeypatch, under_file):
+    from mazurtate import suites
+
+    monkeypatch.setattr(suites, "run_all_suites", lambda *a, **k: pytest.fail("suites run"))
+    regular = tmp_path / "cache"
+    regular.write_text("")
+    not_a_dir = regular / "sub" if under_file else regular
+    code, out, err = run_cli(capsys, "selftest", "--cases", "1", "--cache", str(not_a_dir), "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "input_error"
+    assert "cannot use cache directory" in json.loads(err)["message"]
+    assert regular.read_text() == ""

@@ -7,6 +7,7 @@ from mazurtate.linalg import (
     MODULUS,
     echelon,
     echelon_mod,
+    exact,
     kernel,
     kernel_mod,
     nullspace,
@@ -99,9 +100,28 @@ def test_two_batches_fold_like_one(seed, nrows, ncols, rank):
 
 
 def test_integer_rows_give_fraction_entries():
+    # only the non-integral entry is a Fraction; the integral one stays an int
     pivots = echelon([{0: 2, 1: 3}, {2: 4, 3: -2}])
-    assert pivots == {0: {1: Fraction(-3, 2)}, 3: {2: Fraction(2)}}
-    assert all(isinstance(c, Fraction) for row in pivots.values() for c in row.values())
+    assert pivots == {0: {1: Fraction(-3, 2)}, 3: {2: 2}}
+    assert type(pivots[0][1]) is Fraction and type(pivots[3][2]) is int
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
+def test_echelon_entries_are_ints_exactly_when_integral(seed, nrows, ncols, rank):
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, nrows, ncols, rank)
+    # the same rows, with every entry an integral Fraction, fold to the same ints
+    for rows in (sparse(matrix), [{j: Fraction(2 * x, 2) for j, x in row.items()} for row in sparse(matrix)]):
+        pivots = echelon(rows)
+        assert pivots == echelon(sparse(matrix))
+        entries = [c for row in pivots.values() for c in row.values()]
+        entries += [x for v in kernel(pivots, ncols) for x in v]
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in entries)
+
+
+def test_exact_keeps_integral_values_as_ints():
+    assert [exact(x) for x in (3, -2, Fraction(4, 2), Fraction(0), Fraction(-3, 2))] == [3, -2, 2, 0, Fraction(-3, 2)]
+    assert [type(exact(x)) for x in (3, Fraction(4, 2), Fraction(-3, 2))] == [int, int, Fraction]
 
 
 def test_kernel_of_no_rows_is_the_identity():

@@ -115,13 +115,17 @@ def test_huge_level_is_refused_before_factoring():
 
 
 # sha256 of (basis, expressions) as recorded before the relation elimination
-# moved into linalg.echelon; the quotient presentation must not change
+# moved into linalg.echelon (571, 1000 and 2003: before it kept integral
+# entries as ints); the quotient presentation must not change
 SPACE_DIGESTS = {
     11: "5ad9458ca15820b02eb3e943eb6aa313aaabb086c22abf26b11e283f0f2ecf1b",
     26: "86bcc480629b9b3e9bc08eaaa60f5cf2f2772158ff14ac51541357ce9c27cbf8",
     174: "eb5b0bf2d8f53660b24cd7d6012a47cca1a7902d49690d98d1d06bd2fc8d7530",
     389: "a822b5fa160635dc1e3b0afd6bce9c459b58e55c08dd7c9eb3df04a9a4624f52",
+    571: "91685ba4ce78716b9931e87f5695e1d17face7bc97162d3d0bd6a56aa604bf94",
     681: "c940883d8a72a87e8ef7f58900822bf6f44e3aa9306d2d6d5ae747778989f0c4",
+    1000: "07072c8a1dbe7047164263e8cf95565729d20a4687251f87b7b2861de42febfe",
+    2003: "11657c63d6c9aa78b5f0fbb5048addf4da136ee22ad868863f7d2b3ff54193b3",
 }
 
 
@@ -130,6 +134,27 @@ def test_space_presentation_is_pinned(N):
     sp = build_space(N)
     payload = json.dumps([list(sp.basis), [[[t, str(c)] for t, c in e] for e in sp.expressions]])
     assert hashlib.sha256(payload.encode()).hexdigest() == SPACE_DIGESTS[N]
+
+
+def is_exact(x):
+    """x is in the one exact format: an int when integral, a Fraction only otherwise."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("N", [26, 174, 681])
+def test_expression_entries_are_ints_exactly_when_integral(N, tmp_path):
+    built = build_space(N)
+    cache.load_space(N, tmp_path)  # a cold fill, then a read back from the file
+    stored = cache.load_space(N, tmp_path)
+    assert stored.expressions == built.expressions
+    for sp in (built, stored):
+        assert all(is_exact(c) for e in sp.expressions for _, c in e)
+    # a stored non-integral entry is read back as a Fraction, an integral one as an int
+    payload = cache.space_payload(built)
+    payload["expressions"][0] = [[0, "-3/2"], [1, "4"]]
+    parsed = cache.space_from_payload(payload).expressions[0]
+    assert parsed == ((0, Fraction(-3, 2)), (1, 4))
+    assert all(is_exact(c) for _, c in parsed)
 
 
 def dense(expr, dim):
@@ -307,19 +332,29 @@ def test_non_integral_symbol_values_are_fractions(eigensymbols, label):
     random_sym = sym.space.symbol([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in sym.coords])
     for phi in (Fraction(1, 7) * sym, random_sym):
         assert any(v.denominator != 1 for v in phi.generator_values())
-        for r in random_cusps(rng):
-            value = phi.value_infinity_minus(r)
-            assert type(value) is Fraction
+        values = {r: phi.value_infinity_minus(r) for r in random_cusps(rng)}
+        assert any(type(value) is Fraction for value in values.values())
+        for r, value in values.items():
+            assert is_exact(value)
             assert value == reference_value(phi, r)
 
 
-def test_generator_values_are_all_ints_or_all_fractions(eigensymbols, tmp_path):
+def test_generator_values_are_ints_exactly_when_integral(eigensymbols, tmp_path):
     for label in eigensymbols:  # a cold fill, so that the symbols below are read back from disk
         cache.load_symbol(make_curve(label), cache_dir=tmp_path)
     stored = [cache.load_symbol(make_curve(label), cache_dir=tmp_path)[0] for label in eigensymbols]
     for sym in list(eigensymbols.values()) + stored:
+        assert all(type(c) is int for c in sym.coords)
         assert all(type(v) is int for v in sym.generator_values())
-        assert all(type(v) is Fraction for v in (Fraction(1, 7) * sym).generator_values())
+        for scaled in (Fraction(1, 7) * sym, 7 * (Fraction(1, 7) * sym)):
+            # the value table carried through the scaling is the one computed afresh
+            fresh = ModularSymbol(sym.space, scaled.coords)
+            assert scaled.generator_values() == fresh.generator_values()
+            for phi in (scaled, fresh):
+                assert all(is_exact(c) for c in phi.coords)
+                assert all(is_exact(v) for v in phi.generator_values())
+        sevenths = (Fraction(1, 7) * sym).generator_values()
+        assert any(type(v) is Fraction for v in sevenths) and any(type(v) is int for v in sevenths)
 
 
 def test_coordinate_rows_drop_zero_entries(spaces):
