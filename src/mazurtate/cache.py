@@ -1,11 +1,12 @@
 """On-disk caches: relation quotients keyed by level, eigensymbols by curve.
 
 Eigensymbol files are keyed by a sha256 of the curve's content (a1..a6, N),
-never by its label, and the stored coefficients are checked on read.
+never by its label; on read the stored coefficients are compared and the
+vector is checked against the first eigen-equations (hecke.fits_first_equations).
 Everything is JSON with exact integers/rationals as decimal strings, guarded
-by a sha256 checksum over the canonical payload; a corrupted or stale file is
-detected and silently rebuilt.  load_symbol is the one way the commands get
-their normalized symbol.
+by a sha256 checksum over the canonical payload; a corrupted, stale or
+unparsable file, or one that fails those checks, is a miss and is silently
+rebuilt.  load_symbol is the one way the commands get their normalized symbol.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
-from .hecke import eigensymbol, normalize
+from .hecke import eigensymbol, fits_first_equations, normalize
 from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
@@ -66,15 +67,15 @@ def _write(path: Path, payload: dict):
 
 
 def _read(path: Path) -> dict | None:
-    """Payload if present and checksum-clean, else None."""
+    """Payload if present, a JSON object and checksum-clean, else None."""
     try:
         payload = json.loads(path.read_text())
-        stated = payload.pop("checksum")
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError):
         return None
-    if _checksum(payload) != stated:
+    if not isinstance(payload, dict):
         return None
-    return payload
+    stated = payload.pop("checksum", None)
+    return payload if _checksum(payload) == stated else None
 
 
 def space_payload(space: ManinSymbolSpace) -> dict:
@@ -96,21 +97,38 @@ def space_from_payload(payload: dict) -> ManinSymbolSpace:
     return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
 
 
+def _parsed(parse, payload):
+    """parse(payload), or None when the payload does not parse."""
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return None
+
+
 def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
-    """Cached space when a directory is configured; rebuild on any mismatch."""
+    """Cached space when a directory is configured; rebuild on any mismatch or parse failure."""
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return build_space(N)
     path = cache_dir / f"space_N{N}.json"
     payload = _read(path)
     if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
-        return space_from_payload(payload)
+        space = _parsed(space_from_payload, payload)
+        if space is not None:
+            return space
     space = build_space(N)
     _write(path, space_payload(space))
     return space
 
 
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:
+    """Cached plus-eigensymbol when a directory is configured, else computed.
+
+    A stored vector is used only if it parses, has the space's dimension and
+    passes hecke.fits_first_equations; those checks are exact but are not a
+    certificate of the eigenline, which would need the rank.  Any failure
+    is a miss: the symbol is computed and the file rewritten.
+    """
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return eigensymbol(space, curve)
@@ -119,8 +137,10 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     path = cache_dir / f"eigsym_N{space.N}_{key}_plus.json"
     payload = _read(path)
     if (payload is not None and payload.get("kind") == "eigensymbol" and payload.get("N") == space.N
-            and payload.get("coeffs") == coeffs and len(payload.get("coords", ())) == space.dimension):
-        return ModularSymbol(space, payload["coords"], sign="+")
+            and payload.get("coeffs") == coeffs):
+        sym = _parsed(lambda p: ModularSymbol(space, p["coords"], sign="+"), payload)
+        if sym is not None and fits_first_equations(space, curve, sym.coords):
+            return sym
     sym = eigensymbol(space, curve)
     _write(path, {"kind": "eigensymbol", "N": space.N, "coeffs": coeffs, "sign": "+",
                   "coords": [str(c) for c in sym.coords]})

@@ -177,8 +177,8 @@ def classify(request: MTRequest) -> DichotomyReport:
     if not report.theta0_identity_verified:
         report.diagnostics.append("theta_0 interpolation identity failed")
 
-    precision = request.precision or working_precision(n_max, min(0, shift))
-    for _ in range(3):
+    base = request.precision or working_precision(n_max, min(0, shift))
+    for precision in (base, 2 * base, 4 * base):
         try:
             alpha = unit_root(curve.a_ell(p), p, precision)
             stabilized = [tower.stabilized(alpha, n) for n in range(n_max + 1)]
@@ -193,7 +193,7 @@ def classify(request: MTRequest) -> DichotomyReport:
             )
             break
         except PrecisionInsufficient:
-            precision *= 2
+            pass
     else:
         raise PrecisionInsufficient(f"stabilized invariants undetermined at precision {precision}")
 

@@ -17,11 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import cache
-from .boundary import boundary_congruence
-from .classify import (DichotomyReport, MTRequest, check_precision, classify, level_rows,
-                       normalization_shift)
 from .curves import DEFAULT_ELL_BOUND, EllipticCurve, parse_lratio
-from .elements import MazurTateTower
 from .errors import BoundExceeded, InputError, MazurTateError
 from .primes import is_prime
 
@@ -129,7 +125,7 @@ def _level_rows(report_dict: dict, stabilized: bool):
     return rows
 
 
-def render_analyze_text(report: DichotomyReport) -> str:
+def render_analyze_text(report) -> str:
     d = report.to_dict()
     lines = [f"curve {d['label'] or '(unnamed)'}  p={d['p']}  mode={d['mode']}  verdict={d['verdict']}"]
     lines.append(f"{'n':>3} {'mu_coh':>7} {'mu':>5} {'lambda':>7} {'maximal':>8} {'integral':>9} {'stab(mu,lam)':>14}")
@@ -159,6 +155,8 @@ def render_analyze_text(report: DichotomyReport) -> str:
 
 
 def cmd_analyze(args) -> int:
+    from .classify import MTRequest, classify
+
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
@@ -174,6 +172,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .classify import check_precision, level_rows, normalization_shift
+    from .elements import MazurTateTower
+
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
@@ -197,6 +198,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .boundary import boundary_congruence
+
     curve = load_curve(args)
     _check_p(args.p)
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)

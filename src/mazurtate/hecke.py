@@ -21,6 +21,7 @@ raises EigenspaceNotOneDimensional or InconsistentEigenvalues.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,9 +132,23 @@ def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
         return None
     den = math.lcm(*(c.denominator for c in coords))
     coords = [int(c * den) for c in coords]
-    if any(sum(x * coords[k] for k, x in row.items()) for row in folded):
-        return None
-    return coords
+    return coords if _annihilates(folded, coords) else None
+
+
+def _annihilates(rows, coords) -> bool:
+    """Whether every sparse row vanishes on coords, exactly."""
+    return not any(sum(x * coords[k] for k, x in row.items()) for row in rows)
+
+
+def fits_first_equations(space: ManinSymbolSpace, curve: EllipticCurve, coords) -> bool:
+    """Whether coords are nonzero with J v = v and T_ell v = a_ell v for the least good ell.
+
+    Both eigenline paths fold at least these rows, so a stored vector that
+    fails them is not the eigenline.  Passing is not a certificate of the
+    line: that needs the rank, which costs as much as the eigenline.
+    """
+    first = itertools.islice(_equations(space, curve, lambda ell: hecke_matrix(space, ell)), 2)
+    return any(coords) and all(_annihilates(rows, coords) for _, rows in first)
 
 
 def _exact_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):

@@ -185,3 +185,80 @@ def test_cli_cache_naming_a_file_is_an_input_error(tmp_path, capsys, monkeypatch
     error = json.loads(captured.err)
     assert error["error"] == "input_error"
     assert error["message"].startswith(f"cannot use cache directory {not_a_dir}: ")
+
+
+def _forge(path, key, value):
+    """Rewrite one field of a cache file, with a checksum that matches."""
+    payload = cache._read(path)
+    payload[key] = value
+    cache._write(path, payload)
+
+
+@pytest.mark.parametrize("entry", [[[0]], [["0", "x"]], [[0, "1/0"]], 7])
+def test_space_file_that_does_not_parse_is_a_miss(tmp_path, entry):
+    cache.load_space(11, tmp_path)
+    path = tmp_path / "space_N11.json"
+    expressions = cache._read(path)["expressions"]
+    _forge(path, "expressions", [entry] + expressions[1:])
+    fresh = build_space(11)
+    assert cache.load_space(11, tmp_path).expressions == fresh.expressions
+    assert cache._read(path) == cache.space_payload(fresh)  # rewritten
+
+
+def _eigensymbol_file(tmp_path):
+    space = cache.load_space(11, tmp_path)
+    curve = make_curve("11a")
+    cache.load_eigensymbol(space, curve, tmp_path)
+    (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
+    return space, curve, path
+
+
+@pytest.mark.parametrize("coords", [["x", "0", "0"], ["1/0", "0", "0"], [None, "0", "0"], ["1", "2"], 5])
+def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
+    space, curve, path = _eigensymbol_file(tmp_path)
+    _forge(path, "coords", coords)
+    fresh = eigensymbol(space, curve)
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == fresh.coords
+    assert cache._read(path)["coords"] == [str(c) for c in fresh.coords]  # rewritten
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("k", range(3))
+def test_eigensymbol_file_off_the_eigenline_is_a_miss(tmp_path, k, delta):
+    # checksum-clean but off the line: J v = v or T_2 v = a_2 v fails
+    space, curve, path = _eigensymbol_file(tmp_path)
+    coords = [int(c) for c in cache._read(path)["coords"]]
+    coords[k] += delta
+    _forge(path, "coords", [str(c) for c in coords])
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+
+
+def test_zero_eigensymbol_file_is_a_miss(tmp_path):
+    space, curve, path = _eigensymbol_file(tmp_path)
+    _forge(path, "coords", ["0"] * space.dimension)
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+
+
+def test_forged_eigensymbol_file_does_not_change_the_analysis(tmp_path, capsys):
+    argv = ["analyze", "--curve", "11a", "--p", "5", "--n-max", "2"]
+    assert main(argv) == 0
+    uncached = capsys.readouterr().out
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
+    coords = cache._read(path)["coords"]
+    assert coords[2] == "-10"
+    _forge(path, "coords", coords[:2] + ["-9"])
+    capsys.readouterr()
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == uncached
+
+
+@pytest.mark.parametrize("text", ["[]", "5", '"checksum"'])
+def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
+    path = tmp_path / "space_N11.json"
+    path.write_text(text)
+    fresh = build_space(11)
+    assert cache.load_space(11, tmp_path).expressions == fresh.expressions
+    assert cache._read(path) == cache.space_payload(fresh)  # rewritten
+    path.write_text(text)
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 1}

@@ -4,7 +4,7 @@ import pytest
 
 from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
-from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
+from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from mazurtate.modsym import ModularSymbol, as_cusp
 
 from .conftest import make_curve
@@ -170,3 +170,19 @@ def test_classify_builds_each_stabilized_element_once(monkeypatch):
     report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
     assert report.norm_relation_verified
     assert calls == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("precision", [None, 6])
+def test_precision_retry_reports_the_last_precision_tried(monkeypatch, precision):
+    tried = []
+
+    def insufficient(tower, alpha, n):
+        tried.append(alpha.precision)
+        raise PrecisionInsufficient("forced")
+
+    monkeypatch.setattr(MazurTateTower, "stabilized", insufficient)
+    with pytest.raises(PrecisionInsufficient) as excinfo:
+        classify(MTRequest(make_curve("11a"), 5, 2, "neron", precision))
+    base = precision or tried[0]
+    assert tried == [base, 2 * base, 4 * base]
+    assert str(excinfo.value) == f"stabilized invariants undetermined at precision {4 * base}"

@@ -173,6 +173,31 @@ def test_cli_import_leaves_the_suites_out():
     assert result.stdout.strip() == "[]"
 
 
+LATER_STAGES = ("classify", "elements", "groupring", "padics", "boundary", "cusps")
+
+
+@pytest.mark.parametrize("argv, left_out", [
+    ([], LATER_STAGES),
+    (["eigensymbol", "--curve", "11a"], LATER_STAGES),
+    (["boundary", "--curve", "11a", "--p", "5"], LATER_STAGES[:4]),
+], ids=["import", "eigensymbol", "boundary"])
+def test_each_command_loads_only_its_own_stages(argv, left_out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    env.pop("MT_CACHE_DIR", None)
+    probe = ("import contextlib, io, sys, mazurtate.cli\n"
+             "argv = sys.argv[1:]\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = mazurtate.cli.main(argv) if argv else 0\n"
+             "print(code, sorted(m for m in sys.modules if m.startswith('mazurtate.')))")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+                            check=True)
+    code, loaded = result.stdout.split(" ", 1)
+    assert code == "0"
+    assert "mazurtate.cli" in loaded
+    assert [m for m in left_out if f"'mazurtate.{m}'" in loaded] == []
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["invariants", "--curve", "11a", "--p", "5", "--n-max", "1",
