@@ -2,7 +2,9 @@
 
 Eigensymbol files are keyed by a sha256 of the curve's content (a1..a6, N),
 never by its label; on read the stored coefficients are compared and the
-vector is checked against the first eigen-equations (hecke.fits_first_equations).
+vector is checked against the first eigen-equations (hecke.fits_first_equations);
+a stored space is used only if it is certified as the quotient map
+(ManinSymbolSpace.presents_quotient).
 Everything is JSON with exact integers/rationals as decimal strings, guarded
 by a sha256 checksum over the canonical payload; a corrupted, stale or
 unparsable file, or one that fails those checks, is a miss and is silently
@@ -97,6 +99,12 @@ def space_from_payload(payload: dict) -> ManinSymbolSpace:
     return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
 
 
+def _certified_space(payload: dict) -> ManinSymbolSpace | None:
+    """The stored space if it is certified as the quotient map (ManinSymbolSpace.presents_quotient)."""
+    space = space_from_payload(payload)
+    return space if space.presents_quotient() else None
+
+
 def _parsed(parse, payload):
     """parse(payload), or None when the payload does not parse."""
     try:
@@ -106,14 +114,15 @@ def _parsed(parse, payload):
 
 
 def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
-    """Cached space when a directory is configured; rebuild on any mismatch or parse failure."""
+    """Cached space when a directory is configured; rebuild on any mismatch, parse
+    failure or failed certificate."""
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return build_space(N)
     path = cache_dir / f"space_N{N}.json"
     payload = _read(path)
     if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
-        space = _parsed(space_from_payload, payload)
+        space = _parsed(_certified_space, payload)
         if space is not None:
             return space
     space = build_space(N)

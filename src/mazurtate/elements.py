@@ -2,8 +2,9 @@
 
 The raw element of level n collects the values phi({inf}-{a/p^n}) over units
 a into the group ring of (Z/p^n)^x; the level-n element proper is its image
-in the ring of the degree-p^n layer, indexed by powers of gamma through the
-one-unit discrete logarithm.  One MazurTateTower per (symbol, p) holds every
+in the ring of the degree-p^n layer, indexed by powers of gamma: the units
+are walked in generator order (groupring.layer_units), so no discrete
+logarithm is taken.  One MazurTateTower per (symbol, p) holds every
 level up to n_max; the module-level functions are thin calls into it.
 Stabilized elements carry precision-tracked p-adic coefficients derived from
 the unit root alpha, and each is built by one route; the norm relation that
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundExceeded
-from .groupring import GroupLevel, GroupRingElement
-from .padics import PAdic, valuation
+from .groupring import GroupLevel, GroupRingElement, layer_units
+from .padics import PAdic, int_valuation
 
 DEFAULT_GUARD_DIGITS = 20
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
@@ -67,7 +68,10 @@ class MazurTateTower:
     a/p^(n+1) is phi({inf}-{a/p^n}), which equals the level-n value at
     (a mod p^n)/p^n because z -> z+1 lies in Gamma_0(N) and fixes infinity.
     S_n serves the stabilized element at every level, and the norm relation
-    S_n = cor(theta_{n-1}) is checked exactly.  Values are in the
+    S_n = cor(theta_{n-1}) is checked exactly.  Layer n sums the values at
+    the units that groupring.layer_units sends to each gamma^k, while S_n
+    looks the level below up at a mod p^n, so that check also tests the
+    walk's indexing.  Values are in the
     linalg.exact format (an int when integral), so for an integral symbol
     the sums run in ints; each coefficient becomes a Fraction once, in
     GroupRingElement.  Only exact rationals are stored, so the stabilized
@@ -90,15 +94,11 @@ class MazurTateTower:
         for n in range(n_max + 1):
             top = raw_mazur_tate(sym, p, n + 1).values
             level = GroupLevel(p, n)
-            theta = [0] * level.order
-            scaled = [0] * level.order
+            units = layer_units(p, n)
             q = p**n
-            for a, v in top.items():
-                k = level.exponent_of(a)
-                theta[k] += v
-                scaled[k] += below[a % q] if n else self.phi0
-            self.thetas.append(GroupRingElement(level, theta))
-            self.scaled.append(GroupRingElement(level, scaled))
+            self.thetas.append(GroupRingElement(level, [sum(top[a] for a in us) for us in units]))
+            self.scaled.append(GroupRingElement(
+                level, [sum(below[a % q] for a in us) for us in units] if n else [(p - 1) * self.phi0]))
             below = top
 
     def stabilized(self, alpha: PAdic, n: int) -> GroupRingElement:
@@ -106,11 +106,18 @@ class MazurTateTower:
 
         This is theta_n of phi^alpha = phi - alpha^{-1} phi|[[p,0],[0,1]]; for
         n >= 1 it equals theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)), since
-        S_n = cor(theta_{n-1}) (norm_relation).
+        S_n = cor(theta_{n-1}) (norm_relation).  Each coefficient is one residue
+        T_k / d_T - alpha^{-1} S_k / d_S mod p^precision, from the integers and
+        common denominators of _integer_coefficients.
         """
-        precision = alpha.precision
-        plain = self.thetas[n].to_padic(precision)
-        return plain - self.scaled[n].to_padic(precision).scale(alpha.inverse())
+        p, precision = self.p, alpha.precision
+        T, d_T = _p_integral(self.thetas[n], p)
+        S, d_S = _p_integral(self.scaled[n], p)
+        modulus = p**precision
+        t_unit = pow(d_T, -1, modulus)
+        s_unit = alpha.inverse().residue * pow(d_S, -1, modulus)
+        return GroupRingElement(self.thetas[n].level,
+                                [PAdic(p, t * t_unit - s * s_unit, precision) for t, s in zip(T, S)])
 
     def norm_relation(self, alpha: PAdic, n: int) -> ResidualReport:
         """S_n = cor(theta_{n-1}), checked exactly over Q.
@@ -118,19 +125,37 @@ class MazurTateTower:
         The two routes to theta_n(phi^alpha) differ by alpha^{-1} times
         d = S_n - cor(theta_{n-1}); alpha is a unit, so each floor
         min(ord_p(d_k), precision) is the one their p-adic comparison gives.
+        With S_n = S / d_S and theta_{n-1} = T / d_T over common denominators,
+        d_k = (S_k d_T - T_(k mod p^(n-1)) d_S) / (d_S d_T) exactly.
         """
         if n < 1:
             raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
         alpha.inverse()  # refuses a non-unit alpha
-        precision = alpha.precision
-        d = self.scaled[n] - self.thetas[n - 1].corestriction()
-        floors = tuple(min(valuation(c, self.p), precision) for c in d.coeffs)
+        p, precision = self.p, alpha.precision
+        S, d_S = self.scaled[n]._integer_coefficients()
+        T, d_T = self.thetas[n - 1]._integer_coefficients()
+        q = len(T)
+        den = int_valuation(d_S * d_T, p)
+        floors = tuple(min(int_valuation(s * d_T - T[k % q] * d_S, p) - den, precision) for k, s in enumerate(S))
         return ResidualReport(n, all(f == precision for f in floors), floors)
 
     def theta0_identity(self, curve) -> bool:
         """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
         expected = Fraction(theta0_interpolation_factor(curve, self.p)) * self.phi0
         return self.thetas[0].coeffs == (expected,)
+
+
+def _p_integral(element: GroupRingElement, p: int):
+    """_integer_coefficients of an exact element whose coefficients are p-integral.
+
+    Raises ValueError naming the first coefficient that is not, as
+    GroupRingElement.to_padic does.
+    """
+    ints, den = element._integer_coefficients()
+    if den % p == 0:
+        bad = next(c for c in element.coeffs if c.denominator % p == 0)
+        raise ValueError(f"{bad} is not p-integral at p={p}")
+    return ints, den
 
 
 def mazur_tate(sym, p: int, n: int) -> GroupRingElement:

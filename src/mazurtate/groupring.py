@@ -6,8 +6,8 @@ invariants are those of the coefficients in the T = gamma - 1 basis, but they
 are read without building that basis: the binomial change of basis gamma ->
 1 + T is unitriangular over Z, so mu is the least valuation of the gamma-
 coefficients, and lambda is the first nonzero T-coefficient of their Taylor
-shift mod p, which Lucas's theorem splits into one p-point shift per base-p
-digit.  Coefficients are uniformly exact rationals or uniformly
+shift mod p, whose base-p digits Lucas's theorem lets us find one at a time,
+top digit first.  Coefficients are uniformly exact rationals or uniformly
 precision-tracked p-adics; the two kinds never mix.
 """
 from __future__ import annotations
@@ -20,6 +20,24 @@ from functools import lru_cache
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from .padics import PAdic, int_valuation
 from .primes import is_prime
+
+
+def layer_units(p: int, n: int):
+    """The units mod p^{n+1} by their image in the level-n layer: entry k lists
+    omega(b) (1+p)^k mod p^{n+1} for b = 1 .. p - 1, the units sent to gamma^k.
+
+    omega(b) = b^{p^n} mod p^{n+1} is the Teichmuller lift of b, so each unit
+    in entry k has one-unit exponent k (one_unit_exponent); no discrete
+    logarithm is taken.
+    """
+    modulus = p ** (n + 1)
+    lifts = [pow(b, p**n, modulus) for b in range(1, p)]
+    out = []
+    g = 1
+    for _ in range(p**n):
+        out.append([w * g % modulus for w in lifts])
+        g = g * (1 + p) % modulus
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -102,28 +120,38 @@ def _taylor_shift_by_one(coeffs):
     return c
 
 
-def _taylor_shift_mod_p(coeffs, p: int):
-    """Coefficients of f(x+1) mod p from those of f(x), for len(coeffs) = p^n.
+def _lambda_mod_p(coeffs, p: int) -> int:
+    """Least k with a nonzero coefficient of f(x+1) mod p, for len(coeffs) = p^n
+    and coeffs not all divisible by p; found by descent on the base-p digits of k.
 
     By Lucas's theorem C(i, k) = prod_d C(i_d, k_d) mod p over the base-p
-    digits of i and k, so the shift is one p-point shift per digit.  Each pass
-    applies Horner's scheme mod p to every block of p consecutive entries
-    (only the lowest digit varies within a block), then lists the entries
-    lowest digit first (the slices c[j::p]), which rotates the digits one
-    place; after n passes every digit has been shifted once and the order is
-    restored.  That is n p^{n-1} p(p-1)/2 additions of residues instead of
-    p^n(p^n - 1)/2 additions of growing integers.
+    digits.  Cut the coefficients into p blocks by the top digit of i, B_0 ..
+    B_{p-1}, each of length p^{n-1}; the shift is then the p-point shift of the
+    block polynomial F(y) = sum_j B_j y^j followed by the shift of length
+    p^{n-1} on each of its coefficients g_t = sum_{j >= t} C(j, t) B_j, and the
+    latter is invertible.  So the top digit of k is the least t with g_t != 0,
+    and the lower digits are those of g_t.  Each g_t is the value at 1 of the
+    t-th quotient of F by y - 1 (synthetic division, in place), so finding the
+    top digit t takes (p - 1) + ... + (p - 1 - t) block additions, at most
+    about p^{n+1}/2 residue additions over all digits.
     """
     c = [x % p for x in coeffs]
+    lam = 0
     m = len(c)
     while m > 1:
         m //= p
-        for start in range(0, len(c), p):
-            for i in range(start, start + p - 1):
-                for j in range(start + p - 2, i - 1, -1):
-                    c[j] = (c[j] + c[j + 1]) % p
-        c = [x for j in range(p) for x in c[j::p]]
-    return c
+        blocks = [c[j:j + m] for j in range(0, len(c), m)]
+        t = 0
+        while True:
+            for j in range(len(blocks) - 2, -1, -1):
+                blocks[j] = [(x + y) % p for x, y in zip(blocks[j], blocks[j + 1])]
+            if any(blocks[0]):
+                break
+            del blocks[0]
+            t += 1
+        lam += t * m
+        c = blocks[0]
+    return lam
 
 
 @dataclass(frozen=True)
@@ -226,7 +254,8 @@ class GroupRingElement:
         least precision prec."""
         if self.is_padic:
             prec = min(c.precision for c in self.coeffs)
-            return [c.residue % self.level.p**prec for c in self.coeffs], prec
+            modulus = self.level.p**prec
+            return [c.residue % modulus for c in self.coeffs], prec
         den = math.lcm(*(c.denominator for c in self.coeffs))
         return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
@@ -252,7 +281,8 @@ class GroupRingElement:
         Both are read off the integers B_i of ``_integer_coefficients``.  The
         change of basis to T is unitriangular over Z, invertible also over
         Z/p^prec, so it keeps the least valuation v of the B_i; lambda is the
-        first nonzero coefficient of the Taylor shift of B_i / p^v mod p.
+        first nonzero coefficient of the Taylor shift of B_i / p^v mod p, read
+        digit by digit (``_lambda_mod_p``) without forming the shift.
         """
         if self.is_zero():
             if self.is_padic:
@@ -268,9 +298,7 @@ class GroupRingElement:
             den_valuation = int_valuation(scale, p)
         v = int_valuation(math.gcd(*ints), p)
         unit = p**v
-        shifted = _taylor_shift_mod_p([b // unit for b in ints], p)
-        lam = next(k for k, a in enumerate(shifted) if a)
-        return IwasawaInvariants(v - den_valuation, lam)
+        return IwasawaInvariants(v - den_valuation, _lambda_mod_p([b // unit for b in ints], p))
 
     # -- maps between layers --
 

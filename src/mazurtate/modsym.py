@@ -45,6 +45,7 @@ class P1List:
 
     def __init__(self, N: int):
         self.N = N
+        self._primes = [ell for ell, _ in prime_factors(N)]
         if N == 1:
             self._list = [(0, 0)]
         else:
@@ -58,7 +59,11 @@ class P1List:
         self._index = {r: i for i, r in enumerate(self._list)}
 
     def normalize(self, u: int, v: int):
-        """Canonical form of (u:v), or None if the pair is not primitive mod N."""
+        """Canonical form of (u:v), or None if the pair is not primitive mod N.
+
+        That is (g, v') with g = gcd(u, N) and v' the least of v t mod N over
+        the units t = 1 + k N/g that fix g, after scaling u to g.
+        """
         N = self.N
         if N == 1:
             return (0, 0)
@@ -69,12 +74,22 @@ class P1List:
         _, s, g = _xgcd(N, u)
         if math.gcd(g, v) > 1:
             return None
-        s = _lift_unit(N, N // g, s % (N // g))
+        M = N // g
+        s = _lift_unit(N, M, s % M)
         v = (s * v) % N
         if g == 1:
             return (1, v)
-        v = min((v * t) % N for t in range(1, N, N // g) if math.gcd(N, t) == 1)
-        return (g, v)
+        # with v = v0 + M v1, t = 1 + kM sends v to v0 + M ((v1 + k v) mod g), and
+        # k -> (v1 + k v) mod g is onto Z/g as v is a unit mod g; t is a unit
+        # unless k = -1/M mod a prime ell dividing g but not M, that is unless
+        # the image j = (v1 + k v) mod g is v1 - v/M mod ell, so v' = v0 + M j
+        # for the least j that avoids those residues (j = v1, t = 1, does)
+        v0, v1 = v % M, v // M
+        excluded = [(ell, (v1 - v * pow(M, -1, ell)) % ell) for ell in self._primes if g % ell == 0 and M % ell]
+        j = 0
+        while any(j % ell == r for ell, r in excluded):
+            j += 1
+        return (g, v0 + M * j)
 
     def index(self, u: int, v: int) -> int:
         r = self.normalize(u, v)
@@ -173,6 +188,11 @@ def genus_x0(N: int) -> int:
     return int(g)
 
 
+def quotient_dimension(N: int) -> int:
+    """2g + c - 1, the dimension of the Manin-symbol quotient at level N."""
+    return 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
+
+
 # --- cusps and divisors ---
 
 
@@ -235,25 +255,9 @@ class Divisor:
         return " + ".join(f"{c}*{{{a}/{d}}}" for c, (a, d) in self.terms) or "0"
 
 
-def convergent_symbol_pairs(cusp):
-    """Bottom rows (q_k, +-q_{k-1}) of the unimodular path matrices joining the
-    continued-fraction convergents of the cusp to infinity."""
-    a, b = cusp
-    if b == 0:
-        return []
-    out = []
-    q_km2, q_km1 = 1, 0  # q_{-2}, q_{-1}
-    num, den = a, b
-    k = 0
-    while den != 0:
-        digit = num // den
-        num, den = den, num - digit * den
-        q_k = digit * q_km1 + q_km2
-        sign = 1 if k % 2 == 1 else -1
-        out.append((q_k, sign * q_km1))
-        q_km2, q_km1 = q_km1, q_k
-        k += 1
-    return out
+def _indices(xs, bound) -> bool:
+    """Every entry is an int in range(bound)."""
+    return all(type(x) is int and 0 <= x < bound for x in xs)
 
 
 class ManinSymbolSpace:
@@ -295,6 +299,43 @@ class ManinSymbolSpace:
             for t, c in self.expressions[i]:
                 row[t] = row.get(t, 0) + c
         return {t: c for t, c in row.items() if c}
+
+    def presents_quotient(self) -> bool:
+        """Exact certificate that the expressions are the quotient map of build_space.
+
+        sigma and tau must be permutations matching the relation matrices on
+        P^1 (by the cross-product test: primitive (c:d) = (c':d') iff
+        c d' = c' d mod N), every two-term relation must vanish (the two
+        expressions of a sigma-pair are each other's negation, entry by entry,
+        as build_space writes them) and so must every three-term relation, each
+        basis generator's expression must be its own unit coordinate, and the
+        dimension must be 2g + c - 1.  The map then factors through the
+        quotient and sends the basis to the unit vectors of a space of the
+        quotient's dimension, so it is the one quotient map.  Every index must
+        be an int in range, so that evaluating the map cannot fail.
+        """
+        N, p1, sigma, tau = self.N, self.p1, self.sigma, self.tau
+        expressions, dim = self.expressions, self.dimension
+        m = len(p1)
+        if not (len(expressions) == len(sigma) == len(tau) == m == len(set(sigma)) == len(set(tau))
+                and _indices(sigma, m) and _indices(tau, m) and _indices(self.basis, m)
+                and _indices((t for e in expressions for t, _ in e), dim)):
+            return False
+        for (c, d), i, j in zip(p1, sigma, tau):
+            (c1, d1), (c2, d2) = p1[i], p1[j]
+            # against (d : -c) and (d : -c-d), the images under the order-2 and order-3 matrices
+            if (d * d1 + c * c1) % N or (d * d2 + (c + d) * c2) % N:
+                return False
+        if dim != quotient_dimension(N) or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
+            return False
+        for i, j in enumerate(sigma):
+            if i <= j and expressions[j] != tuple((t, -c) for t, c in expressions[i]):
+                return False
+        for i, j in enumerate(tau):
+            k = tau[j]
+            if i <= j and i <= k and self.coordinate_row([i, j, k]):  # one test per tau-orbit
+                return False
+        return True
 
     def symbol(self, coords, sign=None) -> "ModularSymbol":
         return ModularSymbol(self, coords, sign)
@@ -375,7 +416,7 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
             base = var_expr[rep[i]]
             expressions.append(base if rep_sign[i] == 1 else tuple((t, -c) for t, c in base))
 
-    expected = 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
+    expected = quotient_dimension(N)
     if dim != expected:
         raise RuntimeError(f"dimension {dim} at level {N} disagrees with 2g+c-1 = {expected}")
 
@@ -433,19 +474,30 @@ class ModularSymbol:
     def value_infinity_minus(self, r):
         """phi({inf} - {r}) by the Manin trick.
 
-        An int when integral, a Fraction otherwise (0 at infinity), so an
-        int for an integral symbol.  Each symbol memoizes its value per
-        (u mod N, v mod N), so P^1 normalization runs once per pair it meets.
+        The continued fraction of r is walked inline: the path matrices joining
+        consecutive convergents to infinity have bottom rows (q_k, +-q_{k-1}),
+        and their generator values are summed.  An int when integral, a
+        Fraction otherwise (0 at infinity), so an int for an integral symbol.
+        Each symbol memoizes its value per (u mod N, v mod N), so P^1
+        normalization runs once per pair it meets.
         """
+        num, den = as_cusp(r)
         memo = self._cusp_memo
         N = self.space.N
         total = 0
-        for qk, qk1 in convergent_symbol_pairs(as_cusp(r)):
-            u, v = qk % N, qk1 % N
+        q_km2, q_km1 = 1, 0  # q_{-2}, q_{-1}
+        sign = -1  # the sign of q_{k-1} in the bottom row alternates, starting at k = 0
+        while den:
+            digit = num // den
+            num, den = den, num - digit * den
+            q_k = digit * q_km1 + q_km2
+            u, v = q_k % N, sign * q_km1 % N
             value = memo.get(u * N + v)
             if value is None:
                 value = memo[u * N + v] = self.generator_values()[self.space.p1.index(u, v)]
             total += value
+            q_km2, q_km1 = q_km1, q_k
+            sign = -sign
         return exact(total)
 
     def value(self, divisor: Divisor):

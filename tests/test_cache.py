@@ -262,3 +262,18 @@ def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
     assert cache._read(path) == cache.space_payload(fresh)  # rewritten
     path.write_text(text)
     assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 1}
+
+
+def test_forged_space_file_does_not_change_the_analysis(tmp_path, capsys):
+    # checksum-clean, well-formed, but not the quotient map: the certificate refuses it
+    argv = ["analyze", "--curve", "11a", "--p", "5", "--n-max", "2"]
+    assert main(argv) == 0
+    uncached = capsys.readouterr().out
+    cache.load_space(11, tmp_path)
+    path = tmp_path / "space_N11.json"
+    expressions = cache._read(path)["expressions"]
+    assert expressions[5] == [[1, "1"]]
+    _forge(path, "expressions", expressions[:5] + [[[0, "2"]]] + expressions[6:])
+    assert main(argv + ["--cache", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == uncached
+    assert cache._read(path) == cache.space_payload(build_space(11))  # rewritten

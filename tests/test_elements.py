@@ -115,6 +115,21 @@ def test_direct_and_cor_route_elements_agree(eigensymbols, curves):
         b = theta.to_padic(prec) - lifted.to_padic(prec).scale(inv_alpha)
         a = stabilized_mazur_tate(sym, alpha, p, n)
         assert all((x - y).is_zero_to_precision for x, y in zip(a.coeffs, b.coeffs))
+        assert [x.precision for x in a.coeffs] == [y.precision for y in b.coeffs] == [prec] * theta.level.order
+
+
+def test_stabilized_refuses_a_non_p_integral_symbol_as_the_padic_route_did(eigensymbols, curves):
+    p, prec = 5, 10
+    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
+    for scale in (Fraction(1, 5), Fraction(3, 25)):
+        tower = MazurTateTower(scale * eigensymbols["11a"], p, 2)
+        for n in range(3):
+            with pytest.raises(ValueError) as padic_route:
+                tower.thetas[n].to_padic(prec) - tower.scaled[n].to_padic(prec).scale(alpha.inverse())
+            with pytest.raises(ValueError) as one_residue:
+                tower.stabilized(alpha, n)
+            assert str(one_residue.value) == str(padic_route.value)
+            assert str(one_residue.value).endswith(f" is not p-integral at p={p}")
 
 
 def test_exact_norm_relation_negative_control(eigensymbols, curves):
@@ -144,6 +159,20 @@ def test_exact_norm_relation_negative_control(eigensymbols, curves):
         tower.norm_relation(PAdic(p, 10, prec), 2)
     with pytest.raises(PrecisionInsufficient):
         check_norm_relation(eigensymbols["11a"], PAdic(p, 0, prec), p, 1)
+
+
+def test_exact_norm_relation_floors_of_a_non_p_integral_symbol(eigensymbols, curves):
+    # with p in the denominators, a perturbation of ord_p = k - 3 shows as that floor
+    p, prec = 5, 8
+    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
+    for k in (0, 2, 5, prec + 3):
+        tower = MazurTateTower(Fraction(1, p) * eigensymbols["11a"], p, 2)
+        assert tower.norm_relation(alpha, 2).passed
+        coeffs = list(tower.scaled[2].coeffs)
+        coeffs[7] += Fraction(p**k, p**3)
+        tower.scaled[2] = GroupRingElement(tower.scaled[2].level, coeffs)
+        rep = tower.norm_relation(alpha, 2)
+        assert [f for f in rep.residual_valuation_floors if f != prec] == ([k - 3] if k - 3 < prec else [])
 
 
 def test_norm_compatibility_and_negative_control(eigensymbols, curves):

@@ -11,7 +11,9 @@ from mazurtate.errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from mazurtate.groupring import (
     GroupLevel,
     GroupRingElement,
+    _lambda_mod_p,
     invariants_with_generator,
+    layer_units,
     one_unit_exponent,
     sum_cancellation_check,
 )
@@ -105,6 +107,16 @@ def test_generator_independence_examples():
         invariants_with_generator(F, 5)
     with pytest.raises(NotAGenerator):
         invariants_with_generator(F, 10)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", range(5))
+def test_layer_units_walk_the_units_in_generator_order(p, n):
+    units = layer_units(p, n)
+    level = GroupLevel(p, n)
+    assert len(units) == level.order and all(len(us) == p - 1 for us in units)
+    assert sorted(a for us in units for a in us) == [a for a in range(p ** (n + 1)) if a % p]
+    assert all(level.exponent_of(a) == k for k, us in enumerate(units) for a in us)
 
 
 def test_alternative_generator_unit_in_level():
@@ -307,6 +319,88 @@ def test_invariants_never_take_the_exact_shift(monkeypatch):
     assert [F.iwasawa_invariants().as_tuple() for F in elements] == expected
     with pytest.raises(AssertionError):
         elements[0].t_coefficients()
+
+
+# -- lambda by digit descent against the full shift mod p --
+
+
+def taylor_shift_mod_p(coeffs, p):
+    """Reference: coefficients of f(x+1) mod p from those of f(x), for len(coeffs) = p^n.
+
+    By Lucas's theorem the shift is one p-point shift per base-p digit: each
+    pass applies Horner's scheme mod p to every block of p consecutive
+    entries, then lists the entries lowest digit first (the slices c[j::p]),
+    which rotates the digits one place; after n passes every digit has been
+    shifted once and the order is restored.
+    """
+    c = [x % p for x in coeffs]
+    m = len(c)
+    while m > 1:
+        m //= p
+        for start in range(0, len(c), p):
+            for i in range(start, start + p - 1):
+                for j in range(start + p - 2, i - 1, -1):
+                    c[j] = (c[j] + c[j + 1]) % p
+        c = [x for j in range(p) for x in c[j::p]]
+    return c
+
+
+def times_x_minus_one_power(a, b, j, k, m, p):
+    """(x - 1)^k (a + b x^j) mod p as m coefficients, for j + k < m.
+
+    (x - 1)^k = prod_d (x^(p^d) - 1)^(k_d) mod p over the base-p digits k_d of k.
+    """
+    c = [0] * m
+    c[0] += a
+    c[j] += b
+    step = 1
+    while k:
+        for _ in range(k % p):
+            c = [((c[i - step] if i >= step else 0) - c[i]) % p for i in range(m)]
+        k //= p
+        step *= p
+    return c
+
+
+DESCENT_ORDERS = [(p, n) for p in (3, 5, 7, 11) for n in range(1, 8) if p**n <= 3125]
+
+
+def descent_inputs(p, n):
+    """Coefficient lists of order p^n, none all divisible by p, with the lambda each must have
+    (None where only the full shift knows it)."""
+    rng = random.Random(p**n)
+    m = p**n
+    cases = []
+    for _ in range(6):  # random elements
+        c = [rng.randrange(p) for _ in range(m)]
+        c[rng.randrange(m)] = rng.randrange(1, p)
+        cases.append((c, None))
+    for k in sorted({0, 1, m // 2, m - 2, m - 1, rng.randrange(m), rng.randrange(m)}):
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        a += (a + b) % p == 0  # a + b x^j is a unit at x = 1, so lambda((x - 1)^k (a + b x^j)) = k
+        cases.append((times_x_minus_one_power(a, b, rng.randrange(m - k), k, m, p), k))
+    for j in sorted({0, 1, m - 1, rng.randrange(m)}):  # monomials: lambda(x^j) = 0
+        cases.append(([rng.randrange(1, p) if i == j else 0 for i in range(m)], 0))
+    # the norm element (x - 1)^(m - 1) mod p and its multiples, unreduced too: maximal lambda
+    cases += [([1] * m, m - 1), ([rng.randrange(1, p)] * m, m - 1), ([p * rng.randint(-5, 5) + 2] * m, m - 1)]
+    return cases
+
+
+def test_descent_inputs_are_many_and_of_every_kind():
+    cases = [case for p, n in DESCENT_ORDERS for case in descent_inputs(p, n)]
+    assert len(cases) >= 270
+    orders = [p**n for p, n in DESCENT_ORDERS]
+    assert (min(orders), max(orders)) == (3, 3125)
+    assert {lam for _, lam in cases} >= {None, 0} | {p**n - 1 for p, n in DESCENT_ORDERS}
+
+
+@pytest.mark.parametrize("p, n", DESCENT_ORDERS)
+def test_lambda_by_digit_descent_matches_the_full_shift(p, n):
+    for c, lam in descent_inputs(p, n):
+        shifted = taylor_shift_mod_p(c, p)
+        expected = next(k for k, a in enumerate(shifted) if a)
+        assert lam is None or lam == expected
+        assert _lambda_mod_p(c, p) == expected
 
 
 # -- from_t_coefficients against the binomial formula --

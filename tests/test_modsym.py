@@ -12,12 +12,14 @@ from mazurtate.errors import LevelTooLarge
 from mazurtate.modsym import (
     INFINITY,
     Divisor,
+    ManinSymbolSpace,
     P1List,
     ModularSymbol,
+    _lift_unit,
+    _xgcd,
     apply_matrix_to_cusp,
     as_cusp,
     build_space,
-    convergent_symbol_pairs,
     cusp_count,
     genus_x0,
     psi_index,
@@ -193,6 +195,52 @@ def test_expressions_are_sorted_nonzero_pairs():
         assert basis_rows == [[Fraction(int(s == t)) for t in range(sp.dimension)] for s in range(sp.dimension)]
 
 
+def test_built_spaces_present_their_quotient():
+    for N in list(range(1, 80)) + [174, 389, 571, 681]:
+        assert build_space(N).presents_quotient(), N
+
+
+def forgeries(sp):
+    """Copies of the space's parts, each broken in one way a checksum does not see."""
+    N, p1, basis, expressions, sigma, tau = sp.N, sp.p1, list(sp.basis), list(sp.expressions), sp.sigma, sp.tau
+    b = basis[1]
+    pair = next(i for i in range(len(p1)) if i < sigma[i] and len(expressions[i]) > 1)
+    out = {}
+
+    def forge(name, **parts):
+        args = dict(N=N, p1=p1, basis=basis, expressions=expressions, sigma=sigma, tau=tau) | parts
+        out[name] = ManinSymbolSpace(**args)
+
+    forge("basis value doubled", expressions=expressions[:b] + [((1, 2),)] + expressions[b + 1:])
+    # two sigma-pairs with equal expressions, re-paired crosswise: every relation still vanishes
+    x, y = next((x, y) for x in range(len(p1)) for y in range(x + 1, len(p1))
+                if expressions[x] and expressions[x] == expressions[y] and sigma[x] not in (x, y))
+    crossed = list(sigma)
+    crossed[x], crossed[y], crossed[sigma[x]], crossed[sigma[y]] = sigma[y], sigma[x], y, x
+    forge("sigma not the relation matrix", sigma=crossed)
+    forge("tau run backwards", tau=[tau[j] for j in tau])
+    forge("tau not a permutation", tau=[tau[0]] + list(tau[:-1]))
+    forge("basis generator dropped", basis=basis[:-1])
+    # a sigma-pair moved together keeps the two-term relations, not the three-term ones
+    moved = list(expressions)
+    (t, c), rest = expressions[pair][0], expressions[pair][1:]
+    moved[pair] = ((t, c + 1),) + rest
+    moved[sigma[pair]] = tuple((u, -x) for u, x in moved[pair])
+    forge("three-term relation broken", expressions=moved)
+    forge("coordinate out of range", expressions=[e + ((sp.dimension, 0),) if i in (pair, sigma[pair]) else e
+                                                  for i, e in enumerate(expressions)])
+    forge("float coordinate", expressions=[((float(t), c),) + e[1:] if i == pair else e
+                                           for i, e in enumerate(expressions)])
+    return out
+
+
+@pytest.mark.parametrize("N", [11, 26, 174, 681])
+def test_forged_spaces_fail_the_certificate(N):
+    sp = build_space(N)
+    for name, forged in forgeries(sp).items():
+        assert not forged.presents_quotient(), name
+
+
 def brute_force_p1(N):
     """P^1(Z/N) over all N^2 pairs: primitive pairs modulo units, each class
     named by its least pair, which is met first in this scan."""
@@ -208,6 +256,36 @@ def brute_force_p1(N):
                 seen[t * u % N * N + t * v % N] = 1
             reps.append((u, v))
     return reps
+
+
+def reference_normalize(N, u, v):
+    """Reference canonical form of (u:v): v' as a minimum over all units t = 1 + k N/g."""
+    if N == 1:
+        return (0, 0)
+    u %= N
+    v %= N
+    if u == 0:
+        return (0, 1) if math.gcd(v, N) == 1 else None
+    _, s, g = _xgcd(N, u)
+    if math.gcd(g, v) > 1:
+        return None
+    s = _lift_unit(N, N // g, s % (N // g))
+    v = (s * v) % N
+    if g == 1:
+        return (1, v)
+    return (g, min((v * t) % N for t in range(1, N, N // g) if math.gcd(N, t) == 1))
+
+
+def test_normalize_matches_the_minimum_over_all_units():
+    for N in range(1, 61):
+        p1 = P1List(N)
+        assert all(p1.normalize(u, v) == reference_normalize(N, u, v) for u in range(N) for v in range(N)), N
+    rng = random.Random(1)
+    for N in (174, 360, 681, 1000, 2310, 5077):
+        p1 = P1List(N)
+        pairs = [(rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)) for _ in range(3000)]
+        pairs += [(g * rng.randrange(N), rng.randrange(N)) for g in range(2, N) if N % g == 0 for _ in range(20)]
+        assert all(p1.normalize(u, v) == reference_normalize(N, u, v) for u, v in pairs), N
 
 
 def test_p1_list_matches_brute_force():
@@ -300,6 +378,27 @@ def test_zero_symbol_evaluates_to_zero():
     assert z.value_infinity_minus(Fraction(5, 49)) == 0
 
 
+def convergent_symbol_pairs(cusp):
+    """Reference path: bottom rows (q_k, +-q_{k-1}) of the unimodular path
+    matrices joining the continued-fraction convergents of the cusp to infinity."""
+    a, b = cusp
+    if b == 0:
+        return []
+    out = []
+    q_km2, q_km1 = 1, 0  # q_{-2}, q_{-1}
+    num, den = a, b
+    k = 0
+    while den != 0:
+        digit = num // den
+        num, den = den, num - digit * den
+        q_k = digit * q_km1 + q_km2
+        sign = 1 if k % 2 == 1 else -1
+        out.append((q_k, sign * q_km1))
+        q_km2, q_km1 = q_km1, q_k
+        k += 1
+    return out
+
+
 def reference_value(sym, r):
     """phi({inf}-{r}) as a Fraction sum over the Manin path, without the memo."""
     vals = sym.generator_values()
@@ -310,6 +409,19 @@ def reference_value(sym, r):
 
 def random_cusps(rng, count=60):
     return [Fraction(rng.randint(-400, 400), rng.randint(1, 400)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("N", [11, 26, 174, 681])
+def test_inline_cusp_walk_matches_the_pair_list_sum(N):
+    rng = random.Random(N)
+    space = build_space(N)
+    sym = space.symbol([rng.randint(-9, 9) for _ in range(space.dimension)])
+    cusps = random_cusps(rng, 200) + [Fraction(-rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(50)]
+    cusps += [rng.randint(-50, 50) for _ in range(10)] + [0, INFINITY, (7, 0), (-3, 1), (5, -N)]
+    assert any(as_cusp(r)[0] < 0 for r in cusps)
+    for r in cusps:
+        assert sym.value_infinity_minus(r) == reference_value(sym, r)
+    assert sym.value_infinity_minus(INFINITY) == 0
 
 
 @pytest.mark.parametrize("label", ["11a", "26b1", "174b1"])
