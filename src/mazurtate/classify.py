@@ -215,11 +215,11 @@ def classify(request: MTRequest) -> DichotomyReport:
     return report
 
 
-def _has_rational_p_torsion_signature(curve: EllipticCurve, p: int, ell_limit: int = 50) -> bool:
-    """Eisenstein congruence signature a_ell = ell + 1 mod p at good ell."""
+def _has_rational_p_torsion_signature(curve: EllipticCurve, p: int) -> bool:
+    """Eisenstein congruence signature a_ell = ell + 1 mod p at good ell <= 50."""
     return all(
         (curve.a_ell(ell) - ell - 1) % p == 0
-        for ell in takewhile(lambda ell: ell <= ell_limit, primes())
+        for ell in takewhile(lambda ell: ell <= 50, primes())
         if curve.conductor % ell
     )
 

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import cache
-from .curves import DEFAULT_ELL_BOUND, EllipticCurve, parse_lratio
+from .curves import ELL_BOUND, EllipticCurve, parse_lratio
 from .errors import BoundExceeded, InputError, MazurTateError
 from .primes import is_prime
 
@@ -74,8 +74,8 @@ def resolve_mode(args, curve) -> str:
 
 
 def _check_p(p: int):
-    if p > DEFAULT_ELL_BOUND:  # before is_prime, which trial-divides up to sqrt(p)
-        raise BoundExceeded(f"--p {p} exceeds the point-counting bound {DEFAULT_ELL_BOUND}")
+    if p > ELL_BOUND:  # before is_prime, which trial-divides up to sqrt(p)
+        raise BoundExceeded(f"--p {p} exceeds the point-counting bound {ELL_BOUND}")
     if p == 2 or not is_prime(p):
         raise InputError(f"--p must be an odd prime, got {p}")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import BoundExceeded, InputError
 from .primes import is_prime
 
-DEFAULT_ELL_BOUND = 100000
+ELL_BOUND = 100000
 
 
 def _legendre(a: int, ell: int) -> int:
@@ -141,14 +141,14 @@ class EllipticCurve:
             return "additive"
         return "split" if self.a_ell(ell) == 1 else "nonsplit"
 
-    def a_ell(self, ell: int, bound: int = DEFAULT_ELL_BOUND) -> int:
+    def a_ell(self, ell: int) -> int:
         """Hecke eigenvalue a_ell, cached."""
         if ell in self._ap_cache:
             return self._ap_cache[ell]
         if not is_prime(ell):
             raise InputError(f"{ell} is not prime")
-        if ell > bound:
-            raise BoundExceeded(f"ell = {ell} exceeds the point-counting bound {bound}")
+        if ell > ELL_BOUND:
+            raise BoundExceeded(f"ell = {ell} exceeds the point-counting bound {ELL_BOUND}")
         if self.conductor % ell != 0:
             a = ell + 1 - self.count_points(ell)
             if a * a > 4 * ell:

@@ -69,9 +69,6 @@ class CuspClassTable:
     def class_of_infinity(self) -> int:
         return self.classify((1, 0))
 
-def cusp_classes(N: int) -> CuspClassTable:
-    return CuspClassTable(N)
-
 
 def boundary_space_matrix(space, p: int):
     """Matrix of the boundary pairing mod p.

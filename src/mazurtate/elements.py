@@ -1,11 +1,11 @@
 """Mazur-Tate elements of a modular symbol, p-stabilization, norm relations.
 
-The raw element of level n collects the values phi({inf}-{a/p^n}) over units
-a into the group ring of (Z/p^n)^x; the level-n element proper is its image
-in the ring of the degree-p^n layer, indexed by powers of gamma: the units
-are walked in generator order (groupring.layer_units), so no discrete
-logarithm is taken.  One MazurTateTower per (symbol, p) holds every
-level up to n_max; the module-level functions are thin calls into it.
+The raw values of level n are a dict {a: phi({inf}-{a/p^n})} keyed by the
+units a mod p^n; theta_{n-1} is their image in the ring of the degree-p^(n-1)
+layer, indexed by powers of gamma: the units are walked in generator order
+(groupring.layer_units), so no discrete logarithm is taken.  One
+MazurTateTower per (symbol, p) holds every level up to n_max; the
+module-level functions are thin calls into it.
 Stabilized elements carry precision-tracked p-adic coefficients derived from
 the unit root alpha, and each is built by one route; the norm relation that
 certifies the route is an exact identity over Q.
@@ -27,20 +27,8 @@ def working_precision(n_max: int, mu_floor: int = 0) -> int:
     return n_max + abs(mu_floor) + DEFAULT_GUARD_DIGITS
 
 
-@dataclass(frozen=True)
-class RawMazurTateElement:
-    """Element of Q[(Z/p^n)^x]: value phi({inf}-{a/p^n}) attached to sigma_a."""
-
-    p: int
-    n: int
-    values: dict  # unit a mod p^n -> int or Fraction
-
-    def coefficient_sum(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
-
-
-def raw_mazur_tate(sym, p: int, n: int) -> RawMazurTateElement:
-    """Level-n raw element (n >= 1).
+def raw_mazur_tate(sym, p: int, n: int) -> dict:
+    """Level-n raw values {a: phi({inf}-{a/p^n})} over the units a mod p^n (n >= 1).
 
     sym needs value_infinity_minus; if it also has is_plus() and that exact
     test holds, only a < p^n/2 is evaluated and the value at p^n - a is
@@ -56,7 +44,7 @@ def raw_mazur_tate(sym, p: int, n: int) -> RawMazurTateElement:
         values.update([(q - a, v) for a, v in reversed(values.items())])
     else:
         values = {a: sym.value_infinity_minus((a, q)) for a in range(1, q) if a % p}
-    return RawMazurTateElement(p, n, values)
+    return values
 
 
 class MazurTateTower:
@@ -92,7 +80,7 @@ class MazurTateTower:
         self.scaled = []  # S_n per layer, the sums of phi|[[p,0],[0,1]], exact
         below = None
         for n in range(n_max + 1):
-            top = raw_mazur_tate(sym, p, n + 1).values
+            top = raw_mazur_tate(sym, p, n + 1)
             level = GroupLevel(p, n)
             units = layer_units(p, n)
             q = p**n

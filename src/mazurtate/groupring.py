@@ -9,13 +9,16 @@ coefficients, and lambda is the first nonzero T-coefficient of their Taylor
 shift mod p, whose base-p digits Lucas's theorem lets us find one at a time,
 top digit first.  Coefficients are uniformly exact rationals or uniformly
 precision-tracked p-adics; the two kinds never mix.
+
+The generator is fixed, so a layer is just (p, n).  The raw values that feed
+it (elements.raw_mazur_tate) are a dict keyed by the units a mod p^{n+1};
+layer_units says which of them add up to the coefficient of gamma^k.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from .padics import PAdic, int_valuation
@@ -27,8 +30,7 @@ def layer_units(p: int, n: int):
     omega(b) (1+p)^k mod p^{n+1} for b = 1 .. p - 1, the units sent to gamma^k.
 
     omega(b) = b^{p^n} mod p^{n+1} is the Teichmuller lift of b, so each unit
-    in entry k has one-unit exponent k (one_unit_exponent); no discrete
-    logarithm is taken.
+    in entry k is sent to gamma^k; no discrete logarithm is taken.
     """
     modulus = p ** (n + 1)
     lifts = [pow(b, p**n, modulus) for b in range(1, p)]
@@ -40,74 +42,30 @@ def layer_units(p: int, n: int):
     return out
 
 
-@lru_cache(maxsize=64)
-def _one_unit_dlog_table(p: int, n: int):
-    """dlog base (1+p) on the 1-units of Z/p^{n+1}: maps (1+p)^k -> k."""
-    modulus = p ** (n + 1)
-    table = {}
-    x = 1
-    for k in range(p**n):
-        table[x] = k
-        x = x * (1 + p) % modulus
-    return table
-
-
-def one_unit_exponent(a: int, p: int, n: int) -> int:
-    """e with <a> = (1+p)^e mod p^{n+1}, for a unit a (Teichmuller part dropped).
-
-    Raising to the (p-1)-st power kills the Teichmuller component, and the
-    result is (1+p)^{e(p-1)}; one table lookup plus division by p-1 recovers e.
-    """
-    if n == 0:
-        return 0
-    modulus = p ** (n + 1)
-    if a % p == 0:
-        raise ValueError(f"{a} is not a unit mod {p}^{n + 1}")
-    x = pow(a, p - 1, modulus)
-    k = _one_unit_dlog_table(p, n)[x]
-    return k * pow(p - 1, -1, p**n) % p**n
-
-
 @dataclass(frozen=True)
 class GroupLevel:
-    """Level-n layer: G_n cyclic of order p^n with gamma = image of sigma_u."""
+    """Level-n layer: G_n cyclic of order p^n with gamma = image of sigma_{1+p}."""
 
     p: int
     n: int
-    generator_unit: int = 0  # 0 means the default 1+p
 
     def __post_init__(self):
         if not (is_prime(self.p) and self.p % 2 == 1):
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if self.n < 0:
             raise ValueError("level must be nonnegative")
-        u = self.generator_unit or (1 + self.p)
-        object.__setattr__(self, "generator_unit", u)
-        if self.n >= 1:
-            e = one_unit_exponent(u, self.p, self.n)
-            if e % self.p == 0:
-                raise NotAGenerator(f"sigma_{u} does not generate the level-{self.n} layer")
 
     @property
     def order(self) -> int:
         return self.p**self.n
 
-    def exponent_of(self, a: int) -> int:
-        """k with sigma_a restricting to gamma^k on this layer."""
-        if self.n == 0:
-            return 0
-        e = one_unit_exponent(a, self.p, self.n)
-        if self.generator_unit != 1 + self.p:
-            e = e * pow(one_unit_exponent(self.generator_unit, self.p, self.n), -1, self.order) % self.order
-        return e
-
     def below(self) -> "GroupLevel":
         if self.n == 0:
             raise ValueError("no layer below level 0")
-        return GroupLevel(self.p, self.n - 1, self.generator_unit)
+        return GroupLevel(self.p, self.n - 1)
 
     def above(self) -> "GroupLevel":
-        return GroupLevel(self.p, self.n + 1, self.generator_unit)
+        return GroupLevel(self.p, self.n + 1)
 
 
 def _taylor_shift_by_one(coeffs):
@@ -331,23 +289,6 @@ class GroupRingElement:
         for j in range(m):
             out[j] = self.coeffs[j * t % m]
         return GroupRingElement(self.level, out)
-
-    # -- serialization --
-
-    def to_dict(self) -> dict:
-        if self.is_padic:
-            raise ValueError("only exact-rational elements serialize")
-        return {
-            "p": self.level.p,
-            "n": self.level.n,
-            "generator_exponent": self.level.generator_unit,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupRingElement":
-        level = GroupLevel(int(d["p"]), int(d["n"]), int(d["generator_exponent"]))
-        return cls(level, [Fraction(s) for s in d["coeffs"]])
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):

@@ -18,7 +18,7 @@ from .primes import prime_factors
 
 INFINITY = math.inf
 
-DEFAULT_MAX_INDEX = 20000
+MAX_INDEX = 20000
 
 
 def _xgcd(a: int, b: int):
@@ -344,7 +344,7 @@ class ManinSymbolSpace:
         return ModularSymbol(self, [0] * self.dimension)
 
 
-def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
+def build_space(N: int) -> ManinSymbolSpace:
     """Construct the Manin-symbol presentation at level N.
 
     Two-term relations are folded in combinatorially (they pair generators up
@@ -353,10 +353,10 @@ def build_space(N: int, max_index: int = DEFAULT_MAX_INDEX) -> ManinSymbolSpace:
     """
     if N < 1:
         raise ValueError("level must be positive")
-    if N > max_index:  # psi(N) >= N; checked first so a huge N is never factored
-        raise LevelTooLarge(f"level {N} exceeds the index bound {max_index}")
-    if psi_index(N) > max_index:
-        raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {max_index}")
+    if N > MAX_INDEX:  # psi(N) >= N; checked first so a huge N is never factored
+        raise LevelTooLarge(f"level {N} exceeds the index bound {MAX_INDEX}")
+    if psi_index(N) > MAX_INDEX:
+        raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {MAX_INDEX}")
     p1 = P1List(N)
     m = len(p1)
     index = p1.index

@@ -50,8 +50,8 @@ def _random_unit(p: int, rng) -> Fraction:
     return Fraction(num, den)
 
 
-def _random_integral(level: GroupLevel, rng, spread: int = 9) -> GroupRingElement:
-    return GroupRingElement(level, [Fraction(rng.randint(-spread, spread)) for _ in range(level.order)])
+def _random_integral(level: GroupLevel, rng) -> GroupRingElement:
+    return GroupRingElement(level, [Fraction(rng.randint(-9, 9)) for _ in range(level.order)])
 
 
 def make_admissible_tower(p: int, n_max: int, rng, depth: int | None = None) -> TowerCase:

@@ -78,7 +78,7 @@ def test_good_ordinary_detection():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
-        make_curve("11a").a_ell(100003, bound=1000)
+        make_curve("11a").a_ell(100003)
 
 
 def test_input_validation():

@@ -2,7 +2,7 @@ import math
 import random
 from fractions import Fraction
 
-from mazurtate.cusps import boundary_space_matrix, cusp_classes
+from mazurtate.cusps import CuspClassTable, boundary_space_matrix
 from mazurtate.linalg import rref_mod_p
 from mazurtate.modsym import INFINITY, _euler_phi, apply_matrix_to_cusp, as_cusp, build_space
 
@@ -10,9 +10,9 @@ from .test_modsym import random_gamma0
 
 
 def test_class_counts():
-    assert len(cusp_classes(26)) == 4
-    assert len(cusp_classes(11)) == 2
-    assert len(cusp_classes(1)) == 1
+    assert len(CuspClassTable(26)) == 4
+    assert len(CuspClassTable(11)) == 2
+    assert len(CuspClassTable(1)) == 1
 
 
 def test_class_count_formula_random_levels():
@@ -20,11 +20,11 @@ def test_class_count_formula_random_levels():
     for _ in range(30):
         N = rng.randint(1, 100)
         expected = sum(_euler_phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
-        assert len(cusp_classes(N)) == expected
+        assert len(CuspClassTable(N)) == expected
 
 
 def test_n26_representatives_match_expected_cusps():
-    table = cusp_classes(26)
+    table = CuspClassTable(26)
     ids = {
         table.classify(INFINITY),
         table.classify(0),
@@ -37,7 +37,7 @@ def test_n26_representatives_match_expected_cusps():
 def test_classification_constant_on_orbits():
     rng = random.Random(5)
     for N in (11, 26, 50, 174):
-        table = cusp_classes(N)
+        table = CuspClassTable(N)
         for _ in range(100):
             cusp = as_cusp((rng.randint(-40, 40), rng.randint(0, 40)))
             gamma = random_gamma0(N, rng)
@@ -45,7 +45,7 @@ def test_classification_constant_on_orbits():
 
 
 def test_infinity_equivalent_to_one_over_level():
-    table = cusp_classes(26)
+    table = CuspClassTable(26)
     assert table.classify(INFINITY) == table.classify(Fraction(1, 26))
     assert table.classify(0) == table.classify(5)  # integers are in the class of 0
 

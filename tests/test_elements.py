@@ -20,24 +20,26 @@ from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.modsym import ModularSymbol
 from mazurtate.padics import PAdic, unit_root
 
+from .test_groupring import one_unit_dlog
+
 
 def test_raw_element_coefficient_sum(eigensymbols):
     sym = eigensymbols["11a"]
     raw = raw_mazur_tate(sym, 5, 1)
-    assert raw.coefficient_sum() == sum(sym.value_infinity_minus(Fraction(a, 5)) for a in (1, 2, 3, 4))
-    assert set(raw.values) == {1, 2, 3, 4}
+    assert sum(raw.values()) == sum(sym.value_infinity_minus(Fraction(a, 5)) for a in (1, 2, 3, 4))
+    assert set(raw) == {1, 2, 3, 4}
 
 
 def test_raw_values_share_bounded_denominator(eigensymbols):
     sym = eigensymbols["11a"]
     raw = raw_mazur_tate(sym, 5, 1)
     # integral normalization: every value is an integer
-    assert all(v.denominator == 1 for v in raw.values.values())
+    assert all(v.denominator == 1 for v in raw.values())
 
 
 def test_raw_element_of_zero_symbol(spaces):
     z = spaces[11].zero_symbol()
-    assert raw_mazur_tate(z, 5, 2).coefficient_sum() == 0
+    assert sum(raw_mazur_tate(z, 5, 2).values()) == 0
     assert mazur_tate(z, 5, 1).is_zero()
 
 
@@ -238,7 +240,7 @@ def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
         sums = [Fraction(0)] * level.order
         for a in range(1, p ** (n + 1)):
             if a % p:
-                sums[level.exponent_of(a)] += scaled.value_infinity_minus(Fraction(a, p ** (n + 1)))
+                sums[one_unit_dlog(a, p, n)] += scaled.value_infinity_minus(Fraction(a, p ** (n + 1)))
         assert tower.scaled[n].coeffs == tuple(sums)
         assert tower.thetas[n] == mazur_tate(sym, p, n)
 
@@ -290,8 +292,8 @@ def test_halved_raw_values_match_every_cusp(eigensymbols):
         for n in (1, 2):
             q = p**n
             raw = raw_mazur_tate(sym, p, n)
-            assert list(raw.values) == [a for a in range(1, q) if a % p]
-            assert all(v == sym.value_infinity_minus(Fraction(a, q)) for a, v in raw.values.items())
+            assert list(raw) == [a for a in range(1, q) if a % p]
+            assert all(v == sym.value_infinity_minus(Fraction(a, q)) for a, v in raw.items())
 
 
 def test_forged_plus_label_keeps_the_full_loop(spaces, monkeypatch):
@@ -303,7 +305,7 @@ def test_forged_plus_label_keeps_the_full_loop(spaces, monkeypatch):
     cusps = count_evaluations(monkeypatch)
     raw = raw_mazur_tate(forged, 7, 2)
     assert sorted(a for a, _ in cusps) == sorted(expected)
-    assert raw.values == expected
+    assert raw == expected
     # copying values[q - a] would be wrong here, and would break theta(phi) = theta(phi^+)
     assert any(v != expected[49 - a] for a, v in expected.items())
     assert mazur_tate(forged, 7, 1) == mazur_tate(forged.plus_part(), 7, 1)

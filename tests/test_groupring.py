@@ -14,7 +14,6 @@ from mazurtate.groupring import (
     _lambda_mod_p,
     invariants_with_generator,
     layer_units,
-    one_unit_exponent,
     sum_cancellation_check,
 )
 from mazurtate.padics import PAdic, unit_root, valuation
@@ -96,43 +95,49 @@ def test_scalar_shift_of_invariants():
         assert scaled.lam == inv.lam
 
 
+def one_unit_dlog(a: int, p: int, n: int) -> int:
+    """Reference dlog: k with sigma_a = gamma^k on the level-n layer, gamma = sigma_{1+p}.
+
+    a^(p-1) drops the Teichmuller part of a and equals (1+p)^(k(p-1)) mod
+    p^(n+1); walk the powers of 1+p to it, then divide by p - 1 mod p^n.
+    """
+    modulus = p ** (n + 1)
+    target = pow(a, p - 1, modulus)
+    x = 1
+    for j in range(p**n):
+        if x == target:
+            return j * pow(p - 1, -1, p**n) % p**n
+        x = x * (1 + p) % modulus
+    raise ValueError(f"{a} is not a unit mod {p}^{n + 1}")
+
+
 def test_generator_independence_examples():
     L = GroupLevel(5, 2)
     rng = random.Random(3)
     F = GroupRingElement(L, [Fraction(rng.randint(-9, 9), 5 ** rng.randint(0, 1)) for _ in range(25)])
-    base = F.iwasawa_invariants().as_tuple()
-    assert invariants_with_generator(F, 2).as_tuple() == base  # gamma' = gamma^2
-    assert invariants_with_generator(F, 1).as_tuple() == base
+    assert one_unit_dlog(6, 5, 2) == 1
+    sigma_11 = one_unit_dlog(11, 5, 2)
+    assert sigma_11 == 22  # sigma_11 = gamma^22 generates the 5^2 layer
+    for G in (F, GroupRingElement(L, [Fraction(k % 7 - 3, 5) for k in range(25)])):
+        base = G.iwasawa_invariants().as_tuple()
+        assert invariants_with_generator(G, 2).as_tuple() == base  # gamma' = gamma^2
+        assert invariants_with_generator(G, 1).as_tuple() == base
+        assert invariants_with_generator(G, sigma_11).as_tuple() == base
     with pytest.raises(NotAGenerator):
         invariants_with_generator(F, 5)
     with pytest.raises(NotAGenerator):
         invariants_with_generator(F, 10)
+    with pytest.raises(NotAGenerator):
+        invariants_with_generator(F, one_unit_dlog(1 + 25, 5, 2))  # sigma_{1+p^2} does not generate
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", range(5))
 def test_layer_units_walk_the_units_in_generator_order(p, n):
     units = layer_units(p, n)
-    level = GroupLevel(p, n)
-    assert len(units) == level.order and all(len(us) == p - 1 for us in units)
+    assert len(units) == p**n and all(len(us) == p - 1 for us in units)
     assert sorted(a for us in units for a in us) == [a for a in range(p ** (n + 1)) if a % p]
-    assert all(level.exponent_of(a) == k for k, us in enumerate(units) for a in us)
-
-
-def test_alternative_generator_unit_in_level():
-    # the layer built on sigma_u for another unit u gives the same invariants
-    F_default = GroupRingElement(GroupLevel(5, 2), [Fraction(k % 7 - 3, 5) for k in range(25)])
-    inv = F_default.iwasawa_invariants()
-    # sigma_{1+p} exponent table consistency
-    assert one_unit_exponent(6, 5, 2) == 1
-    with pytest.raises(NotAGenerator):
-        GroupLevel(5, 2, generator_unit=1 + 25)  # 1 + p^2 is not a layer generator
-    other = GroupLevel(5, 2, generator_unit=11)  # sigma_11 generates
-    coeffs = [None] * 25
-    for k in range(25):
-        coeffs[other.exponent_of(pow(6, k, 125))] = F_default.coeffs[k]
-    F_other = GroupRingElement(other, coeffs)
-    assert F_other.iwasawa_invariants().as_tuple() == inv.as_tuple()
+    assert all(one_unit_dlog(a, p, n) == k for k, us in enumerate(units) for a in us)
 
 
 def test_sum_cancellation_constructed_instance():
@@ -168,14 +173,6 @@ def test_padic_invariants_and_precision_guard():
     allz = GroupRingElement(L, [PAdic(5, 0, 4)] * 5)
     with pytest.raises(PrecisionInsufficient):
         allz.iwasawa_invariants()
-
-
-def test_serialization_roundtrip():
-    L = GroupLevel(7, 1, generator_unit=8)
-    F = GroupRingElement(L, [Fraction(k - 3, 7) for k in range(7)])
-    assert GroupRingElement.from_dict(F.to_dict()) == F
-    d = F.to_dict()
-    assert all(isinstance(s, str) for s in d["coeffs"])
 
 
 def test_wrong_length_rejected():

@@ -105,8 +105,9 @@ def test_n26_cusp_count_is_4():
 
 
 def test_level_too_large():
-    with pytest.raises(LevelTooLarge):
-        build_space(5000, max_index=100)
+    # 19998 = 2 * 3^2 * 11 * 101 is under the bound, its index is not
+    with pytest.raises(LevelTooLarge, match="index 44064 "):
+        build_space(19998)
 
 
 def test_huge_level_is_refused_before_factoring():
