@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
-from .primes import is_prime
+from .primes import int_valuation, is_prime
 
 ELL_BOUND = 100000
 
@@ -137,7 +137,7 @@ class EllipticCurve:
         """'good', 'split', 'nonsplit' or 'additive' at ell."""
         if self.conductor % ell != 0:
             return "good"
-        if self._multiplicity(ell) >= 2:
+        if int_valuation(self.conductor, ell) >= 2:
             return "additive"
         return "split" if self.a_ell(ell) == 1 else "nonsplit"
 
@@ -157,19 +157,12 @@ class EllipticCurve:
             # ell - #E^ns(F_ell): +-1 multiplicative, 0 additive
             nonsingular = self.count_points(ell) - len(self.singular_points(ell))
             a = ell - nonsingular
-            if ell >= 5 and self._multiplicity(ell) == 1:
+            if ell >= 5 and int_valuation(self.conductor, ell) == 1:
                 # cross-check against the quadratic-residue criterion on -c6
                 if a != _legendre(-self.c6, ell):
                     raise RuntimeError("split/nonsplit criteria disagree")
         self._ap_cache[ell] = a
         return a
-
-    def _multiplicity(self, ell: int) -> int:
-        v, n = 0, self.conductor
-        while n % ell == 0:
-            n //= ell
-            v += 1
-        return v
 
     def is_good_ordinary(self, p: int) -> bool:
         return self.conductor % p != 0 and self.a_ell(p) % p != 0

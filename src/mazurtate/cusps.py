@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 
-from .modsym import as_cusp, cusp_count, _xgcd
+from .modsym import as_cusp, cusp_count
 
 
 def _cusps_equivalent(N: int, c1, c2) -> bool:
     u1, v1 = c1
     u2, v2 = c2
-    s1 = _xgcd(u1, v1)[0]  # s1*u1 = 1 mod v1
-    s2 = _xgcd(u2, v2)[0]
+    # s u = 1 mod v (s = 1 at infinity = (1, 0)); only s mod v matters, as g divides v1 v2
+    s1 = pow(u1, -1, v1) if v1 else 1
+    s2 = pow(u2, -1, v2) if v2 else 1
     g = math.gcd(v1 * v2, N)
     return (s1 * v2 - s2 * v1) % g == 0
 

@@ -17,10 +17,12 @@ from fractions import Fraction
 
 from .errors import BoundExceeded
 from .groupring import GroupLevel, GroupRingElement, layer_units
-from .padics import PAdic, int_valuation
+from .padics import PAdic
+from .primes import int_valuation
 
 DEFAULT_GUARD_DIGITS = 20
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
+MAX_WALKED_LEVEL = 100_000  # so is p^(n_max+1), the modulus of the top level of cusps walked
 
 
 def working_precision(n_max: int, mu_floor: int = 0) -> int:
@@ -70,10 +72,12 @@ class MazurTateTower:
     def __init__(self, sym, p: int, n_max: int):
         if n_max < 0:
             raise ValueError("levels start at 0")
-        # 2^bit_length exceeds the bound, so capping the exponent there is exact
-        # for p >= 2 and p^n_max is never formed for a huge n_max
+        # 2^bit_length exceeds each bound, so capping the exponent there is exact
+        # for p >= 2 and no huge power of p is formed for a huge n_max
         if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
             raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
+        if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
+            raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
         self.p = p
         self.phi0 = sym.value_infinity_minus(0)
         self.thetas = []  # theta_n, exact

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
-from .padics import PAdic, int_valuation
-from .primes import is_prime
+from .padics import PAdic
+from .primes import int_valuation, require_odd_prime
 
 
 def layer_units(p: int, n: int):
@@ -50,8 +50,7 @@ class GroupLevel:
     n: int
 
     def __post_init__(self):
-        if not (is_prime(self.p) and self.p % 2 == 1):
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        require_odd_prime(self.p)
         if self.n < 0:
             raise ValueError("level must be nonnegative")
 

@@ -21,31 +21,11 @@ INFINITY = math.inf
 MAX_INDEX = 20000
 
 
-def _xgcd(a: int, b: int):
-    if b == 0:
-        return (1, 0, a) if a >= 0 else (-1, 0, -a)
-    x, y, g = _xgcd(b, a % b)
-    return y, x - y * (a // b), g
-
-
-def _lift_unit(n: int, d: int, a: int) -> int:
-    """Lift a unit a mod d (d | n) to a unit mod n."""
-    u, v = 1, n
-    g = math.gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = math.gcd(v, g)
-    x, y, _ = _xgcd(u, v)
-    return (u * x + a * y * v) % n
-
-
 class P1List:
     """Canonical representatives of P^1(Z/N) with index lookup."""
 
     def __init__(self, N: int):
         self.N = N
-        self._primes = [ell for ell, _ in prime_factors(N)]
         if N == 1:
             self._list = [(0, 0)]
         else:
@@ -71,25 +51,17 @@ class P1List:
         v %= N
         if u == 0:
             return (0, 1) if math.gcd(v, N) == 1 else None
-        _, s, g = _xgcd(N, u)
+        g = math.gcd(u, N)
         if math.gcd(g, v) > 1:
             return None
+        # with s = (u/g)^-1 mod M, the units t = 1 + kM send s' v, for any unit
+        # lift s' of s, onto exactly the w = s v mod M that are coprime to g
+        # (CRT, one prime of N at a time), so v' is the least such w
         M = N // g
-        s = _lift_unit(N, M, s % M)
-        v = (s * v) % N
-        if g == 1:
-            return (1, v)
-        # with v = v0 + M v1, t = 1 + kM sends v to v0 + M ((v1 + k v) mod g), and
-        # k -> (v1 + k v) mod g is onto Z/g as v is a unit mod g; t is a unit
-        # unless k = -1/M mod a prime ell dividing g but not M, that is unless
-        # the image j = (v1 + k v) mod g is v1 - v/M mod ell, so v' = v0 + M j
-        # for the least j that avoids those residues (j = v1, t = 1, does)
-        v0, v1 = v % M, v // M
-        excluded = [(ell, (v1 - v * pow(M, -1, ell)) % ell) for ell in self._primes if g % ell == 0 and M % ell]
-        j = 0
-        while any(j % ell == r for ell, r in excluded):
-            j += 1
-        return (g, v0 + M * j)
+        w = pow(u // g, -1, M) * v % M
+        while math.gcd(w, g) > 1:
+            w += M
+        return (g, w)
 
     def index(self, u: int, v: int) -> int:
         r = self.normalize(u, v)
@@ -110,23 +82,20 @@ def lift_to_sl2z(c: int, d: int, N: int):
         return (1, 0, 0, 1)
     c %= N
     d %= N
-    if c == 0 and d == 0:
+    if math.gcd(c, d, N) != 1:
         raise ValueError("not a projective point")
-    # adjust within the class so that gcd(c,d)=1 as integers
+    # adjust within the class so that gcd(c,d)=1 as integers: c in 1..N, then
+    # d + kN for the least k >= 0 coprime to c (one exists as gcd(c, d, N) = 1)
     if c == 0:
         c = N
-    g = math.gcd(c, d)
-    if g > 1:
-        # replace d by d + kN coprime to c
-        k = 1
-        while math.gcd(c, d + k * N) > 1:
-            k += 1
-        d += k * N
-    x, y, g = _xgcd(c, d)
-    if g != 1:
-        raise RuntimeError(f"lifted bottom row ({c}, {d}) has gcd {g}, not 1")
+    while math.gcd(c, d) > 1:
+        d += N
     # bottom row (c,d); top row solves a*d - b*c = 1
-    return (y, -x, c, d)
+    try:
+        a = pow(d, -1, c)
+    except ValueError:
+        raise RuntimeError(f"lifted bottom row ({c}, {d}) has gcd {math.gcd(c, d)}, not 1") from None
+    return (a, (a * d - 1) // c, c, d)
 
 
 # --- standard index, elliptic point and cusp counting for X_0(N) ---
@@ -273,13 +242,9 @@ class ManinSymbolSpace:
         self.dimension = len(basis)
         self._involution = None
 
-    def generator_matrix(self, i: int):
-        c, d = self.p1[i]
-        return lift_to_sl2z(c, d, self.N)
-
     def generator_divisor_pair(self, i: int):
         """Cusp pair (g.0, g.inf) whose difference the generator represents."""
-        a, b, c, d = self.generator_matrix(i)
+        a, b, c, d = lift_to_sl2z(*self.p1[i], self.N)
         return as_cusp((b, d)), as_cusp((a, c))
 
     def involution_index(self, i: int) -> int:

@@ -10,26 +10,14 @@ import math
 from fractions import Fraction
 
 from .errors import NotOrdinary, PrecisionInsufficient
-from .primes import is_prime
+from .primes import int_valuation, require_odd_prime
 
 INFINITY = math.inf
 
 
-def int_valuation(n: int, p: int):
-    """ord_p of an integer; INFINITY for 0."""
-    if n == 0:
-        return INFINITY
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def valuation(x, p: int):
     """ord_p of a rational number (int or Fraction); INFINITY iff x = 0."""
-    if not (is_prime(p) and p % 2 == 1):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     x = Fraction(x)
     if x == 0:
         return INFINITY
@@ -154,8 +142,7 @@ def unit_root(a_p: int, p: int, precision: int) -> PAdic:
     The seed a_p is a simple root mod p because the derivative 2x - a_p is
     a unit there; lifting doubles the certified precision each step.
     """
-    if not (is_prime(p) and p % 2 == 1):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    require_odd_prime(p)
     if a_p % p == 0:
         raise NotOrdinary(f"a_p = {a_p} is divisible by p = {p}")
     prec = 1

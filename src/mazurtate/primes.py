@@ -1,4 +1,5 @@
-"""Primes by trial division: primality, factorization and the ascending walk.
+"""Primes by trial division: primality, factorization and the ascending walk,
+with the odd-prime guard and ord_p of an integer.
 
 Callers pass levels below the index bound, Hecke primes below the Sturm
 bound and the prime p.  Trial division is exact and quick for those; its
@@ -7,6 +8,7 @@ first (see build_space).
 """
 from __future__ import annotations
 
+import math
 from itertools import count
 
 
@@ -23,6 +25,12 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    """Raise ValueError unless p is an odd prime."""
+    if not (is_prime(p) and p % 2 == 1):
+        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def primes():
@@ -45,3 +53,14 @@ def prime_factors(n: int):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def int_valuation(n: int, p: int):
+    """ord_p of an integer; math.inf for 0."""
+    if n == 0:
+        return math.inf
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v

@@ -245,6 +245,8 @@ def test_huge_prime_p_ends_with_coded_error(capsys, command):
     ["analyze", "--curve", "11a", "--p", "3", "--n-max", "40"],
     ["invariants", "--curve", "11a", "--p", "3", "--n-max", "40"],
     ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000"],
+    ["invariants", "--curve", "11a", "--p", "9973", "--n-max", "1"],
+    ["analyze", "--curve", "11a", "--p", "1009", "--n-max", "1"],
 ])
 def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
     start = time.perf_counter()

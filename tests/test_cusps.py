@@ -23,6 +23,12 @@ def test_class_count_formula_random_levels():
         assert len(CuspClassTable(N)) == expected
 
 
+def test_each_representative_is_its_own_class():
+    for N in list(range(1, 301)) + [681]:
+        table = CuspClassTable(N)
+        assert [table.classify(rep) for rep in table.representatives] == list(range(len(table))), N
+
+
 def test_n26_representatives_match_expected_cusps():
     table = CuspClassTable(26)
     ids = {

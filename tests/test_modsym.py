@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -15,13 +16,12 @@ from mazurtate.modsym import (
     ManinSymbolSpace,
     P1List,
     ModularSymbol,
-    _lift_unit,
-    _xgcd,
     apply_matrix_to_cusp,
     as_cusp,
     build_space,
     cusp_count,
     genus_x0,
+    lift_to_sl2z,
     psi_index,
 )
 
@@ -259,6 +259,13 @@ def brute_force_p1(N):
     return reps
 
 
+@functools.cache
+def unit_scalers(N):
+    """{u: a unit s with s u = gcd(u, N) mod N} for every u with 0 < u < N, from one pass over the units."""
+    units = [t for t in range(1, N) if math.gcd(t, N) == 1]
+    return {g * pow(t, -1, N) % N: t for g in range(1, N) if N % g == 0 for t in units}
+
+
 def reference_normalize(N, u, v):
     """Reference canonical form of (u:v): v' as a minimum over all units t = 1 + k N/g."""
     if N == 1:
@@ -267,11 +274,10 @@ def reference_normalize(N, u, v):
     v %= N
     if u == 0:
         return (0, 1) if math.gcd(v, N) == 1 else None
-    _, s, g = _xgcd(N, u)
+    g = math.gcd(u, N)
     if math.gcd(g, v) > 1:
         return None
-    s = _lift_unit(N, N // g, s % (N // g))
-    v = (s * v) % N
+    v = (unit_scalers(N)[u] * v) % N
     if g == 1:
         return (1, v)
     return (g, min((v * t) % N for t in range(1, N, N // g) if math.gcd(N, t) == 1))
@@ -287,6 +293,27 @@ def test_normalize_matches_the_minimum_over_all_units():
         pairs = [(rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)) for _ in range(3000)]
         pairs += [(g * rng.randrange(N), rng.randrange(N)) for g in range(2, N) if N % g == 0 for _ in range(20)]
         assert all(p1.normalize(u, v) == reference_normalize(N, u, v) for u, v in pairs), N
+
+
+def test_sl2z_lift_of_every_p1_point():
+    for N in list(range(1, 101)) + [681]:
+        for c, d in P1List(N):
+            a, b, c1, d1 = lift_to_sl2z(c, d, N)
+            assert a * d1 - b * c1 == 1, (N, c, d)
+            assert (c1 - c) % N == 0 and (d1 - d) % N == 0, (N, c, d)
+    # rows with c = 0 mod N, or whose integer gcd exceeds 1 after reduction mod N
+    for N, c, d in [(10, 0, 7), (10, 20, 3), (10, 3, 9), (12, 5, 10), (12, -7, 17), (681, 2, 4), (681, 10, 5),
+                    (681, 0, 682), (681, 681 + 14, -7)]:
+        assert math.gcd(c, d, N) == 1 and (c % N == 0 or math.gcd(c % N, d % N) > 1)
+        a, b, c1, d1 = lift_to_sl2z(c, d, N)
+        assert a * d1 - b * c1 == 1
+        assert (c1 - c) % N == 0 and (d1 - d) % N == 0
+
+
+def test_sl2z_lift_refuses_a_pair_that_is_not_primitive():
+    for c, d in [(0, 0), (2, 4), (6, 9)]:
+        with pytest.raises(ValueError):
+            lift_to_sl2z(c, d, 12)
 
 
 def test_p1_list_matches_brute_force():
