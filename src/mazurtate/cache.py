@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,9 @@ ENV_CACHE_DIR = "MT_CACHE_DIR"
 # Spaces are stored as sparse (coordinate, value) pairs; files of any other
 # kind, such as the older dense "manin_space" rows, are rebuilt on read.
 SPACE_KIND = "manin_space_sparse"
+
+# The names load_space and load_eigensymbol write; verify_cache_dir sweeps no other file.
+CACHE_FILE_NAME = re.compile(r"(space_N\d+|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
 
 
 def default_cache_dir() -> Path | None:
@@ -163,12 +167,13 @@ def load_symbol(curve, mode: str = "cohomological", cache_dir: Path | None = Non
 
 
 def verify_cache_dir(cache_dir: Path) -> dict:
-    """Integrity sweep: counts clean and corrupted entries, dropping the latter."""
+    """Integrity sweep of the files named CACHE_FILE_NAME: counts clean and
+    corrupted entries, dropping the latter; other files are left alone."""
     clean, corrupted = 0, 0
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return {"clean": 0, "corrupted": 0}
-    for path in sorted(cache_dir.glob("*.json")):
+    for path in sorted(p for p in cache_dir.iterdir() if CACHE_FILE_NAME.fullmatch(p.name)):
         if _read(path) is None:
             corrupted += 1
             path.unlink()

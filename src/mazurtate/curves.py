@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from .errors import BoundExceeded, InputError
 from .primes import int_valuation, is_prime
 
 ELL_BOUND = 100000
+MAX_LRATIO_EXPONENT = 4300  # CPython's default cap on the digits of an int read from a string
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def _legendre(a: int, ell: int) -> int:
@@ -27,9 +30,16 @@ def _legendre(a: int, ell: int) -> int:
 
 
 def parse_lratio(text) -> Fraction:
-    """L(E,1)/Omega_E from a decimal or num/den string (or a JSON number)."""
+    """L(E,1)/Omega_E from a decimal or num/den string (or a JSON number); an
+    exponent above MAX_LRATIO_EXPONENT in magnitude is refused before any
+    Fraction is built, as Fraction("1e100000") builds 10^100000."""
+    text = str(text)
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_LRATIO_EXPONENT)) or int(digits or 0) > MAX_LRATIO_EXPONENT:
+        raise BoundExceeded(f"the exponent of the L-ratio exceeds the bound {MAX_LRATIO_EXPONENT} in magnitude")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed L-ratio {text!r}: {exc}") from exc
 

@@ -6,8 +6,8 @@ layer, indexed by powers of gamma: the units are walked in generator order
 (groupring.layer_units), so no discrete logarithm is taken.  One
 MazurTateTower per (symbol, p) holds every level up to n_max; the
 module-level functions are thin calls into it.
-Stabilized elements carry precision-tracked p-adic coefficients derived from
-the unit root alpha, and each is built by one route; the norm relation that
+Stabilized elements are p-adic, residues at the precision of the unit root
+alpha, and each is built by one route; the norm relation that
 certifies the route is an exact identity over Q.
 """
 from __future__ import annotations
@@ -63,8 +63,8 @@ class MazurTateTower:
     looks the level below up at a mod p^n, so that check also tests the
     walk's indexing.  Values are in the
     linalg.exact format (an int when integral), so for an integral symbol
-    the sums run in ints; each coefficient becomes a Fraction once, in
-    GroupRingElement.  Only exact rationals are stored, so the stabilized
+    the sums run in ints, and GroupRingElement keeps them as integers over
+    one denominator.  Only exact elements are stored, so the stabilized
     elements can be rebuilt at any precision.  sym needs value_infinity_minus,
     and is_plus if a plus symbol is to be evaluated at half the cusps.
     """
@@ -98,18 +98,12 @@ class MazurTateTower:
 
         This is theta_n of phi^alpha = phi - alpha^{-1} phi|[[p,0],[0,1]]; for
         n >= 1 it equals theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)), since
-        S_n = cor(theta_{n-1}) (norm_relation).  Each coefficient is one residue
-        T_k / d_T - alpha^{-1} S_k / d_S mod p^precision, from the integers and
-        common denominators of _integer_coefficients.
+        S_n = cor(theta_{n-1}) (norm_relation).  Both exact elements are taken
+        mod p^precision, the precision of alpha, and combined as residues.
         """
-        p, precision = self.p, alpha.precision
-        T, d_T = _p_integral(self.thetas[n], p)
-        S, d_S = _p_integral(self.scaled[n], p)
-        modulus = p**precision
-        t_unit = pow(d_T, -1, modulus)
-        s_unit = alpha.inverse().residue * pow(d_S, -1, modulus)
-        return GroupRingElement(self.thetas[n].level,
-                                [PAdic(p, t * t_unit - s * s_unit, precision) for t, s in zip(T, S)])
+        precision = alpha.precision
+        return (self.thetas[n].to_padic(precision)
+                - self.scaled[n].to_padic(precision).scale(alpha.inverse()))
 
     def norm_relation(self, alpha: PAdic, n: int) -> ResidualReport:
         """S_n = cor(theta_{n-1}), checked exactly over Q.
@@ -124,8 +118,8 @@ class MazurTateTower:
             raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
         alpha.inverse()  # refuses a non-unit alpha
         p, precision = self.p, alpha.precision
-        S, d_S = self.scaled[n]._integer_coefficients()
-        T, d_T = self.thetas[n - 1]._integer_coefficients()
+        S, d_S = self.scaled[n].ints, self.scaled[n].den
+        T, d_T = self.thetas[n - 1].ints, self.thetas[n - 1].den
         q = len(T)
         den = int_valuation(d_S * d_T, p)
         floors = tuple(min(int_valuation(s * d_T - T[k % q] * d_S, p) - den, precision) for k, s in enumerate(S))
@@ -135,19 +129,6 @@ class MazurTateTower:
         """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
         expected = Fraction(theta0_interpolation_factor(curve, self.p)) * self.phi0
         return self.thetas[0].coeffs == (expected,)
-
-
-def _p_integral(element: GroupRingElement, p: int):
-    """_integer_coefficients of an exact element whose coefficients are p-integral.
-
-    Raises ValueError naming the first coefficient that is not, as
-    GroupRingElement.to_padic does.
-    """
-    ints, den = element._integer_coefficients()
-    if den % p == 0:
-        bad = next(c for c in element.coeffs if c.denominator % p == 0)
-        raise ValueError(f"{bad} is not p-integral at p={p}")
-    return ints, den
 
 
 def mazur_tate(sym, p: int, n: int) -> GroupRingElement:
@@ -176,9 +157,7 @@ class ResidualReport:
 
 def _compare(a: GroupRingElement, b: GroupRingElement, n: int) -> ResidualReport:
     diff = a - b
-    floors = tuple(c.valuation_lower_bound() for c in diff.coeffs)
-    passed = all(c.is_zero_to_precision for c in diff.coeffs)
-    return ResidualReport(n, passed, floors)
+    return ResidualReport(n, diff.is_zero(), tuple(c.valuation_lower_bound() for c in diff.coeffs))
 
 
 def check_norm_relation(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:

@@ -7,8 +7,9 @@ are read without building that basis: the binomial change of basis gamma ->
 1 + T is unitriangular over Z, so mu is the least valuation of the gamma-
 coefficients, and lambda is the first nonzero T-coefficient of their Taylor
 shift mod p, whose base-p digits Lucas's theorem lets us find one at a time,
-top digit first.  Coefficients are uniformly exact rationals or uniformly
-precision-tracked p-adics; the two kinds never mix.
+top digit first.  An element stores its coefficients as one tuple of integers
+over one scale: over a common denominator (exact rationals), or as residues at
+one precision (p-adics); the two kinds never mix.
 
 The generator is fixed, so a layer is just (p, n).  The raw values that feed
 it (elements.raw_mazur_tate) are a dict keyed by the units a mod p^{n+1};
@@ -121,9 +122,15 @@ class IwasawaInvariants:
 
 
 class GroupRingElement:
-    """Element of K[G_n] as coefficients on gamma^0 .. gamma^{p^n - 1}."""
+    """Element of K[G_n] as coefficients c_0 .. c_{p^n - 1} on gamma^0 .. gamma^{p^n - 1}.
 
-    __slots__ = ("level", "coeffs")
+    They are stored as one tuple ``ints`` over one scale: c_i = ints[i] / den
+    with den > 0 and gcd(den, ints) = 1 (exact), or c_i = ints[i] in [0,
+    p^precision) at the least precision of the inputs (p-adic); the other
+    scale is None.  The two kinds never mix.  ``coeffs`` rebuilds the scalars.
+    """
+
+    __slots__ = ("level", "ints", "den", "precision")
 
     def __init__(self, level: GroupLevel, coeffs):
         coeffs = tuple(coeffs)
@@ -132,162 +139,166 @@ class GroupRingElement:
         kinds = {isinstance(c, PAdic) for c in coeffs}
         if len(kinds) > 1:
             raise ValueError("rational and p-adic coefficients must not mix")
-        if not kinds.pop():
-            coeffs = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
-        self.level = level
-        self.coeffs = coeffs
+        if kinds.pop():
+            F = self._of(level, [c.residue for c in coeffs], None, min(c.precision for c in coeffs))
+        else:
+            coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+            den = math.lcm(*(c.denominator for c in coeffs))
+            F = self._of(level, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        self.level, self.ints, self.den, self.precision = F.level, F.ints, F.den, F.precision
+
+    @classmethod
+    def _of(cls, level: GroupLevel, ints, den=1, precision=None) -> "GroupRingElement":
+        """ints over den, reduced to gcd 1, or ints mod p^precision if that is given."""
+        if precision is None:
+            g = math.gcd(den, *ints)
+            if g != 1:
+                ints, den = [b // g for b in ints], den // g
+        elif precision < 1:
+            raise PrecisionInsufficient(f"precision must be positive, got {precision}")
+        else:
+            modulus = level.p**precision
+            ints = [b % modulus for b in ints]
+        F = cls.__new__(cls)
+        F.level, F.ints, F.den, F.precision = level, tuple(ints), den, precision
+        return F
+
+    def _like(self, ints, level: GroupLevel | None = None) -> "GroupRingElement":
+        return GroupRingElement._of(level or self.level, ints, self.den, self.precision)
 
     # -- constructors --
 
     @classmethod
     def zero(cls, level: GroupLevel) -> "GroupRingElement":
-        return cls(level, [Fraction(0)] * level.order)
+        return cls._of(level, [0] * level.order)
 
     @classmethod
     def identity(cls, level: GroupLevel) -> "GroupRingElement":
-        c = [Fraction(0)] * level.order
-        c[0] = Fraction(1)
-        return cls(level, c)
+        return cls._of(level, [1] + [0] * (level.order - 1))
 
     @classmethod
     def norm_element(cls, level: GroupLevel) -> "GroupRingElement":
-        return cls(level, [Fraction(1)] * level.order)
+        return cls._of(level, [1] * level.order)
 
     @classmethod
     def from_t_coefficients(cls, level: GroupLevel, t_coeffs) -> "GroupRingElement":
         """The element sum_k t_k T^k, T = gamma - 1.
 
-        Its gamma^j coefficient is (-1)^j sum_k C(k, j) (-1)^k t_k, so the
-        inverse transform is ``t_coefficients`` between two sign alternations.
-        P-adic results are at the least precision of the input.
+        Its gamma^j coefficient is (-1)^j sum_k C(k, j) (-1)^k t_k: the Taylor
+        shift of ``t_coefficients`` between two sign alternations.  P-adic
+        results are at the least precision of the input.
         """
-        alternated = cls(level, [-c if k % 2 else c for k, c in enumerate(t_coeffs)])
-        return cls(level, [-c if j % 2 else c for j, c in enumerate(alternated.t_coefficients())])
+        t = cls(level, t_coeffs)
+        shifted = _taylor_shift_by_one([-b if k % 2 else b for k, b in enumerate(t.ints)])
+        return t._like([-b if j % 2 else b for j, b in enumerate(shifted)])
 
     # -- basic structure --
 
     @property
     def is_padic(self) -> bool:
-        return isinstance(self.coeffs[0], PAdic) if self.coeffs else False
+        return self.precision is not None
+
+    @property
+    def coeffs(self) -> tuple:
+        if self.is_padic:
+            return tuple(PAdic(self.level.p, b, self.precision) for b in self.ints)
+        return tuple(Fraction(b, self.den) for b in self.ints)
 
     def is_zero(self) -> bool:
-        if self.is_padic:
-            return all(c.is_zero_to_precision for c in self.coeffs)
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.ints)
 
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         if other.level != self.level:
             raise ValueError("levels differ")
-        return GroupRingElement(self.level, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        if other.is_padic != self.is_padic:
+            raise ValueError("rational and p-adic coefficients must not mix")
+        if self.is_padic:
+            ints = [a + b for a, b in zip(self.ints, other.ints)]
+            return self._of(self.level, ints, None, min(self.precision, other.precision))
+        den = math.lcm(self.den, other.den)
+        u, v = den // self.den, den // other.den
+        return self._of(self.level, [a * u + b * v for a, b in zip(self.ints, other.ints)], den)
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        if other.level != self.level:
-            raise ValueError("levels differ")
-        return GroupRingElement(self.level, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return GroupRingElement(self.level, [-c for c in self.coeffs])
+        return self._like([-b for b in self.ints])
 
     def scale(self, scalar) -> "GroupRingElement":
-        return GroupRingElement(self.level, [scalar * c for c in self.coeffs])
+        """scalar * self; p-adic, at the lesser precision, if either is p-adic."""
+        if not (self.is_padic or isinstance(scalar, PAdic)):
+            scalar = Fraction(scalar)
+            return self._of(self.level, [b * scalar.numerator for b in self.ints], self.den * scalar.denominator)
+        if not isinstance(scalar, PAdic):
+            scalar = PAdic.from_rational(scalar, self.level.p, self.precision)
+        F = self.to_padic(scalar.precision)
+        return F._like([b * scalar.residue for b in F.ints])
 
     def to_padic(self, precision: int) -> "GroupRingElement":
         if self.is_padic:
-            return GroupRingElement(self.level, [c.at_precision(min(precision, c.precision)) for c in self.coeffs])
+            return self._of(self.level, self.ints, None, min(precision, self.precision))
         p = self.level.p
-        return GroupRingElement(self.level, [PAdic.from_rational(c, p, precision) for c in self.coeffs])
+        if self.den % p == 0:
+            bad = next(c for c in self.coeffs if c.denominator % p == 0)
+            raise ValueError(f"{bad} is not p-integral at p={p}")
+        unit = pow(self.den, -1, p**precision)
+        return self._of(self.level, [b * unit for b in self.ints], None, precision)
 
     def augmentation(self):
-        total = self.coeffs[0]
-        for c in self.coeffs[1:]:
-            total = total + c
-        return total
+        total = sum(self.ints)
+        return PAdic(self.level.p, total, self.precision) if self.is_padic else Fraction(total, self.den)
 
     # -- the T-basis and invariants --
-
-    def _integer_coefficients(self):
-        """Integers B_i and a scale: c_i = B_i / den exactly, den the lcm of the
-        denominators; or, for p-adic coefficients, c_i = B_i mod p^prec at the
-        least precision prec."""
-        if self.is_padic:
-            prec = min(c.precision for c in self.coeffs)
-            modulus = self.level.p**prec
-            return [c.residue % modulus for c in self.coeffs], prec
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def t_coefficients(self):
         """Coefficients of F as a polynomial in T = gamma - 1 of degree < p^n.
 
         a_k = sum_i C(i,k) c_i, computed exactly as the Taylor shift gamma ->
-        1 + T by Horner's scheme on integers (denominators cleared first).
-        With the signs of c_i and a_k alternated it is the inverse transform
-        (see ``from_t_coefficients``).
+        1 + T by Horner's scheme on ``ints``.  With the signs of c_i and a_k
+        alternated it is the inverse transform (see ``from_t_coefficients``).
         That is p^n(p^n - 1)/2 big-integer additions; ``iwasawa_invariants``
         does not need them.
         """
-        ints, scale = self._integer_coefficients()
-        shifted = _taylor_shift_by_one(ints)
-        if self.is_padic:
-            return [PAdic(self.level.p, r, scale) for r in shifted]
-        return [Fraction(r, scale) for r in shifted]
+        return list(self._like(_taylor_shift_by_one(self.ints)).coeffs)
 
     def iwasawa_invariants(self) -> IwasawaInvariants:
         """mu = min ord_p over T-coefficients, lambda = least index attaining it.
 
-        Both are read off the integers B_i of ``_integer_coefficients``.  The
-        change of basis to T is unitriangular over Z, invertible also over
-        Z/p^prec, so it keeps the least valuation v of the B_i; lambda is the
-        first nonzero coefficient of the Taylor shift of B_i / p^v mod p, read
-        digit by digit (``_lambda_mod_p``) without forming the shift.
+        Both are read off ``ints``.  The change of basis to T is unitriangular
+        over Z, invertible also over Z/p^precision, so it keeps the least
+        valuation v of the ints; mu is v - ord_p(den) (den = 1 if p-adic), and
+        lambda is the first nonzero coefficient of the Taylor shift of
+        ints / p^v mod p, read digit by digit (``_lambda_mod_p``) without
+        forming the shift.
         """
         if self.is_zero():
             if self.is_padic:
                 raise PrecisionInsufficient("all coefficients vanish to working precision")
             raise ZeroElement("invariants of the zero element are undefined")
         p = self.level.p
-        ints, scale = self._integer_coefficients()
-        if self.is_padic:
-            if not any(ints):
-                raise PrecisionInsufficient("all T-coefficients vanish to working precision")
-            den_valuation = 0
-        else:
-            den_valuation = int_valuation(scale, p)
-        v = int_valuation(math.gcd(*ints), p)
+        v = int_valuation(math.gcd(*self.ints), p)
         unit = p**v
-        return IwasawaInvariants(v - den_valuation, _lambda_mod_p([b // unit for b in ints], p))
+        mu = v - int_valuation(self.den or 1, p)
+        return IwasawaInvariants(mu, _lambda_mod_p([b // unit for b in self.ints], p))
 
     # -- maps between layers --
 
     def corestriction(self) -> "GroupRingElement":
         """Trace to the layer above: gamma_{n-1}^j maps to the sum of its p preimages."""
-        level_up = self.level.above()
-        stride = self.level.order
-        out = [None] * level_up.order
-        for j, c in enumerate(self.coeffs):
-            for m in range(self.level.p):
-                out[j + m * stride] = c
-        return GroupRingElement(level_up, out)
+        return self._like(self.ints * self.level.p, self.level.above())
 
     def project(self) -> "GroupRingElement":
         """Natural projection to the layer below, accumulating coefficients."""
-        level_dn = self.level.below()
-        stride = level_dn.order
-        out = [None] * stride
-        for i, c in enumerate(self.coeffs):
-            j = i % stride
-            out[j] = c if out[j] is None else out[j] + c
-        return GroupRingElement(level_dn, out)
+        stride = self.level.order // self.level.p
+        return self._like([sum(self.ints[j::stride]) for j in range(stride)], self.level.below())
 
     def reindexed_by_generator_power(self, t: int) -> "GroupRingElement":
         """Coefficients with respect to gamma' = gamma^t (t coprime to p)."""
         m = self.level.order
         if self.level.n >= 1 and math.gcd(t, self.level.p) != 1:
             raise NotAGenerator(f"gamma^{t} does not generate a group of order {m}")
-        out = [None] * m
-        for j in range(m):
-            out[j] = self.coeffs[j * t % m]
-        return GroupRingElement(self.level, out)
+        return self._like([self.ints[j * t % m] for j in range(m)])
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):

@@ -115,12 +115,6 @@ class PAdic:
         unit = other.residue // self.p**v
         return PAdic(self.p, num * pow(unit, -1, self.p**m), m)
 
-    def at_precision(self, precision: int) -> "PAdic":
-        """Reduce to a smaller precision (never extend)."""
-        if precision > self.precision:
-            raise PrecisionInsufficient("cannot raise precision")
-        return PAdic(self.p, self.residue, precision)
-
     def __eq__(self, other) -> bool:
         """Equality of residues at the shared precision."""
         if not isinstance(other, (PAdic, int, Fraction)):

@@ -53,6 +53,21 @@ def test_verify_cache_dir_counts_and_drops(tmp_path):
     assert not bad.exists()
 
 
+def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
+    cache.load_space(11, tmp_path)
+    record = tmp_path / "mycurve.json"
+    record.write_text(json.dumps({"a1": 0, "a2": -1, "a3": 1, "a4": -10, "a6": -20, "conductor": 11}))
+    notes = tmp_path / "notes.json"
+    notes.write_text("{not json")
+    near_misses = [tmp_path / name for name in ("space_N11.json.bak.json", "space_Nx.json", "eigsym_N11_abc_plus.json")]
+    for path in near_misses:
+        path.write_text("{not json")
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 1, "corrupted": 0}
+    assert main(["selftest", "--cases", "1", "--cache", str(tmp_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cache"] == {"clean": 1, "corrupted": 0}
+    assert record.exists() and notes.exists() and all(path.exists() for path in near_misses)
+
+
 def test_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
     cache.load_space(11)

@@ -247,6 +247,7 @@ def test_huge_prime_p_ends_with_coded_error(capsys, command):
     ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000"],
     ["invariants", "--curve", "11a", "--p", "9973", "--n-max", "1"],
     ["analyze", "--curve", "11a", "--p", "1009", "--n-max", "1"],
+    ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--lratio", "1e100000"],
 ])
 def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
     start = time.perf_counter()
@@ -299,6 +300,32 @@ def test_malformed_lratio_is_an_input_error(tmp_path, capsys, source, lratio):
     assert out == ""
     assert json.loads(err)["error"] == "input_error"
     assert "malformed L-ratio" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+@pytest.mark.parametrize("source", ["flag", "coeffs", "file"])
+@pytest.mark.parametrize("lratio", ["1e100000", "3E-4301", "1e0_9999", "2.5e+" + "9" * 5000])
+def test_lratio_exponent_above_the_bound_is_refused_before_parsing(tmp_path, capsys, command, source, lratio):
+    if source == "flag":
+        curve = ["--curve", "11a", "--lratio", lratio]
+    elif source == "coeffs":
+        curve = ["--coeffs", "0,-1,1,-10,-20", "--conductor", "11", "--lratio", lratio]
+    else:
+        curve = ["--curve", write_curve(tmp_path, {**RECORD_11A, "lratio": lratio})]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, command, *curve, "--p", "5", "--n-max", "1", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {"error": "bound_exceeded",
+                               "message": "the exponent of the L-ratio exceeds the bound 4300 in magnitude"}
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("lratio", ["1e4300", "1e-4300", "3e0004300", "1/5"])
+def test_lratio_exponent_at_the_bound_is_accepted(capsys, lratio):
+    code, _, _ = run_cli(capsys, "invariants", "--curve", "11a", "--lratio", lratio, "--p", "5", "--n-max", "1",
+                         "--format", "json")
+    assert code == 0
 
 
 @pytest.mark.parametrize("record", [[1, 2, 3], "11a", 11, None])

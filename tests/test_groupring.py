@@ -280,7 +280,7 @@ def test_padic_invariants_match_full_shift(p, n):
     assert_same_as_full_shift(GroupRingElement(L, [PAdic(p, 0, 3)] * L.order))
     vanishing = [PAdic(p, p**2, 3)] + [PAdic(p, 0, 2)] * (L.order - 1)
     assert outcome(lambda G: G.iwasawa_invariants().as_tuple(), GroupRingElement(L, vanishing)) == (
-        PrecisionInsufficient, "all T-coefficients vanish to working precision")
+        PrecisionInsufficient, "all coefficients vanish to working precision")
     assert_same_as_full_shift(GroupRingElement(L, vanishing))
 
 
@@ -461,6 +461,149 @@ def test_from_t_coefficients_is_linear(p, n):
 def test_constructor_keeps_fractions_and_converts_other_rationals():
     half = Fraction(1, 2)
     F = GroupRingElement(GroupLevel(3, 1), [half, 2, 0.25])
-    assert F.coeffs[0] is half
     assert all(type(c) is Fraction for c in F.coeffs)
     assert F.coeffs == (half, Fraction(2), Fraction(1, 4))
+
+
+# -- the integer form against coefficient-wise Fraction/PAdic arithmetic --
+
+
+def least_precision(coeffs):
+    """The form a GroupRingElement keeps: Fractions as they are, PAdics at their least precision."""
+    if any(isinstance(c, PAdic) for c in coeffs):
+        least = min(c.precision for c in coeffs)
+        return [(PAdic, c.residue % c.p**least, least) for c in coeffs]
+    return [(type(c), c) for c in coeffs]
+
+
+def outcome_of(operation):
+    """An operation's result in a comparable form, or the error it raised.
+
+    An element or a list compares by its coefficients, a tuple as it is, and a
+    single Fraction or PAdic as a list of one.
+    """
+    try:
+        value = operation()
+    except (ValueError, PrecisionInsufficient, ZeroElement) as exc:
+        return (type(exc), str(exc))
+    if isinstance(value, GroupRingElement):
+        assert_canonical(value)
+        return least_precision(value.coeffs)
+    if isinstance(value, tuple):
+        return value
+    return least_precision(value if isinstance(value, list) else [value])
+
+
+def assert_canonical(F):
+    if F.is_padic:
+        assert F.den is None and all(0 <= b < F.level.p**F.precision for b in F.ints)
+    else:
+        assert F.precision is None and F.den > 0 and math.gcd(F.den, *F.ints) == 1
+    assert type(F.ints) is tuple and len(F.ints) == F.level.order
+
+
+def random_coefficients(rng, L, padic):
+    p = L.p
+    if not padic:
+        return [random_rational(rng, p) for _ in range(L.order)]
+    coeffs = []
+    for _ in range(L.order):
+        prec = rng.randint(1, 6)
+        r = 0 if rng.random() < 0.2 else p ** rng.randint(0, prec) * rng.randint(1, p**prec)
+        coeffs.append(PAdic(p, r, prec))
+    return coeffs
+
+
+def random_scalar(rng, p):
+    if rng.random() < 0.5:
+        return random_rational(rng, p)
+    prec = rng.randint(1, 8)
+    return PAdic(p, rng.randrange(p**prec), prec)
+
+
+def reference_t_coefficients(coeffs):
+    """a_k = sum_i C(i, k) c_i, coefficient by coefficient, at the least precision."""
+    coeffs = [PAdic(c.p, c.residue, min(d.precision for d in coeffs)) if isinstance(c, PAdic) else c for c in coeffs]
+    m = len(coeffs)
+    return [sum((math.comb(i, k) * coeffs[i] for i in range(k + 1, m)), coeffs[k]) for k in range(m)]
+
+
+def reference_invariants(coeffs, p):
+    """(mu, lambda) read off every T-coefficient of reference_t_coefficients."""
+    tc = reference_t_coefficients(coeffs)
+    padic = isinstance(tc[0], PAdic)
+    vals = [(math.inf if c.is_zero_to_precision else c.valuation()) if padic else valuation(c, p) for c in tc]
+    mu = min(vals)
+    if mu == math.inf:
+        if padic:
+            raise PrecisionInsufficient("all coefficients vanish to working precision")
+        raise ZeroElement("invariants of the zero element are undefined")
+    return (mu, vals.index(mu))
+
+
+DIFFERENTIAL_LEVELS = [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)]
+
+
+@pytest.mark.parametrize("padic", [False, True], ids=["exact", "padic"])
+@pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
+def test_integer_form_matches_coefficientwise_arithmetic(p, n, padic):
+    rng = random.Random(p * 100 + n * 10 + padic)
+    L = GroupLevel(p, n)
+    m = L.order
+    for _ in range(12):
+        a, b = random_coefficients(rng, L, padic), random_coefficients(rng, L, padic)
+        F, G = GroupRingElement(L, a), GroupRingElement(L, b)
+        assert_canonical(F)
+        assert least_precision(F.coeffs) == least_precision(a)
+        s, prec = random_scalar(rng, p), rng.randint(1, 8)
+        t = rng.choice([u for u in range(1, 2 * m + 2) if u % p])
+        pairs = [
+            (lambda: F + G, lambda: [x + y for x, y in zip(a, b)]),
+            (lambda: F - G, lambda: [x - y for x, y in zip(a, b)]),
+            (lambda: -F, lambda: [-x for x in a]),
+            (lambda: F.scale(s), lambda: [s * x for x in a]),
+            (lambda: F.to_padic(prec), lambda: [
+                PAdic(p, c.residue, min(prec, c.precision)) if padic else PAdic.from_rational(c, p, prec) for c in a]),
+            (lambda: F.corestriction(), lambda: a * p),
+            (lambda: F.reindexed_by_generator_power(t), lambda: [a[j * t % m] for j in range(m)]),
+            (lambda: GroupRingElement.from_t_coefficients(L, a),
+             lambda: [sum((-1) ** (k - j) * math.comb(k, j) * a[k] for k in range(j, m)) for j in range(m)]),
+            (lambda: F.augmentation(), lambda: sum(a[1:], a[0])),
+            (lambda: F.t_coefficients(), lambda: reference_t_coefficients(a)),
+            (lambda: F.iwasawa_invariants().as_tuple(), lambda: reference_invariants(a, p)),
+        ]
+        if n:
+            stride = m // p
+            pairs.append((lambda: F.project(), lambda: [sum(a[j + stride:m:stride], a[j]) for j in range(stride)]))
+        for result, reference in pairs:
+            assert outcome_of(result) == outcome_of(reference)
+
+
+def test_integer_form_refuses_mixed_kinds_under_addition():
+    L = GroupLevel(5, 1)
+    exact = GroupRingElement(L, [Fraction(k, 2) for k in range(5)])
+    padic = exact.to_padic(4)
+    for combine in (lambda: exact + padic, lambda: padic - exact):
+        with pytest.raises(ValueError, match="must not mix"):
+            combine()
+
+
+def test_stabilized_invariants_build_no_padic_per_coefficient(monkeypatch):
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    curve = make_curve("11a")
+    sym, _ = cache.load_symbol(curve, "neron")
+    tower = MazurTateTower(sym, 5, 3)
+    alpha = unit_root(curve.a_ell(5), 5, working_precision(3))
+    expected_invariants = [full_shift_invariants(tower.stabilized(alpha, n)) for n in range(4)]
+    built = []
+    original = PAdic.__init__
+
+    def counted(self, p, residue, precision):
+        built.append(precision)
+        original(self, p, residue, precision)
+
+    monkeypatch.setattr(PAdic, "__init__", counted)
+    for n in range(4):
+        built.clear()
+        assert tower.stabilized(alpha, n).iwasawa_invariants().as_tuple() == expected_invariants[n]
+        assert len(built) <= 1  # alpha^{-1} alone, at any layer size
