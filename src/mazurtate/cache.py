@@ -12,7 +12,6 @@ rebuilt.  load_symbol is the one way the commands get their normalized symbol.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -55,6 +54,8 @@ def resolve_cache_dir(cache_dir: Path | None) -> Path | None:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib  # here and in load_eigensymbol only, so a run without a cache never loads it
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -145,6 +146,8 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
         return eigensymbol(space, curve)
+    import hashlib
+
     coeffs = [curve.a1, curve.a2, curve.a3, curve.a4, curve.a6]
     key = hashlib.sha256(json.dumps(coeffs + [curve.conductor]).encode()).hexdigest()
     path = cache_dir / f"eigsym_N{space.N}_{key}_plus.json"

@@ -309,7 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the randomized property battery")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cases", type=int, default=DEFAULT_SELFTEST_CASES,
-                    help=f"cases per (p, n) pair, 1 to {MAX_SELFTEST_CASES}")
+                    help=f"N, 1 to {MAX_SELFTEST_CASES}: cases per (p, n) pair of the corestriction and "
+                         "projection suites; the others run max(100, N//5) per pair (linearity), "
+                         "max(500, N) in all (sum cancellation, generator independence) and the "
+                         "synthetic towers 125 for each of p = 3, 5")
     sp.set_defaults(func=cmd_selftest)
     return parser
 

@@ -4,7 +4,9 @@ The conductor is a required input (no Tate's algorithm here); it is validated
 against the discriminant.  Good-reduction eigenvalues come from brute-force
 point counting; at bad primes a_ell = ell - #E^ns(F_ell), which covers the
 split/nonsplit/additive trichotomy uniformly (including ell = 2, 3 where the
-quadratic-residue test on -c6 breaks down).
+quadratic-residue test on -c6 breaks down).  A singular cubic has exactly one
+singular point, and it is affine, so #E^ns(F_ell) = #E(F_ell) - 1 and
+a_ell = ell + 1 - #E(F_ell) at every ell.
 """
 from __future__ import annotations
 
@@ -131,18 +133,6 @@ class EllipticCurve:
             cnt += 1 + _legendre(b * b + 4 * f, ell)
         return cnt
 
-    def singular_points(self, ell: int):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        pts = []
-        for x in range(ell):
-            for y in range(ell):
-                F = (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell
-                Fx = (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell
-                Fy = (2 * y + a1 * x + a3) % ell
-                if F == 0 and Fx == 0 and Fy == 0:
-                    pts.append((x, y))
-        return pts
-
     def reduction_type(self, ell: int) -> str:
         """'good', 'split', 'nonsplit' or 'additive' at ell."""
         if self.conductor % ell != 0:
@@ -159,18 +149,15 @@ class EllipticCurve:
             raise InputError(f"{ell} is not prime")
         if ell > ELL_BOUND:
             raise BoundExceeded(f"ell = {ell} exceeds the point-counting bound {ELL_BOUND}")
+        # at bad ell this is ell - #E^ns(F_ell): +-1 multiplicative, 0 additive
+        a = ell + 1 - self.count_points(ell)
         if self.conductor % ell != 0:
-            a = ell + 1 - self.count_points(ell)
             if a * a > 4 * ell:
                 raise InputError(f"a_{ell} = {a} violates the Hasse bound; bad input model")
-        else:
-            # ell - #E^ns(F_ell): +-1 multiplicative, 0 additive
-            nonsingular = self.count_points(ell) - len(self.singular_points(ell))
-            a = ell - nonsingular
-            if ell >= 5 and int_valuation(self.conductor, ell) == 1:
-                # cross-check against the quadratic-residue criterion on -c6
-                if a != _legendre(-self.c6, ell):
-                    raise RuntimeError("split/nonsplit criteria disagree")
+        elif ell >= 5 and int_valuation(self.conductor, ell) == 1:
+            # cross-check against the quadratic-residue criterion on -c6
+            if a != _legendre(-self.c6, ell):
+                raise RuntimeError("split/nonsplit criteria disagree")
         self._ap_cache[ell] = a
         return a
 

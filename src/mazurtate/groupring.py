@@ -140,6 +140,8 @@ class GroupRingElement:
         if len(kinds) > 1:
             raise ValueError("rational and p-adic coefficients must not mix")
         if kinds.pop():
+            if any(c.p != level.p for c in coeffs):
+                raise ValueError("mixed primes")
             F = self._of(level, [c.residue for c in coeffs], None, min(c.precision for c in coeffs))
         else:
             coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
@@ -232,6 +234,8 @@ class GroupRingElement:
             return self._of(self.level, [b * scalar.numerator for b in self.ints], self.den * scalar.denominator)
         if not isinstance(scalar, PAdic):
             scalar = PAdic.from_rational(scalar, self.level.p, self.precision)
+        elif scalar.p != self.level.p:
+            raise ValueError("mixed primes")
         F = self.to_padic(scalar.precision)
         return F._like([b * scalar.residue for b in F.ints])
 

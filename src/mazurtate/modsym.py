@@ -76,28 +76,6 @@ class P1List:
         return self._list[i]
 
 
-def lift_to_sl2z(c: int, d: int, N: int):
-    """An SL_2(Z) matrix with bottom row congruent to (c,d) mod N."""
-    if N == 1:
-        return (1, 0, 0, 1)
-    c %= N
-    d %= N
-    if math.gcd(c, d, N) != 1:
-        raise ValueError("not a projective point")
-    # adjust within the class so that gcd(c,d)=1 as integers: c in 1..N, then
-    # d + kN for the least k >= 0 coprime to c (one exists as gcd(c, d, N) = 1)
-    if c == 0:
-        c = N
-    while math.gcd(c, d) > 1:
-        d += N
-    # bottom row (c,d); top row solves a*d - b*c = 1
-    try:
-        a = pow(d, -1, c)
-    except ValueError:
-        raise RuntimeError(f"lifted bottom row ({c}, {d}) has gcd {math.gcd(c, d)}, not 1") from None
-    return (a, (a * d - 1) // c, c, d)
-
-
 # --- standard index, elliptic point and cusp counting for X_0(N) ---
 
 
@@ -241,11 +219,6 @@ class ManinSymbolSpace:
         self.tau = tau              # index action of the order-3 relation matrix
         self.dimension = len(basis)
         self._involution = None
-
-    def generator_divisor_pair(self, i: int):
-        """Cusp pair (g.0, g.inf) whose difference the generator represents."""
-        a, b, c, d = lift_to_sl2z(*self.p1[i], self.N)
-        return as_cusp((b, d)), as_cusp((a, c))
 
     def involution_index(self, i: int) -> int:
         c, d = self.p1[i]

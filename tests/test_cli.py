@@ -165,13 +165,26 @@ def test_selftest_refuses_bad_case_counts_before_any_suite(capsys, cases, error)
     assert time.perf_counter() - start < 1
 
 
-def test_cli_import_leaves_the_suites_out():
+def run_probe(probe, *argv):
+    """stdout of a fresh interpreter running probe with argv, the package on its path and no cache configured."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, mazurtate.cli; print(sorted(m for m in ('mazurtate.suites', 'mazurtate.synthetic') if m in sys.modules))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    env.pop("MT_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
+
+def test_cli_import_leaves_the_suites_out():
+    probe = "import sys, mazurtate.cli; print(sorted(m for m in ('mazurtate.suites', 'mazurtate.synthetic') if m in sys.modules))"
+    assert run_probe(probe).strip() == "[]"
+
+
+# runs the command in argv (none: only the import) with stdout swallowed, then prints its exit code and {modules}
+COMMAND_PROBE = ("import contextlib, io, sys, mazurtate.cli\n"
+                 "argv = sys.argv[1:]\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = mazurtate.cli.main(argv) if argv else 0\n"
+                 "print(code, {modules})")
 
 LATER_STAGES = ("classify", "elements", "groupring", "padics", "boundary", "cusps")
 
@@ -182,20 +195,18 @@ LATER_STAGES = ("classify", "elements", "groupring", "padics", "boundary", "cusp
     (["boundary", "--curve", "11a", "--p", "5"], LATER_STAGES[:4]),
 ], ids=["import", "eigensymbol", "boundary"])
 def test_each_command_loads_only_its_own_stages(argv, left_out):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    env.pop("MT_CACHE_DIR", None)
-    probe = ("import contextlib, io, sys, mazurtate.cli\n"
-             "argv = sys.argv[1:]\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    code = mazurtate.cli.main(argv) if argv else 0\n"
-             "print(code, sorted(m for m in sys.modules if m.startswith('mazurtate.')))")
-    result = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
-                            check=True)
-    code, loaded = result.stdout.split(" ", 1)
+    code, loaded = run_probe(COMMAND_PROBE.format(modules="sorted(m for m in sys.modules if m.startswith('mazurtate.'))"),
+                             *argv).split(" ", 1)
     assert code == "0"
     assert "mazurtate.cli" in loaded
     assert [m for m in left_out if f"'mazurtate.{m}'" in loaded] == []
+
+
+@pytest.mark.parametrize("argv", [[], ["eigensymbol", "--curve", "11a"]], ids=["import", "eigensymbol"])
+def test_a_run_without_a_cache_leaves_hashlib_out(argv):
+    bare = run_probe("import sys; print('hashlib' in sys.modules)").strip()
+    result = run_probe(COMMAND_PROBE.format(modules="'hashlib' in sys.modules"), *argv).strip()
+    assert result == "0 False" or (bare == "True" and result == "0 True")
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -34,6 +34,37 @@ def test_11a_split_multiplicative_at_11():
     assert pow(-curve.c6 % 11, (11 - 1) // 2, 11) == 1
 
 
+def brute_force_singular_points(curve, ell):
+    """Oracle: affine points where the cubic and both partial derivatives vanish."""
+    a1, a2, a3, a4, a6 = curve.a1, curve.a2, curve.a3, curve.a4, curve.a6
+    return [
+        (x, y)
+        for x in range(ell)
+        for y in range(ell)
+        if (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell == 0
+        and (a1 * y - 3 * x * x - 2 * a2 * x - a4) % ell == 0
+        and (2 * y + a1 * x + a3) % ell == 0
+    ]
+
+
+def test_bad_prime_eigenvalue_is_ell_minus_the_nonsingular_count():
+    curves = [make_curve(label) for label in ("11a", "26b1", "50b1", "174b1")]
+    curves += [EllipticCurve(0, 0, 1, -1, 0, conductor=37), EllipticCurve(0, 0, 1, 0, -7, conductor=27),
+               EllipticCurve(0, 0, 0, 0, 1, conductor=36)]
+    for curve in curves:
+        for ell in (2, 3, 5, 7, 11, 13, 29, 37):
+            if curve.conductor % ell == 0:
+                assert len(brute_force_singular_points(curve, ell)) == 1, (curve, ell)
+                nonsingular = brute_force_count(curve, ell) - 1
+                assert curve.a_ell(ell) == ell - nonsingular, (curve, ell)
+
+
+def test_bad_prime_eigenvalue_at_a_large_level_is_fast():
+    start = time.perf_counter()
+    assert EllipticCurve(0, 0, 1, -7, 6, conductor=5077).a_ell(5077) == -1
+    assert time.perf_counter() - start < 2
+
+
 def test_hasse_bound_good_primes():
     for label in ("11a", "26b1", "50b1", "174b1"):
         curve = make_curve(label)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,6 +9,19 @@ from mazurtate.linalg import rref_mod_p
 from mazurtate.modsym import INFINITY, _euler_phi, apply_matrix_to_cusp, as_cusp, build_space
 
 from .test_modsym import random_gamma0
+
+# sha256 over N = 1..300, 389, 681 of json [N, boundary_space_matrix(build_space(N), 7) rows, representatives],
+# recorded when each class was still found by a pairwise scan of the representatives
+BOUNDARY_MATRIX_DIGEST = "dc5faecdbef74a60007960ae4138380d88ccfb79416c4366c209e79f6cbe070c"
+
+
+def pairwise_equivalent(N, c1, c2):
+    """Reference criterion for reduced cusps u/v (v >= 0): s1 v2 = s2 v1 mod gcd(v1 v2, N), s u = 1 mod v."""
+    u1, v1 = c1
+    u2, v2 = c2
+    s1 = pow(u1, -1, v1) if v1 else 1
+    s2 = pow(u2, -1, v2) if v2 else 1
+    return (s1 * v2 - s2 * v1) % math.gcd(v1 * v2, N) == 0
 
 
 def test_class_counts():
@@ -27,6 +42,23 @@ def test_each_representative_is_its_own_class():
     for N in list(range(1, 301)) + [681]:
         table = CuspClassTable(N)
         assert [table.classify(rep) for rep in table.representatives] == list(range(len(table))), N
+
+
+def test_classify_agrees_with_the_pairwise_criterion():
+    for N in range(1, 201):
+        table = CuspClassTable(N)
+        reps = table.representatives
+        assert not any(pairwise_equivalent(N, r1, r2) for i, r1 in enumerate(reps) for r2 in reps[:i]), N
+        cusps = [(1, 0)] + [(a, c) for c in range(1, 2 * N + 1) for a in range(c) if math.gcd(a, c) == 1]
+        assert all(pairwise_equivalent(N, x, reps[table.classify(x)]) for x in cusps), N
+
+
+def test_boundary_matrix_digest():
+    h = hashlib.sha256()
+    for N in list(range(1, 301)) + [389, 681]:
+        B, table = boundary_space_matrix(build_space(N), 7)
+        h.update(json.dumps([N, B, [list(r) for r in table.representatives]]).encode())
+    assert h.hexdigest() == BOUNDARY_MATRIX_DIGEST
 
 
 def test_n26_representatives_match_expected_cusps():

@@ -588,6 +588,18 @@ def test_integer_form_refuses_mixed_kinds_under_addition():
             combine()
 
 
+def test_padics_of_another_prime_are_refused():
+    L = GroupLevel(5, 1)
+    with pytest.raises(ValueError, match="mixed primes"):
+        GroupRingElement(L, [PAdic(3, 2, 2)] * 5)
+    with pytest.raises(ValueError, match="mixed primes"):
+        GroupRingElement(L, [PAdic(5, 2, 2)] * 4 + [PAdic(3, 2, 2)])
+    for F in (GroupRingElement(L, [Fraction(k, 2) for k in range(5)]), GroupRingElement(L, [PAdic(5, 2, 2)] * 5)):
+        with pytest.raises(ValueError, match="mixed primes"):
+            F.scale(PAdic(3, 2, 2))
+        assert F.scale(PAdic(5, 2, 2)) == F.to_padic(2).scale(2)
+
+
 def test_stabilized_invariants_build_no_padic_per_coefficient(monkeypatch):
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     curve = make_curve("11a")

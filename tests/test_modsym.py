@@ -21,7 +21,6 @@ from mazurtate.modsym import (
     build_space,
     cusp_count,
     genus_x0,
-    lift_to_sl2z,
     psi_index,
 )
 
@@ -293,27 +292,6 @@ def test_normalize_matches_the_minimum_over_all_units():
         pairs = [(rng.randrange(-3 * N, 3 * N), rng.randrange(-3 * N, 3 * N)) for _ in range(3000)]
         pairs += [(g * rng.randrange(N), rng.randrange(N)) for g in range(2, N) if N % g == 0 for _ in range(20)]
         assert all(p1.normalize(u, v) == reference_normalize(N, u, v) for u, v in pairs), N
-
-
-def test_sl2z_lift_of_every_p1_point():
-    for N in list(range(1, 101)) + [681]:
-        for c, d in P1List(N):
-            a, b, c1, d1 = lift_to_sl2z(c, d, N)
-            assert a * d1 - b * c1 == 1, (N, c, d)
-            assert (c1 - c) % N == 0 and (d1 - d) % N == 0, (N, c, d)
-    # rows with c = 0 mod N, or whose integer gcd exceeds 1 after reduction mod N
-    for N, c, d in [(10, 0, 7), (10, 20, 3), (10, 3, 9), (12, 5, 10), (12, -7, 17), (681, 2, 4), (681, 10, 5),
-                    (681, 0, 682), (681, 681 + 14, -7)]:
-        assert math.gcd(c, d, N) == 1 and (c % N == 0 or math.gcd(c % N, d % N) > 1)
-        a, b, c1, d1 = lift_to_sl2z(c, d, N)
-        assert a * d1 - b * c1 == 1
-        assert (c1 - c) % N == 0 and (d1 - d) % N == 0
-
-
-def test_sl2z_lift_refuses_a_pair_that_is_not_primitive():
-    for c, d in [(0, 0), (2, 4), (6, 9)]:
-        with pytest.raises(ValueError):
-            lift_to_sl2z(c, d, 12)
 
 
 def test_p1_list_matches_brute_force():
