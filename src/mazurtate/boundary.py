@@ -9,14 +9,12 @@ equations reading 0 = nonzero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cusps import boundary_space_matrix
 from .linalg import solve_mod_p
+from .records import Record
 
 
-@dataclass(frozen=True)
-class BoundarySymbol:
+class BoundarySymbol(Record, frozen=True):
     """Function on cusp classes mod p, modulo constants; evaluable on divisors."""
 
     p: int
@@ -30,8 +28,7 @@ class BoundarySymbol:
         return total % self.p
 
 
-@dataclass(frozen=True)
-class RefutationCertificate:
+class RefutationCertificate(Record, frozen=True):
     """Combination sum(coeff * row_i) of generator equations that is 0 = nonzero."""
 
     p: int
@@ -50,8 +47,7 @@ class RefutationCertificate:
         return all(x == 0 for x in acc) and val == self.inconsistent_value and val != 0
 
 
-@dataclass(frozen=True)
-class BoundaryCongruenceResult:
+class BoundaryCongruenceResult(Record, frozen=True):
     p: int
     solvable: bool
     witness: BoundarySymbol | None

@@ -10,7 +10,6 @@ computed range the report says so instead of extrapolating.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -23,6 +22,7 @@ from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsuffi
 from .hecke import NormalizationData
 from .padics import PAdic, unit_root, valuation
 from .primes import primes
+from .records import Record
 
 MAX_PRECISION = 1000  # p-adic digits; a larger --precision is refused
 MAXIMALITY_SAMPLE_BOUND = 10000  # maximality_criterion samples a beyond p^{n+1} above this
@@ -44,8 +44,7 @@ def check_precision(precision: int | None) -> None:
         raise BoundExceeded(f"precision {precision} exceeds the bound {MAX_PRECISION}")
 
 
-@dataclass(frozen=True)
-class MTRequest:
+class MTRequest(Record, frozen=True):
     curve: EllipticCurve
     p: int
     n_max: int = 2
@@ -61,8 +60,7 @@ class MTRequest:
         check_precision(self.precision)
 
 
-@dataclass(frozen=True)
-class LevelRow:
+class LevelRow(Record, frozen=True):
     n: int
     mu_coh: int
     mu: int            # in the operative normalization
@@ -90,30 +88,28 @@ def level_rows(tower: MazurTateTower, shift: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class StabilizedRow:
+class StabilizedRow(Record, frozen=True):
     n: int
     mu: int            # cohomological scale
     lam: int
     settled: bool = False  # equal to the previous level's (mu, lambda)
 
 
-@dataclass
-class DichotomyReport:
+class DichotomyReport(Record):
     label: str | None
     p: int
     n_max: int
     mode: str
     verdict: str                       # "CaseA" | "CaseB" | "Inconclusive"
-    per_level: list = field(default_factory=list)
-    stabilized: list = field(default_factory=list)
+    per_level: list = []
+    stabilized: list = []
     lratio_valuation: int | None = None
     normalization_shift: int = 0
     norm_relation_verified: bool = False
     theta0_identity_verified: bool = False
     boundary: BoundaryCongruenceResult | None = None
     commentary: str = ""
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list = []
 
     @property
     def exit_code(self) -> int:
@@ -261,8 +257,7 @@ def _apply_verdict(report: DichotomyReport, p: int, n_max: int, mode: str):
     report.verdict = "CaseA"
 
 
-@dataclass(frozen=True)
-class MaximalityReport:
+class MaximalityReport(Record, frozen=True):
     holds: bool
     t: int
     ord_p_phi0: int

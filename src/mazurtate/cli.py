@@ -19,6 +19,7 @@ from pathlib import Path
 from . import cache
 from .curves import ELL_BOUND, EllipticCurve, parse_lratio
 from .errors import BoundExceeded, InputError, MazurTateError
+from .modsym import check_level
 from .primes import is_prime
 
 CSV_ANALYZE_COLUMNS = [
@@ -54,6 +55,9 @@ def load_curve(args) -> EllipticCurve:
             raise InputError(f"--coeffs expects a1,a2,a3,a4,a6: {exc}") from exc
         if args.conductor is None:
             raise InputError("--coeffs requires --conductor")
+        # every curve command works at level N = conductor: a level past the
+        # bound is refused before the model is checked against it
+        check_level(args.conductor)
         lratio = parse_lratio(args.lratio) if args.lratio else None
         curve = EllipticCurve(a1, a2, a3, a4, a6, conductor=args.conductor,
                               label=args.label, lratio=lratio,

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
 from .primes import int_valuation, is_prime
+from .records import Record
 
 ELL_BOUND = 100000
 MAX_LRATIO_EXPONENT = 4300  # CPython's default cap on the digits of an int read from a string
@@ -46,6 +46,15 @@ def parse_lratio(text) -> Fraction:
         raise InputError(f"malformed L-ratio {text!r}: {exc}") from exc
 
 
+def _strip_primes_of(n: int, m: int) -> int:
+    """n with every prime factor of m divided out; no factoring."""
+    g = math.gcd(n, m)
+    while g > 1:
+        n //= g
+        g = math.gcd(n, m)
+    return n
+
+
 def _integer_field(d: dict, key: str) -> int:
     """An integer or integer string; floats and booleans are refused, not truncated."""
     value = d[key]
@@ -54,8 +63,7 @@ def _integer_field(d: dict, key: str) -> int:
     return int(value)
 
 
-@dataclass
-class EllipticCurve:
+class EllipticCurve(Record):
     a1: int
     a2: int
     a3: int
@@ -65,22 +73,20 @@ class EllipticCurve:
     label: str | None = None
     lratio: Fraction | None = None  # L(E,1)/Omega_E, supplied (Neron normalization)
     lratio_source: str | None = None
-    _ap_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self._ap_cache = {}  # a_ell memo; not a field, so equality ignores it
         if self.discriminant == 0:
             raise InputError("singular Weierstrass model")
         if self.conductor < 1:
             raise InputError("conductor must be positive")
-        # strip the conductor's primes from the discriminant; no factoring
-        rest = abs(self.discriminant)
-        g = math.gcd(rest, self.conductor)
-        while g > 1:
-            rest //= g
-            g = math.gcd(rest, self.conductor)
-        if rest != 1:
+        if _strip_primes_of(abs(self.discriminant), self.conductor) != 1:
             raise InputError(
                 f"the discriminant has a prime factor that does not divide the stated conductor {self.conductor}"
+            )
+        if _strip_primes_of(self.conductor, self.discriminant) != 1:
+            raise InputError(
+                f"the stated conductor {self.conductor} has a prime factor that does not divide the discriminant"
             )
 
     # -- classical b/c quantities --
@@ -154,10 +160,16 @@ class EllipticCurve:
         if self.conductor % ell != 0:
             if a * a > 4 * ell:
                 raise InputError(f"a_{ell} = {a} violates the Hasse bound; bad input model")
-        elif ell >= 5 and int_valuation(self.conductor, ell) == 1:
+        else:
+            exponent = int_valuation(self.conductor, ell)
+            # the model's reduction (0 additive, +-1 multiplicative) must match the conductor
+            if (a == 0) != (exponent >= 2):
+                raise InputError(
+                    f"a_{ell} = {a} does not fit the conductor exponent {exponent} at {ell}; bad input model"
+                )
             # cross-check against the quadratic-residue criterion on -c6
-            if a != _legendre(-self.c6, ell):
-                raise RuntimeError("split/nonsplit criteria disagree")
+            if ell >= 5 and exponent == 1 and a != _legendre(-self.c6, ell):
+                raise InputError(f"split/nonsplit criteria disagree at {ell}; bad input model")
         self._ap_cache[ell] = a
         return a
 

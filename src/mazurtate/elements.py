@@ -12,13 +12,13 @@ certifies the route is an exact identity over Q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundExceeded
 from .groupring import GroupLevel, GroupRingElement, layer_units
 from .padics import PAdic
 from .primes import int_valuation
+from .records import Record
 
 DEFAULT_GUARD_DIGITS = 20
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
@@ -141,8 +141,7 @@ def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement
     return MazurTateTower(sym, p, n).stabilized(alpha, n)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record, frozen=True):
     """Valuation floors of a residual, coefficient by coefficient, capped at the
     working precision; passed when every coefficient vanishes to precision."""
 

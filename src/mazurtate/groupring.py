@@ -18,12 +18,12 @@ layer_units says which of them add up to the coefficient of gamma^k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from .padics import PAdic
 from .primes import int_valuation, require_odd_prime
+from .records import Record
 
 
 def layer_units(p: int, n: int):
@@ -43,8 +43,7 @@ def layer_units(p: int, n: int):
     return out
 
 
-@dataclass(frozen=True)
-class GroupLevel:
+class GroupLevel(Record, frozen=True):
     """Level-n layer: G_n cyclic of order p^n with gamma = image of sigma_{1+p}."""
 
     p: int
@@ -112,8 +111,7 @@ def _lambda_mod_p(coeffs, p: int) -> int:
     return lam
 
 
-@dataclass(frozen=True)
-class IwasawaInvariants:
+class IwasawaInvariants(Record, frozen=True):
     mu: int
     lam: int
 
@@ -318,8 +316,7 @@ def invariants_with_generator(F: GroupRingElement, t: int) -> IwasawaInvariants:
     return F.reindexed_by_generator_power(t).iwasawa_invariants()
 
 
-@dataclass(frozen=True)
-class SumCancellationReport:
+class SumCancellationReport(Record, frozen=True):
     hypothesis_met: bool
     sum_invariants: IwasawaInvariants | None
     left_invariants: IwasawaInvariants

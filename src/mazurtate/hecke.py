@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curves import EllipticCurve
@@ -31,6 +30,7 @@ from .errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPo
 from .linalg import MODULUS, echelon, echelon_mod, kernel, kernel_mod, rational_reconstruction, residue_row
 from .modsym import ManinSymbolSpace, ModularSymbol, psi_index
 from .primes import primes
+from .records import Record
 
 
 def merel_matrices(n: int):
@@ -187,8 +187,7 @@ def _content_one(sym: ModularSymbol) -> ModularSymbol:
     return scale * sym
 
 
-@dataclass(frozen=True)
-class NormalizationData:
+class NormalizationData(Record, frozen=True):
     mode: str                      # "cohomological" | "neron"
     scalar: Fraction | None = None  # c with c * phi_stored = phi_Neron (neron mode)
 

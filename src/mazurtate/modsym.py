@@ -282,6 +282,14 @@ class ManinSymbolSpace:
         return ModularSymbol(self, [0] * self.dimension)
 
 
+def check_level(N: int) -> None:
+    """Refuse a level whose index psi(N) exceeds MAX_INDEX."""
+    if N > MAX_INDEX:  # psi(N) >= N; checked first so a huge N is never factored
+        raise LevelTooLarge(f"level {N} exceeds the index bound {MAX_INDEX}")
+    if psi_index(N) > MAX_INDEX:
+        raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {MAX_INDEX}")
+
+
 def build_space(N: int) -> ManinSymbolSpace:
     """Construct the Manin-symbol presentation at level N.
 
@@ -291,10 +299,7 @@ def build_space(N: int) -> ManinSymbolSpace:
     """
     if N < 1:
         raise ValueError("level must be positive")
-    if N > MAX_INDEX:  # psi(N) >= N; checked first so a huge N is never factored
-        raise LevelTooLarge(f"level {N} exceeds the index bound {MAX_INDEX}")
-    if psi_index(N) > MAX_INDEX:
-        raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {MAX_INDEX}")
+    check_level(N)
     p1 = P1List(N)
     m = len(p1)
     index = p1.index

@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupring import GroupLevel, GroupRingElement, invariants_with_generator, sum_cancellation_check
+from .records import Record
 from .synthetic import run_tower_suite
 
 SUITE_PARAMS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     cases: int
     violations: int

@@ -11,22 +11,20 @@ hypothesis-violating sequences.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupring import GroupLevel, GroupRingElement
+from .records import Record
 
 
-@dataclass(frozen=True)
-class TowerCase:
+class TowerCase(Record, frozen=True):
     p: int
     alpha: Fraction          # unit rational standing in for the p-adic unit
     sequence: tuple          # GroupRingElement per level 0..n_max
     hypotheses_met: bool
 
 
-@dataclass
-class TowerSuiteReport:
+class TowerSuiteReport(Record):
     p: int
     n_max: int
     cases: int = 0
@@ -74,8 +72,7 @@ def make_plain_tower(p: int, n_max: int, rng) -> TowerCase:
     return TowerCase(p, _random_unit(p, rng), tuple(seq), False)
 
 
-@dataclass(frozen=True)
-class TowerVerdict:
+class TowerVerdict(Record, frozen=True):
     applicable: bool          # hypotheses (integral increments, some mu < 0) hold
     conclusion_holds: bool | None
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mazurtate import cache
 from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, main
 
 
@@ -209,6 +210,20 @@ def test_a_run_without_a_cache_leaves_hashlib_out(argv):
     assert result == "0 False" or (bare == "True" and result == "0 True")
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["eigensymbol", "--curve", "11a"],
+    ["boundary", "--curve", "11a", "--p", "5"],
+    ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1"],
+    ["selftest", "--cases", "1"],
+], ids=["import", "eigensymbol", "boundary", "analyze", "selftest"])
+def test_records_leave_dataclasses_and_inspect_out(argv):
+    probe = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
+    bare = run_probe(f"import sys; print({probe})").strip()
+    result = run_probe(COMMAND_PROBE.format(modules=probe), *argv).strip()
+    assert result == "0 []" or (bare != "[]" and result == f"0 {bare}")
+
+
 def test_output_to_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["invariants", "--curve", "11a", "--p", "5", "--n-max", "1",
@@ -241,6 +256,17 @@ def test_huge_conductor_ends_with_coded_error(capsys):
     assert code == 3
     assert json.loads(err)["error"] == "level_too_large"
     assert time.perf_counter() - start < 10
+
+
+def test_conductor_that_does_not_fit_the_model_is_refused_before_any_space(capsys, monkeypatch):
+    def no_space(N):
+        raise AssertionError(f"built the space at level {N}")
+
+    monkeypatch.setattr(cache, "build_space", no_space)
+    code, out, err = run_cli(capsys, "eigensymbol", "--coeffs", "0,-1,1,-10,-20", "--conductor", "77",
+                             "--format", "json")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "input_error"
 
 
 @pytest.mark.parametrize("command", ["analyze", "boundary"])

@@ -119,6 +119,29 @@ def test_input_validation():
         EllipticCurve(0, -1, 1, -10, -20, conductor=7)  # 11 | disc but not 7
 
 
+def test_equality_ignores_the_eigenvalue_memo():
+    a, b = make_curve("11a"), make_curve("11a")
+    assert a == b
+    assert a.a_ell(3) == -1
+    assert a == b
+    assert "_ap_cache" not in repr(a)
+    b.lratio = None
+    assert a != b
+
+
+def test_conductor_must_fit_the_model():
+    with pytest.raises(InputError, match="conductor 77"):
+        EllipticCurve(0, -1, 1, -10, -20, conductor=77)  # 7 does not divide the discriminant -11^5
+    # exponent 2 at 11, but the model is multiplicative there (a_11 = 1)
+    curve = EllipticCurve(0, -1, 1, -10, -20, conductor=121)
+    with pytest.raises(InputError, match="a_11"):
+        curve.a_ell(11)
+    # exponent 1 at 5, but the model is additive there (a_5 = 0)
+    curve = EllipticCurve(1, 1, 1, -3, 1, conductor=10)  # the 50b1 model
+    with pytest.raises(InputError, match="a_5"):
+        curve.a_ell(5)
+
+
 def test_validation_does_not_factor_the_discriminant():
     # the discriminant has a 13-digit prime factor; stripping gcds with the
     # conductor decides without factoring
