@@ -15,17 +15,11 @@ from .records import Record
 
 
 class BoundarySymbol(Record, frozen=True):
-    """Function on cusp classes mod p, modulo constants; evaluable on divisors."""
+    """Function on cusp classes mod p, modulo constants."""
 
     p: int
     table: object  # CuspClassTable
     values: tuple  # per cusp class, gauge-fixed so the class of infinity is 0
-
-    def value(self, divisor) -> int:
-        total = 0
-        for coeff, cusp in divisor.terms:
-            total += coeff * self.values[self.table.classify(cusp)]
-        return total % self.p
 
 
 class RefutationCertificate(Record, frozen=True):

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import InputError
 from .hecke import eigensymbol, fits_first_equations, normalize
-from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space
+from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space, check_level
+from .primes import prime_factors
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
 
@@ -164,7 +165,15 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
 
 
 def load_symbol(curve, mode: str = "cohomological", cache_dir: Path | None = None):
-    """(normalized plus-eigensymbol, NormalizationData) of the curve, through the cache."""
+    """(normalized plus-eigensymbol, NormalizationData) of the curve, through the cache.
+
+    Before any space is read or built, the level is checked against the
+    index bound (before it is factored) and a_ell is taken at each prime of
+    the conductor, which refuses a conductor exponent the model does not fit.
+    """
+    check_level(curve.conductor)
+    for ell, _ in prime_factors(curve.conductor):
+        curve.a_ell(ell)
     space = load_space(curve.conductor, cache_dir)
     return normalize(load_eigensymbol(space, curve, cache_dir), curve, mode)
 

@@ -1,4 +1,4 @@
-"""Elliptic curves over Q: Weierstrass quantities, reduction types, a_ell.
+"""Elliptic curves over Q: Weierstrass quantities, point counts, a_ell.
 
 The conductor is a required input (no Tate's algorithm here); it is validated
 against the discriminant.  Good-reduction eigenvalues come from brute-force
@@ -139,14 +139,6 @@ class EllipticCurve(Record):
             cnt += 1 + _legendre(b * b + 4 * f, ell)
         return cnt
 
-    def reduction_type(self, ell: int) -> str:
-        """'good', 'split', 'nonsplit' or 'additive' at ell."""
-        if self.conductor % ell != 0:
-            return "good"
-        if int_valuation(self.conductor, ell) >= 2:
-            return "additive"
-        return "split" if self.a_ell(ell) == 1 else "nonsplit"
-
     def a_ell(self, ell: int) -> int:
         """Hecke eigenvalue a_ell, cached."""
         if ell in self._ap_cache:
@@ -172,9 +164,6 @@ class EllipticCurve(Record):
                 raise InputError(f"split/nonsplit criteria disagree at {ell}; bad input model")
         self._ap_cache[ell] = a
         return a
-
-    def is_good_ordinary(self, p: int) -> bool:
-        return self.conductor % p != 0 and self.a_ell(p) % p != 0
 
     # -- JSON interchange --
 

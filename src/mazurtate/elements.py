@@ -149,50 +149,12 @@ class ResidualReport(Record, frozen=True):
     passed: bool
     residual_valuation_floors: tuple
 
-    @property
-    def min_floor(self) -> int:
-        return min(self.residual_valuation_floors)
-
-
-def _compare(a: GroupRingElement, b: GroupRingElement, n: int) -> ResidualReport:
-    diff = a - b
-    return ResidualReport(n, diff.is_zero(), tuple(c.valuation_lower_bound() for c in diff.coeffs))
-
 
 def check_norm_relation(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
     """The norm relation at level n, exactly over Q (MazurTateTower.norm_relation)."""
     if n < 1:
         raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
     return MazurTateTower(sym, p, n).norm_relation(alpha, n)
-
-
-def check_norm_compatibility(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
-    """project(theta_{n+1}(phi^alpha)) = alpha * theta_n(phi^alpha).
-
-    Holds exactly (to precision) precisely when alpha is the unit root and
-    sym is the matching eigensymbol; fails loudly for a corrupted alpha.
-    """
-    tower = MazurTateTower(sym, p, n + 1)
-    upper = tower.stabilized(alpha, n + 1).project()
-    lower = tower.stabilized(alpha, n).scale(alpha)
-    return _compare(upper, lower, n)
-
-
-def interpolation_at_trivial_character(sym, alpha: PAdic, p: int) -> ResidualReport:
-    """Augmentation identity for the bottom stabilized element.
-
-    The norm-compatible system divides theta_n(phi^alpha) by alpha^{n+1}, so
-    the bottom layer satisfies
-        alpha^{-1} * aug(theta_0(phi^alpha)) = (1 - 1/alpha)^2 * phi({inf}-{0}).
-    """
-    tower = MazurTateTower(sym, p, 0)
-    aug = tower.stabilized(alpha, 0).augmentation()
-    inv_alpha = alpha.inverse()
-    one = PAdic.from_rational(1, p, alpha.precision)
-    phi0 = PAdic.from_rational(tower.phi0, p, alpha.precision)
-    expected = (one - inv_alpha) * (one - inv_alpha) * phi0
-    diff = inv_alpha * aug - expected
-    return ResidualReport(0, diff.is_zero_to_precision, (diff.valuation_lower_bound(),))
 
 
 def theta0_interpolation_factor(curve, p: int) -> int:

@@ -177,10 +177,6 @@ class GroupRingElement:
         return cls._of(level, [1] + [0] * (level.order - 1))
 
     @classmethod
-    def norm_element(cls, level: GroupLevel) -> "GroupRingElement":
-        return cls._of(level, [1] * level.order)
-
-    @classmethod
     def from_t_coefficients(cls, level: GroupLevel, t_coeffs) -> "GroupRingElement":
         """The element sum_k t_k T^k, T = gamma - 1.
 

@@ -2,10 +2,11 @@
 
 The space is presented as the free Q-module on P^1(Z/N) modulo the two-term
 and three-term relations of Manin; every generator carries a sparse expression
-over a chosen quotient basis, and arbitrary divisors are evaluated through the
-continued-fraction (Manin) trick.  Operators (the sign involution, and T_ell
-in hecke) are lists of sparse rows.  The generator indexed by (c:d), with
-SL_2(Z) lift g having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
+over a chosen quotient basis, and a symbol's value phi({inf} - {r}) at a cusp
+r is summed along the continued fraction of r (the Manin trick).  Operators
+(the sign involution, and T_ell in hecke) are lists of sparse rows.  The
+generator indexed by (c:d), with SL_2(Z) lift g having bottom row (c,d),
+stands for the divisor {g.0}-{g.inf}.
 """
 from __future__ import annotations
 
@@ -140,7 +141,7 @@ def quotient_dimension(N: int) -> int:
     return 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
 
 
-# --- cusps and divisors ---
+# --- cusps ---
 
 
 def as_cusp(x):
@@ -160,46 +161,6 @@ def as_cusp(x):
     if g > 1:
         a, c = a // g, c // g
     return (a, c)
-
-
-def scale_cusp(m: int, cusp):
-    a, c = cusp
-    return as_cusp((m * a, c))
-
-
-def apply_matrix_to_cusp(mat, cusp):
-    a, b, c, d = mat
-    u, v = cusp
-    return as_cusp((a * u + b * v, c * u + d * v))
-
-
-class Divisor:
-    """Degree-0 formal sum of cusps."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        acc = {}
-        for coeff, cusp in terms:
-            cusp = as_cusp(cusp)
-            acc[cusp] = acc.get(cusp, 0) + coeff
-        self.terms = tuple((c, pt) for pt, c in sorted(acc.items()) if c)
-        if sum(c for c, _ in self.terms) != 0:
-            raise ValueError("divisor must have degree 0")
-
-    @classmethod
-    def difference(cls, r, s):
-        """{r} - {s}"""
-        return cls([(1, r), (-1, s)])
-
-    def apply_matrix(self, mat):
-        return Divisor([(c, apply_matrix_to_cusp(mat, pt)) for c, pt in self.terms])
-
-    def scale(self, m: int):
-        return Divisor([(c, scale_cusp(m, pt)) for c, pt in self.terms])
-
-    def __repr__(self):
-        return " + ".join(f"{c}*{{{a}/{d}}}" for c, (a, d) in self.terms) or "0"
 
 
 def _indices(xs, bound) -> bool:
@@ -274,12 +235,6 @@ class ManinSymbolSpace:
             if i <= j and i <= k and self.coordinate_row([i, j, k]):  # one test per tau-orbit
                 return False
         return True
-
-    def symbol(self, coords, sign=None) -> "ModularSymbol":
-        return ModularSymbol(self, coords, sign)
-
-    def zero_symbol(self) -> "ModularSymbol":
-        return ModularSymbol(self, [0] * self.dimension)
 
 
 def check_level(N: int) -> None:
@@ -379,30 +334,12 @@ class ModularSymbol:
         self._cusp_memo = {}  # u*N + v -> value on (u:v), filled as cusps are evaluated
         self._is_plus = None
 
-    # -- linear structure --
-
-    def __add__(self, other):
-        if other.space is not self.space:
-            raise ValueError("symbols live on different spaces")
-        return ModularSymbol(self.space, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        if other.space is not self.space:
-            raise ValueError("symbols live on different spaces")
-        return ModularSymbol(self.space, [a - b for a, b in zip(self.coords, other.coords)])
-
     def __rmul__(self, scalar):
         scalar = exact(Fraction(scalar))
         out = ModularSymbol(self.space, [scalar * c for c in self.coords], self.sign)
         if self._generator_values is not None:  # scaled along, not summed over P^1 again
             out._generator_values = tuple(exact(scalar * v) for v in self._generator_values)
         return out
-
-    def __neg__(self):
-        return -1 * self
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     # -- values --
 
@@ -443,13 +380,6 @@ class ModularSymbol:
             sign = -sign
         return exact(total)
 
-    def value(self, divisor: Divisor):
-        return sum((-c) * self.value_infinity_minus(pt) for c, pt in divisor.terms)
-
-    def scaled(self, m: int) -> "ScaledSymbol":
-        """Divisor-level evaluator for phi | [[m,0],[0,1]]."""
-        return ScaledSymbol(self, m)
-
     # -- sign involution --
 
     def is_plus(self) -> bool:
@@ -464,38 +394,6 @@ class ModularSymbol:
             self._is_plus = all(v == vals[involution_index(i)] for i, v in enumerate(vals))
         return self._is_plus
 
-    def involution(self) -> "ModularSymbol":
-        rows = self.space.involution_matrix()
-        return ModularSymbol(self.space, [sum(x * self.coords[k] for k, x in row.items()) for row in rows])
-
-    def plus_part(self) -> "ModularSymbol":
-        s = self + self.involution()
-        return ModularSymbol(self.space, [Fraction(c, 2) for c in s.coords], sign="+")
-
-    def minus_part(self) -> "ModularSymbol":
-        s = self - self.involution()
-        return ModularSymbol(self.space, [Fraction(c, 2) for c in s.coords], sign="-")
-
-    def split(self):
-        return self.plus_part(), self.minus_part()
-
     def __repr__(self):
         return f"ModularSymbol(level={self.space.N}, coords={self.coords})"
 
-
-class ScaledSymbol:
-    """phi | [[m,0],[0,1]] as a divisor-level evaluator."""
-
-    def __init__(self, symbol: ModularSymbol, m: int):
-        self.symbol = symbol
-        self.m = m
-
-    def value_infinity_minus(self, r):
-        return self.symbol.value_infinity_minus(scale_cusp(self.m, as_cusp(r)))
-
-    def is_plus(self) -> bool:
-        # diag(m, 1) commutes with J = diag(-1, 1)
-        return self.symbol.is_plus()
-
-    def value(self, divisor: Divisor):
-        return self.symbol.value(divisor.scale(self.m))

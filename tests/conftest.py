@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from mazurtate.curves import EllipticCurve
 from mazurtate.hecke import eigensymbol
-from mazurtate.modsym import build_space
+from mazurtate.modsym import ModularSymbol, as_cusp, build_space
 
 CURVE_DATA = {
     "11a": dict(a1=0, a2=-1, a3=1, a4=-10, a6=-20, conductor=11, lratio=Fraction(1, 5)),
@@ -33,3 +33,47 @@ def eigensymbols(curves, spaces):
         label: eigensymbol(spaces[curve.conductor], curve)
         for label, curve in curves.items()
     }
+
+
+def zero_symbol(space):
+    return ModularSymbol(space, [0] * space.dimension)
+
+
+def divisor_value(sym, r, s):
+    """phi({r} - {s}) = phi({inf} - {s}) - phi({inf} - {r})."""
+    return sym.value_infinity_minus(s) - sym.value_infinity_minus(r)
+
+
+def act(mat, r):
+    """The cusp g.r of a matrix g = (a, b, c, d), as a reduced pair."""
+    a, b, c, d = mat
+    u, v = as_cusp(r)
+    return as_cusp((a * u + b * v, c * u + d * v))
+
+
+def involution(sym):
+    """phi o J on basis coordinates, through the rows of J (ManinSymbolSpace.involution_matrix)."""
+    rows = sym.space.involution_matrix()
+    return ModularSymbol(sym.space, [sum(x * sym.coords[k] for k, x in row.items()) for row in rows])
+
+
+def sign_parts(sym):
+    """(phi^+, phi^-) = ((phi + phi o J) / 2, (phi - phi o J) / 2)."""
+    j = involution(sym).coords
+    return (ModularSymbol(sym.space, [Fraction(a + b, 2) for a, b in zip(sym.coords, j)]),
+            ModularSymbol(sym.space, [Fraction(a - b, 2) for a, b in zip(sym.coords, j)]))
+
+
+class Scaled:
+    """phi | [[m,0],[0,1]] at cusps: its value at r is phi({inf} - {m r})."""
+
+    def __init__(self, sym, m):
+        self.sym, self.m = sym, m
+
+    def value_infinity_minus(self, r):
+        a, c = as_cusp(r)
+        return self.sym.value_infinity_minus((self.m * a, c))
+
+    def is_plus(self):
+        # diag(m, 1) commutes with J = diag(-1, 1)
+        return self.sym.is_plus()

@@ -12,9 +12,9 @@ import pytest
 from mazurtate.boundary import boundary_congruence
 from mazurtate.classify import MTRequest, classify
 from mazurtate.elements import (
+    MazurTateTower,
     check_norm_relation,
     check_theta0_identity,
-    interpolation_at_trivial_character,
     mazur_tate,
     stabilized_mazur_tate,
     theta0_interpolation_factor,
@@ -27,6 +27,7 @@ from mazurtate.padics import unit_root
 from mazurtate.suites import run_all_suites
 
 from .conftest import make_curve
+from .test_elements import bottom_interpolation_residual
 
 GOOD_ORDINARY_FIXTURES = (("11a", 5), ("26b1", 7), ("174b1", 7))
 
@@ -117,7 +118,7 @@ def test_criterion_6_theta0_interpolation(eigensymbols):
     aug_ok = True
     for label, p in GOOD_ORDINARY_FIXTURES:
         alpha = unit_root(make_curve(label).a_ell(p), p, working_precision(1))
-        if not interpolation_at_trivial_character(eigensymbols[label], alpha, p).passed:
+        if not bottom_interpolation_residual(MazurTateTower(eigensymbols[label], p, 0), alpha).is_zero_to_precision:
             aug_ok = False
     ok = identity_ok and factor_ok and aug_ok
     report(6, ok, "theta_0 = (a_p - 2) phi({inf}-{0}) sigma_1 exactly; "

@@ -6,7 +6,9 @@ import pytest
 from mazurtate.boundary import boundary_congruence
 from mazurtate.classify import maximality_criterion
 from mazurtate.cusps import boundary_space_matrix
-from mazurtate.modsym import INFINITY, Divisor
+from mazurtate.modsym import INFINITY, as_cusp
+
+from .conftest import divisor_value, zero_symbol
 
 
 def test_26b1_witness_two_valued_with_expected_pairing(eigensymbols):
@@ -26,13 +28,15 @@ def test_26b1_witness_two_valued_with_expected_pairing(eigensymbols):
 
 
 def test_26b1_witness_reproduces_symbol_mod_p(eigensymbols):
+    # psi induces {r} - {s} -> psi(class r) - psi(class s), which must be phi mod p
     res = boundary_congruence(eigensymbols["26b1"], 7)
+    table, psi = res.witness.table, res.witness.values
     rng = random.Random(13)
     for _ in range(60):
         r = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         s = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-        D = Divisor.difference(r, s)
-        assert res.witness.value(D) == int(eigensymbols["26b1"].value(D)) % 7
+        induced = psi[table.classify(as_cusp(r))] - psi[table.classify(as_cusp(s))]
+        assert induced % 7 == divisor_value(eigensymbols["26b1"], r, s) % 7
 
 
 def test_174b1_refutation_with_verifiable_certificate(eigensymbols):
@@ -54,7 +58,7 @@ def test_50b1_congruent_to_boundary_symbol_at_5(eigensymbols):
 
 
 def test_zero_symbol_trivially_solvable(spaces):
-    res = boundary_congruence(spaces[11].zero_symbol(), 5)
+    res = boundary_congruence(zero_symbol(spaces[11]), 5)
     assert res.solvable
     assert all(x == 0 for x in res.witness.values)
 

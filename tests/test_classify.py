@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
+from mazurtate.classify import MAX_PRECISION, MAXIMALITY_SAMPLE_BOUND, MTRequest, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from mazurtate.modsym import ModularSymbol, as_cusp
@@ -101,6 +101,26 @@ def test_maximality_criterion_11a():
     assert rep.alphas == (1,)
     assert rep.ord_p_phi0 == 0
     assert rep.conclusions_verified
+
+
+def test_maximality_criterion_samples_past_the_bound(eigensymbols, monkeypatch):
+    # at n = 5 the level 5^6 exceeds the bound, so a is sampled there, by a seeded rng
+    assert 5**5 <= MAXIMALITY_SAMPLE_BOUND < 5**6
+    sym = eigensymbols["11a"]
+    original = ModularSymbol.value_infinity_minus
+    sampled = set()
+
+    def counted(self, r):
+        if isinstance(r, Fraction) and r.denominator == 5**6:  # the tower passes (a, q) pairs
+            sampled.add(r)
+        return original(self, r)
+
+    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    for t, alphas in ((1, (1,)), (2, (6,))):
+        rep = maximality_criterion(sym, 5, 5, t=t)
+        assert (rep.holds, rep.alphas, rep.ord_p_phi0, rep.conclusions_verified) == (True, alphas, 0, True)
+        assert maximality_criterion(sym, 5, 5, t=t) == rep
+    assert 0 < len(sampled) <= 200
 
 
 def test_maximality_criterion_fails_for_case_a_curve(eigensymbols):

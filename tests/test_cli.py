@@ -263,10 +263,13 @@ def test_conductor_that_does_not_fit_the_model_is_refused_before_any_space(capsy
         raise AssertionError(f"built the space at level {N}")
 
     monkeypatch.setattr(cache, "build_space", no_space)
-    code, out, err = run_cli(capsys, "eigensymbol", "--coeffs", "0,-1,1,-10,-20", "--conductor", "77",
-                             "--format", "json")
-    assert (code, out) == (3, "")
-    assert json.loads(err)["error"] == "input_error"
+    # 77 adds a prime the discriminant lacks; 121 has the right prime with the
+    # wrong exponent (11a is split multiplicative at 11), which a_ell refuses
+    for argv in (["eigensymbol", "--conductor", "77"], ["eigensymbol", "--conductor", "121"],
+                 ["analyze", "--conductor", "121", "--p", "5", "--n-max", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--coeffs", "0,-1,1,-10,-20", "--format", "json")
+        assert (code, out) == (3, ""), argv
+        assert json.loads(err)["error"] == "input_error", argv
 
 
 @pytest.mark.parametrize("command", ["analyze", "boundary"])

@@ -3,7 +3,8 @@ import time
 import pytest
 
 from mazurtate.curves import EllipticCurve
-from mazurtate.errors import BoundExceeded, InputError
+from mazurtate.classify import _require_good_ordinary
+from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 
 from .conftest import make_curve
 
@@ -28,8 +29,7 @@ def test_11a_a5_equals_1_by_direct_count():
 
 def test_11a_split_multiplicative_at_11():
     curve = make_curve("11a")
-    assert curve.reduction_type(11) == "split"
-    assert curve.a_ell(11) == 1
+    assert curve.a_ell(11) == 1  # split multiplicative
     # the quadratic-residue criterion on -c6 agrees
     assert pow(-curve.c6 % 11, (11 - 1) // 2, 11) == 1
 
@@ -82,11 +82,12 @@ def test_point_count_matches_oracle_on_samples():
 
 
 def test_reduction_types_of_fixtures():
-    assert make_curve("26b1").reduction_type(2) == "split"
-    assert make_curve("26b1").reduction_type(13) == "nonsplit"
-    assert make_curve("50b1").reduction_type(5) == "additive"
+    # a_ell at a bad prime is 1 split, -1 nonsplit, 0 additive
+    assert make_curve("26b1").a_ell(2) == 1
+    assert make_curve("26b1").a_ell(13) == -1
     assert make_curve("50b1").a_ell(5) == 0
-    assert make_curve("174b1").reduction_type(29) == "split"
+    assert make_curve("50b1").a_ell(2) == 1
+    assert make_curve("174b1").a_ell(29) == 1
 
 
 def test_torsion_congruence_signatures():
@@ -102,9 +103,14 @@ def test_torsion_congruence_signatures():
 
 
 def test_good_ordinary_detection():
-    assert make_curve("11a").is_good_ordinary(5)
-    assert make_curve("26b1").is_good_ordinary(7)
-    assert not make_curve("50b1").is_good_ordinary(5)
+    _require_good_ordinary(make_curve("11a"), 5)
+    _require_good_ordinary(make_curve("26b1"), 7)
+    for label, p in (("50b1", 5), ("11a", 2), ("11a", 11)):
+        with pytest.raises(NotGoodOrdinary, match="not a good odd prime"):
+            _require_good_ordinary(make_curve(label), p)
+    # a_19 = 0: 19 is a good prime of 11a, but supersingular
+    with pytest.raises(NotGoodOrdinary, match="not ordinary"):
+        _require_good_ordinary(make_curve("11a"), 19)
 
 
 def test_bound_exceeded():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 from mazurtate.cusps import CuspClassTable, boundary_space_matrix
 from mazurtate.linalg import rref_mod_p
-from mazurtate.modsym import INFINITY, _euler_phi, apply_matrix_to_cusp, as_cusp, build_space
+from mazurtate.modsym import INFINITY, _euler_phi, as_cusp, build_space
 
+from .conftest import act
 from .test_modsym import random_gamma0
 
 # sha256 over N = 1..300, 389, 681 of json [N, boundary_space_matrix(build_space(N), 7) rows, representatives],
@@ -79,7 +80,7 @@ def test_classification_constant_on_orbits():
         for _ in range(100):
             cusp = as_cusp((rng.randint(-40, 40), rng.randint(0, 40)))
             gamma = random_gamma0(N, rng)
-            assert table.classify(apply_matrix_to_cusp(gamma, cusp)) == table.classify(cusp)
+            assert table.classify(act(gamma, cusp)) == table.classify(cusp)
 
 
 def test_infinity_equivalent_to_one_over_level():

@@ -5,10 +5,8 @@ import pytest
 
 from mazurtate.elements import (
     MazurTateTower,
-    check_norm_compatibility,
     check_norm_relation,
     check_theta0_identity,
-    interpolation_at_trivial_character,
     mazur_tate,
     raw_mazur_tate,
     stabilized_mazur_tate,
@@ -20,6 +18,7 @@ from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.modsym import ModularSymbol
 from mazurtate.padics import PAdic, unit_root
 
+from .conftest import Scaled, sign_parts, zero_symbol
 from .test_groupring import one_unit_dlog
 
 
@@ -38,7 +37,7 @@ def test_raw_values_share_bounded_denominator(eigensymbols):
 
 
 def test_raw_element_of_zero_symbol(spaces):
-    z = spaces[11].zero_symbol()
+    z = zero_symbol(spaces[11])
     assert sum(raw_mazur_tate(z, 5, 2).values()) == 0
     assert mazur_tate(z, 5, 1).is_zero()
 
@@ -58,18 +57,18 @@ def test_theta0_identity_additive_fixture_uses_up_variant(eigensymbols, curves):
 def test_theta_depends_only_on_plus_part(spaces):
     rng = random.Random(8)
     sp = spaces[11]
-    psi = sp.symbol([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(sp.dimension)])
-    plus = psi.plus_part()
+    psi = ModularSymbol(sp, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(sp.dimension)])
+    plus, minus = sign_parts(psi)
     for n in (0, 1):
         assert mazur_tate(psi, 5, n) == mazur_tate(plus, 5, n)
-        assert mazur_tate(psi.minus_part(), 5, n).is_zero()
+        assert mazur_tate(minus, 5, n).is_zero()
 
 
 def test_corestriction_identity_of_scaled_symbol(eigensymbols):
     # theta_n(phi | [[p,0],[0,1]]) = cor(theta_{n-1}(phi))
     sym = eigensymbols["11a"]
     for n in (1, 2):
-        lhs = mazur_tate(sym.scaled(5), 5, n)
+        lhs = mazur_tate(Scaled(sym, 5), 5, n)
         rhs = mazur_tate(sym, 5, n - 1).corestriction()
         assert lhs == rhs
 
@@ -88,14 +87,14 @@ def test_norm_relation_residual_zero(eigensymbols, curves):
         for n in (1, 2, 3):
             rep = check_norm_relation(eigensymbols[label], alpha, p, n)
             assert rep.passed
-            assert rep.min_floor >= alpha.precision
+            assert min(rep.residual_valuation_floors) >= alpha.precision
 
 
 def test_norm_relation_holds_for_any_symbol(spaces):
     # the relation is an identity of the construction, not of eigenness
     rng = random.Random(12)
     sp = spaces[26]
-    psi = sp.symbol([Fraction(rng.randint(-5, 5)) for _ in range(sp.dimension)])
+    psi = ModularSymbol(sp, [Fraction(rng.randint(-5, 5)) for _ in range(sp.dimension)])
     alpha = PAdic(7, 3, 18)  # any unit works
     assert check_norm_relation(psi, alpha, 7, 1).passed
     assert check_norm_relation(psi, alpha, 7, 2).passed
@@ -149,7 +148,7 @@ def test_exact_norm_relation_negative_control(eigensymbols, curves):
         tower.scaled[2] = GroupRingElement(tower.scaled[2].level, coeffs)
         rep = tower.norm_relation(alpha, 2)
         assert rep.passed == (k >= prec)
-        assert rep.min_floor == min(k, prec)
+        assert min(rep.residual_valuation_floors) == min(k, prec)
         assert [f for f in rep.residual_valuation_floors if f != prec] == ([k] if k < prec else [])
         cor_route = (tower.thetas[2].to_padic(prec)
                      - tower.thetas[1].corestriction().to_padic(prec).scale(inv_alpha))
@@ -177,21 +176,46 @@ def test_exact_norm_relation_floors_of_a_non_p_integral_symbol(eigensymbols, cur
         assert [f for f in rep.residual_valuation_floors if f != prec] == ([k - 3] if k - 3 < prec else [])
 
 
+def norm_compatibility_residual(tower, alpha, n):
+    """project(theta_{n+1}(phi^alpha)) - alpha * theta_n(phi^alpha).
+
+    It vanishes to precision precisely when alpha is the unit root and the
+    symbol is the matching eigensymbol.
+    """
+    return tower.stabilized(alpha, n + 1).project() - tower.stabilized(alpha, n).scale(alpha)
+
+
 def test_norm_compatibility_and_negative_control(eigensymbols, curves):
-    sym = eigensymbols["11a"]
+    tower = MazurTateTower(eigensymbols["11a"], 5, 3)
     alpha = unit_root(curves["11a"].a_ell(5), 5, working_precision(3))
     for n in (0, 1, 2):
-        assert check_norm_compatibility(sym, alpha, 5, n).passed
+        assert norm_compatibility_residual(tower, alpha, n).is_zero()
     corrupted = PAdic(5, alpha.residue + 5, alpha.precision)  # unit, not a root
-    rep = check_norm_compatibility(sym, corrupted, 5, 1)
-    assert not rep.passed
-    assert rep.min_floor <= 2
+    diff = norm_compatibility_residual(tower, corrupted, 1)
+    assert not diff.is_zero()
+    assert min(c.valuation_lower_bound() for c in diff.coeffs) <= 2
+
+
+def bottom_interpolation_residual(tower, alpha):
+    """alpha^-1 aug(theta_0(phi^alpha)) - (1 - 1/alpha)^2 phi({inf}-{0}).
+
+    The norm-compatible system divides theta_n(phi^alpha) by alpha^(n+1), so
+    its bottom layer interpolates the trivial character.
+    """
+    p, precision = tower.p, alpha.precision
+    inv_alpha = alpha.inverse()
+    one = PAdic.from_rational(1, p, precision)
+    expected = (one - inv_alpha) * (one - inv_alpha) * PAdic.from_rational(tower.phi0, p, precision)
+    return inv_alpha * tower.stabilized(alpha, 0).augmentation() - expected
 
 
 def test_interpolation_at_trivial_character(eigensymbols, curves):
     for label, p in (("11a", 5), ("26b1", 7), ("174b1", 7)):
         alpha = unit_root(curves[label].a_ell(p), p, 20)
-        assert interpolation_at_trivial_character(eigensymbols[label], alpha, p).passed
+        tower = MazurTateTower(eigensymbols[label], p, 0)
+        assert bottom_interpolation_residual(tower, alpha).is_zero_to_precision
+        # a unit that is not the root breaks it
+        assert not bottom_interpolation_residual(tower, PAdic(p, alpha.residue + p, 20)).is_zero_to_precision
 
 
 def test_interpolation_value_matches_hand_computation(eigensymbols, curves):
@@ -234,7 +258,7 @@ def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
     # compare with evaluating the scaled symbol at every divisor
     sym, p = eigensymbols["26b1"], 5
     tower = MazurTateTower(sym, p, 2)
-    scaled = sym.scaled(p)
+    scaled = Scaled(sym, p)
     for n in range(3):
         level = GroupLevel(p, n)
         sums = [Fraction(0)] * level.order
@@ -308,4 +332,4 @@ def test_forged_plus_label_keeps_the_full_loop(spaces, monkeypatch):
     assert raw == expected
     # copying values[q - a] would be wrong here, and would break theta(phi) = theta(phi^+)
     assert any(v != expected[49 - a] for a, v in expected.items())
-    assert mazur_tate(forged, 7, 1) == mazur_tate(forged.plus_part(), 7, 1)
+    assert mazur_tate(forged, 7, 1) == mazur_tate(sign_parts(forged)[0], 7, 1)

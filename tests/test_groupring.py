@@ -27,9 +27,14 @@ def test_t_basis_of_gamma():
     assert gamma.t_coefficients() == [1, 1, 0, 0, 0]
 
 
+def norm_element(level):
+    """The sum of every group element of the layer."""
+    return GroupRingElement(level, [1] * level.order)
+
+
 def test_t_basis_of_norm_element():
     L = GroupLevel(5, 1)
-    norm = GroupRingElement.norm_element(L)
+    norm = norm_element(L)
     assert norm.t_coefficients() == [math.comb(5, k + 1) for k in range(5)]
     inv = norm.iwasawa_invariants()
     assert (inv.mu, inv.lam) == (0, 4)
@@ -66,7 +71,7 @@ def test_invariants_negative_mu():
 
 def test_corestriction_of_identity_is_norm():
     one = GroupRingElement.identity(GroupLevel(5, 0))
-    assert one.corestriction() == GroupRingElement.norm_element(GroupLevel(5, 1))
+    assert one.corestriction() == norm_element(GroupLevel(5, 1))
 
 
 def test_projection_composition_identities():
@@ -76,7 +81,7 @@ def test_projection_composition_identities():
         L = GroupLevel(p, n)
         F = GroupRingElement(L, [Fraction(rng.randint(-9, 9)) for _ in range(L.order)])
         assert F.corestriction().project() == F.scale(p)
-    norm = GroupRingElement.norm_element(GroupLevel(5, 1))
+    norm = norm_element(GroupLevel(5, 1))
     assert norm.project() == GroupRingElement.identity(GroupLevel(5, 0)).scale(5)
     assert GroupRingElement.zero(GroupLevel(5, 0)).corestriction().is_zero()
 
@@ -237,7 +242,7 @@ def test_exact_invariants_match_full_shift(p, n):
         assert_same_as_full_shift(F.scale(Fraction(p**3, 2)))
         assert_same_as_full_shift(F.scale(Fraction(1, p**2)))
     assert_same_as_full_shift(GroupRingElement.zero(L))
-    assert_same_as_full_shift(GroupRingElement.norm_element(L))
+    assert_same_as_full_shift(norm_element(L))
 
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (11, 2)])
@@ -304,7 +309,7 @@ def test_invariants_never_take_the_exact_shift(monkeypatch):
     L = GroupLevel(5, 2)
     elements = [
         GroupRingElement(L, [Fraction(k % 7 - 3, 5) for k in range(25)]),
-        GroupRingElement.norm_element(L),
+        norm_element(L),
         GroupRingElement(L, [PAdic(5, 5 * k + 5, 4) for k in range(25)]),
     ]
     expected = [full_shift_invariants(F) for F in elements]

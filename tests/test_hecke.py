@@ -10,7 +10,7 @@ from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize
 from mazurtate.linalg import mat_mul, nullspace
 from mazurtate.modsym import ModularSymbol, build_space
 
-from .conftest import make_curve
+from .conftest import involution, make_curve
 
 
 def densify(rows, dim):
@@ -81,7 +81,7 @@ def test_eigensymbol_26b1_up_to_20(spaces, curves):
 
 def test_eigensymbol_is_plus_eigenvector(eigensymbols):
     for sym in eigensymbols.values():
-        assert sym.involution().coords == sym.coords
+        assert involution(sym).coords == sym.coords
 
 
 def test_divisor_level_tp_relation(eigensymbols, curves):

@@ -12,11 +12,9 @@ from mazurtate import cache
 from mazurtate.errors import LevelTooLarge
 from mazurtate.modsym import (
     INFINITY,
-    Divisor,
     ManinSymbolSpace,
     P1List,
     ModularSymbol,
-    apply_matrix_to_cusp,
     as_cusp,
     build_space,
     cusp_count,
@@ -24,7 +22,7 @@ from mazurtate.modsym import (
     psi_index,
 )
 
-from .conftest import make_curve
+from .conftest import Scaled, act, divisor_value, involution, make_curve, sign_parts, zero_symbol
 
 
 def random_gamma0(N, rng, steps=8):
@@ -311,25 +309,21 @@ def test_psi_index_multiplicative_structure():
 def random_symbol():
     sp = build_space(11)
     rng = random.Random(9)
-    return sp.symbol([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(sp.dimension)])
+    return ModularSymbol(sp, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(sp.dimension)])
 
 
 def test_degree_zero_identity(random_symbol):
-    r = Fraction(3, 7)
-    assert random_symbol.value(Divisor.difference(r, r)) == 0
-
-
-def test_divisor_requires_degree_zero():
-    with pytest.raises(ValueError):
-        Divisor([(1, Fraction(1, 2))])
+    # one cusp written three ways is one point, so {r} - {r'} is the zero divisor
+    for r, r2 in ((Fraction(3, 7), (6, 14)), (Fraction(3, 7), (-3, -7)), (INFINITY, (5, 0)), (0, (0, 9))):
+        assert divisor_value(random_symbol, r, r2) == 0
 
 
 def test_additivity(random_symbol):
     rng = random.Random(2)
     for _ in range(60):
         r, s, t = (Fraction(rng.randint(-25, 25), rng.randint(1, 25)) for _ in range(3))
-        left = random_symbol.value(Divisor.difference(r, s)) + random_symbol.value(Divisor.difference(s, t))
-        assert left == random_symbol.value(Divisor.difference(r, t))
+        left = divisor_value(random_symbol, r, s) + divisor_value(random_symbol, s, t)
+        assert left == divisor_value(random_symbol, r, t)
 
 
 def test_gamma_invariance_100_cases(random_symbol):
@@ -338,17 +332,16 @@ def test_gamma_invariance_100_cases(random_symbol):
         g = random_gamma0(11, rng)
         r = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
         s = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
-        D = Divisor.difference(r, s)
-        assert random_symbol.value(D.apply_matrix(g)) == random_symbol.value(D)
+        assert divisor_value(random_symbol, act(g, r), act(g, s)) == divisor_value(random_symbol, r, s)
 
 
 def test_involution_split(random_symbol):
-    plus, minus = random_symbol.split()
-    assert (plus + minus).coords == random_symbol.coords
-    assert plus.involution().coords == plus.coords
-    assert minus.involution().coords == tuple(-c for c in minus.coords)
+    plus, minus = sign_parts(random_symbol)
+    assert tuple(a + b for a, b in zip(plus.coords, minus.coords)) == random_symbol.coords
+    assert involution(plus).coords == plus.coords
+    assert involution(minus).coords == tuple(-c for c in minus.coords)
     # an already-even symbol splits as (itself, 0)
-    again_plus, again_minus = plus.split()
+    again_plus, again_minus = sign_parts(plus)
     assert again_plus.coords == plus.coords
     assert all(c == 0 for c in again_minus.coords)
     # {inf}-{0} is fixed by the involution, so the odd part vanishes there
@@ -356,7 +349,7 @@ def test_involution_split(random_symbol):
 
 
 def test_sign_symmetry_of_parts(random_symbol):
-    plus, minus = random_symbol.split()
+    plus, minus = sign_parts(random_symbol)
     rng = random.Random(4)
     for _ in range(40):
         r = Fraction(rng.randint(1, 40), rng.randint(1, 40))
@@ -365,22 +358,23 @@ def test_sign_symmetry_of_parts(random_symbol):
 
 
 def test_scaled_evaluator(random_symbol):
-    assert random_symbol.scaled(1).value_infinity_minus(Fraction(3, 25)) == random_symbol.value_infinity_minus(Fraction(3, 25))
-    scaled = random_symbol.scaled(5)
+    assert Scaled(random_symbol, 1).value_infinity_minus(Fraction(3, 25)) == random_symbol.value_infinity_minus(Fraction(3, 25))
+    scaled = Scaled(random_symbol, 5)
     for a, n in [(2, 2), (7, 3), (1, 1)]:
         assert scaled.value_infinity_minus(Fraction(a, 5**n)) == random_symbol.value_infinity_minus(Fraction(a, 5 ** (n - 1)))
+    assert scaled.value_infinity_minus(INFINITY) == 0
 
 
 def test_cusp_normalization():
     assert as_cusp(INFINITY) == (1, 0)
     assert as_cusp(Fraction(-4, 6)) == (-2, 3)
     assert as_cusp((2, -4)) == (-1, 2)
-    assert apply_matrix_to_cusp((1, 1, 0, 1), (1, 0)) == (1, 0)
+    assert act((1, 1, 0, 1), (1, 0)) == (1, 0)
+    assert act((1, 0, 11, 1), Fraction(2, 3)) == (2, 25)
 
 
 def test_zero_symbol_evaluates_to_zero():
-    sp = build_space(26)
-    z = sp.zero_symbol()
+    z = zero_symbol(build_space(26))
     assert z.value_infinity_minus(Fraction(5, 49)) == 0
 
 
@@ -421,7 +415,7 @@ def random_cusps(rng, count=60):
 def test_inline_cusp_walk_matches_the_pair_list_sum(N):
     rng = random.Random(N)
     space = build_space(N)
-    sym = space.symbol([rng.randint(-9, 9) for _ in range(space.dimension)])
+    sym = ModularSymbol(space, [rng.randint(-9, 9) for _ in range(space.dimension)])
     cusps = random_cusps(rng, 200) + [Fraction(-rng.randint(1, 10**6), rng.randint(1, 10**6)) for _ in range(50)]
     cusps += [rng.randint(-50, 50) for _ in range(10)] + [0, INFINITY, (7, 0), (-3, 1), (5, -N)]
     assert any(as_cusp(r)[0] < 0 for r in cusps)
@@ -447,7 +441,7 @@ def test_integral_symbol_values_are_ints(eigensymbols, label):
 def test_non_integral_symbol_values_are_fractions(eigensymbols, label):
     sym = eigensymbols[label]
     rng = random.Random(7)
-    random_sym = sym.space.symbol([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in sym.coords])
+    random_sym = ModularSymbol(sym.space, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in sym.coords])
     for phi in (Fraction(1, 7) * sym, random_sym):
         assert any(v.denominator != 1 for v in phi.generator_values())
         values = {r: phi.value_infinity_minus(r) for r in random_cusps(rng)}
@@ -485,12 +479,12 @@ def test_coordinate_rows_drop_zero_entries(spaces):
 
 
 def test_is_plus_reads_the_values_not_the_label(eigensymbols, random_symbol):
-    plus, minus = random_symbol.split()
-    assert plus.is_plus() and plus.scaled(5).is_plus()
+    plus, minus = sign_parts(random_symbol)
+    assert plus.is_plus() and Scaled(plus, 5).is_plus()
     assert not minus.is_plus() and not random_symbol.is_plus()
     # a forged label does not make a symbol J-invariant
     forged = ModularSymbol(random_symbol.space, random_symbol.coords, sign="+")
-    assert not forged.is_plus() and not forged.scaled(5).is_plus()
+    assert not forged.is_plus() and not Scaled(forged, 5).is_plus()
     # the zero symbol is J-invariant, and so is every stored eigensymbol
-    assert random_symbol.space.zero_symbol().is_plus()
+    assert zero_symbol(random_symbol.space).is_plus()
     assert all(sym.is_plus() for sym in eigensymbols.values())
