@@ -9,15 +9,13 @@ computed range the report says so instead of extrapolating.
 """
 from __future__ import annotations
 
-import random
-from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
 
 from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import MazurTateTower, theta0_interpolation_factor, working_precision
+from .elements import MAX_WALKED_LEVEL, MazurTateTower, theta0_interpolation_factor, walk_levels, working_precision
 from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from .hecke import NormalizationData
 from .padics import PAdic, unit_root, valuation
@@ -25,7 +23,6 @@ from .primes import primes
 from .records import Record
 
 MAX_PRECISION = 1000  # p-adic digits; a larger --precision is refused
-MAXIMALITY_SAMPLE_BOUND = 10000  # maximality_criterion samples a beyond p^{n+1} above this
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -268,28 +265,28 @@ class MaximalityReport(Record, frozen=True):
 def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityReport:
     """Search for a unit alpha with phi({inf}-{a/p^{n+1}}) = alpha phi({inf}-{a/p^n}) mod p^t.
 
-    Exhaustive over a when p^{n+1} <= MAXIMALITY_SAMPLE_BOUND, random sampling beyond.
+    Every unit a mod p^{n+1} is tried at every level n <= n_max, on the values
+    of one walk_levels; t is refused below 1 or with p^t above MAX_WALKED_LEVEL
+    before any evaluation, and so is n_max as in MazurTateTower.
     When a witness exists and t > ord_p(phi({inf}-{0})), the level-n elements
     must have mu = ord_p(phi({inf}-{0})) and maximal lambda; that conclusion
-    is re-verified on computed invariants.
+    is re-verified on the walk's theta_n.
     """
-    rng = random.Random(0)
-    phi0 = sym.value_infinity_minus(0)
-    if phi0 == 0:
-        raise ValueError("criterion needs phi({inf}-{0}) nonzero")
-    m = int(valuation(phi0, p))
+    if t < 1:
+        raise InputError(f"t must be at least 1, got {t}")
+    if p ** min(t, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
+        raise BoundExceeded(f"p^t = {p}^{t} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
     modulus = p**t
     candidates = [u for u in range(1, modulus) if u % p]
-    for n in range(0, n_max + 1):
-        q = p ** (n + 1)
-        if q <= MAXIMALITY_SAMPLE_BOUND:
-            a_values = [a for a in range(1, q) if a % p]
-        else:
-            a_values = {rng.randrange(1, q) for _ in range(200)}
-            a_values = [a for a in a_values if a % p] or [1]
-        for a in a_values:
-            lower = sym.value_infinity_minus(Fraction(a, p**n))
-            upper = sym.value_infinity_minus(Fraction(a, q))
+    thetas = []
+    for n, (below, top, theta, _) in enumerate(walk_levels(sym, p, n_max)):
+        if n == 0:
+            if below[0] == 0:
+                raise ValueError("criterion needs phi({inf}-{0}) nonzero")
+            m = int(valuation(below[0], p))
+        q = p**n
+        for a, upper in top.items():
+            lower = below[a % q]
             if lower.denominator % p == 0 or upper.denominator % p == 0:
                 raise ValueError("criterion needs a p-integral symbol")
             x = PAdic.from_rational(lower, p, t).residue
@@ -297,11 +294,9 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
             candidates = [u for u in candidates if (y - u * x) % modulus == 0]
             if not candidates:
                 return MaximalityReport(False, t, m, (), None)
+        thetas.append(theta)
     if t <= m:
         return MaximalityReport(False, t, m, tuple(candidates), None)
-    verified = True
-    for n, theta in enumerate(MazurTateTower(sym, p, n_max).thetas):
-        inv = theta.iwasawa_invariants()
-        if inv.mu != m or inv.lam != p**n - 1:
-            verified = False
+    invariants = [theta.iwasawa_invariants() for theta in thetas]
+    verified = all(inv.mu == m and inv.lam == p**n - 1 for n, inv in enumerate(invariants))
     return MaximalityReport(True, t, m, tuple(candidates), verified)

@@ -1,11 +1,8 @@
 """Mazur-Tate elements of a modular symbol, p-stabilization, norm relations.
 
-The raw values of level n are a dict {a: phi({inf}-{a/p^n})} keyed by the
-units a mod p^n; theta_{n-1} is their image in the ring of the degree-p^(n-1)
-layer, indexed by powers of gamma: the units are walked in generator order
-(groupring.layer_units), so no discrete logarithm is taken.  One
-MazurTateTower per (symbol, p) holds every level up to n_max; the
-module-level functions are thin calls into it.
+The levels of one symbol at p are walked once, upward (walk_levels); one
+MazurTateTower per (symbol, p) stores what the walk yields up to n_max, and
+the module-level functions are thin calls into it.
 Stabilized elements are p-adic, residues at the precision of the unit root
 alpha, and each is built by one route; the norm relation that
 certifies the route is an exact identity over Q.
@@ -49,49 +46,56 @@ def raw_mazur_tate(sym, p: int, n: int) -> dict:
     return values
 
 
-class MazurTateTower:
-    """theta_0 .. theta_{n_max} of one symbol at p, each cusp evaluated once.
+def walk_levels(sym, p: int, n_max: int):
+    """Walk the cusps of one symbol at p once, upward: yield (below, top, theta_n, S_n), n = 0 .. n_max.
 
-    The levels are walked upward with raw_mazur_tate, keeping at most two
-    consecutive levels of raw values alive.  Beside theta_n, each layer keeps
-    S_n, the exact divisor-level sums of phi|[[p,0],[0,1]]: its value at
-    a/p^(n+1) is phi({inf}-{a/p^n}), which equals the level-n value at
-    (a mod p^n)/p^n because z -> z+1 lies in Gamma_0(N) and fixes infinity.
+    Both bounds on n_max are checked before any evaluation.  below and top are
+    the raw values of levels n and n+1 (raw_mazur_tate); below is seeded by
+    {0: phi({inf}-{0})}, so below[a % p^n] = phi({inf}-{a/p^n}) at every level,
+    and at most two consecutive raw levels are alive.  theta_n sums top over
+    the units that groupring.layer_units sends to each gamma^k of the
+    degree-p^n layer, so no discrete logarithm is taken.  S_n sums
+    phi|[[p,0],[0,1]] over the same units: its value at a/p^(n+1) is
+    phi({inf}-{a/p^n}) = below[a % p^n], as z -> z+1 lies in Gamma_0(N) and
+    fixes infinity; that lookup does not use layer_units, so the norm relation
+    S_n = cor(theta_{n-1}) also tests the walk's indexing.  Values are in the
+    linalg.exact format (an int when integral), so for an integral symbol the
+    sums run in ints.  sym needs value_infinity_minus, and is_plus if a plus
+    symbol is to be evaluated at half the cusps.
+    """
+    if n_max < 0:
+        raise ValueError("levels start at 0")
+    # 2^bit_length exceeds each bound, so capping the exponent there is exact
+    # for p >= 2 and no huge power of p is formed for a huge n_max
+    if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
+        raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
+    if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
+        raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
+    below = {0: sym.value_infinity_minus(0)}
+    for n in range(n_max + 1):
+        top = raw_mazur_tate(sym, p, n + 1)
+        level, units, q = GroupLevel(p, n), layer_units(p, n), p**n
+        yield (below, top, GroupRingElement(level, [sum(top[a] for a in us) for us in units]),
+               GroupRingElement(level, [sum(below[a % q] for a in us) for us in units]))
+        below = top
+
+
+class MazurTateTower:
+    """theta_0 .. theta_{n_max} of one symbol at p and the sums S_n, from one walk_levels.
+
     S_n serves the stabilized element at every level, and the norm relation
-    S_n = cor(theta_{n-1}) is checked exactly.  Layer n sums the values at
-    the units that groupring.layer_units sends to each gamma^k, while S_n
-    looks the level below up at a mod p^n, so that check also tests the
-    walk's indexing.  Values are in the
-    linalg.exact format (an int when integral), so for an integral symbol
-    the sums run in ints, and GroupRingElement keeps them as integers over
-    one denominator.  Only exact elements are stored, so the stabilized
-    elements can be rebuilt at any precision.  sym needs value_infinity_minus,
-    and is_plus if a plus symbol is to be evaluated at half the cusps.
+    S_n = cor(theta_{n-1}) is checked exactly.  Only exact elements are
+    stored, so the stabilized elements can be rebuilt at any precision.
     """
 
     def __init__(self, sym, p: int, n_max: int):
-        if n_max < 0:
-            raise ValueError("levels start at 0")
-        # 2^bit_length exceeds each bound, so capping the exponent there is exact
-        # for p >= 2 and no huge power of p is formed for a huge n_max
-        if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
-            raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
-        if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
-            raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
-        self.p = p
-        self.phi0 = sym.value_infinity_minus(0)
-        self.thetas = []  # theta_n, exact
-        self.scaled = []  # S_n per layer, the sums of phi|[[p,0],[0,1]], exact
-        below = None
-        for n in range(n_max + 1):
-            top = raw_mazur_tate(sym, p, n + 1)
-            level = GroupLevel(p, n)
-            units = layer_units(p, n)
-            q = p**n
-            self.thetas.append(GroupRingElement(level, [sum(top[a] for a in us) for us in units]))
-            self.scaled.append(GroupRingElement(
-                level, [sum(below[a % q] for a in us) for us in units] if n else [(p - 1) * self.phi0]))
-            below = top
+        walk = walk_levels(sym, p, n_max)
+        below, _, theta, scaled = next(walk)
+        self.p, self.phi0 = p, below[0]
+        self.thetas, self.scaled = [theta], [scaled]  # theta_n and S_n, exact
+        for _, _, theta, scaled in walk:
+            self.thetas.append(theta)
+            self.scaled.append(scaled)
 
     def stabilized(self, alpha: PAdic, n: int) -> GroupRingElement:
         """theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} S_n for every n >= 0.

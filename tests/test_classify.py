@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate.classify import MAX_PRECISION, MAXIMALITY_SAMPLE_BOUND, MTRequest, classify, maximality_criterion
+from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from mazurtate.modsym import ModularSymbol, as_cusp
@@ -103,24 +103,41 @@ def test_maximality_criterion_11a():
     assert rep.conclusions_verified
 
 
-def test_maximality_criterion_samples_past_the_bound(eigensymbols, monkeypatch):
-    # at n = 5 the level 5^6 exceeds the bound, so a is sampled there, by a seeded rng
-    assert 5**5 <= MAXIMALITY_SAMPLE_BOUND < 5**6
+def test_maximality_criterion_walks_each_cusp_once(eigensymbols, monkeypatch):
+    # the criterion reads the tower's walk: (a, q) pairs, each evaluated once
+    # per call, and no Fraction cusp of a loop of its own
     sym = eigensymbols["11a"]
     original = ModularSymbol.value_infinity_minus
-    sampled = set()
+    cusps = []
 
     def counted(self, r):
-        if isinstance(r, Fraction) and r.denominator == 5**6:  # the tower passes (a, q) pairs
-            sampled.add(r)
+        cusps.append(r)
         return original(self, r)
 
     monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
     for t, alphas in ((1, (1,)), (2, (6,))):
+        cusps.clear()
         rep = maximality_criterion(sym, 5, 5, t=t)
         assert (rep.holds, rep.alphas, rep.ord_p_phi0, rep.conclusions_verified) == (True, alphas, 0, True)
+        assert not any(isinstance(r, Fraction) for r in cusps)
+        pairs = [r for r in cusps if isinstance(r, tuple)]
+        assert len(pairs) == len(set(pairs)) == len(cusps) - 1  # and phi({inf}-{0}) once
         assert maximality_criterion(sym, 5, 5, t=t) == rep
-    assert 0 < len(sampled) <= 200
+
+
+@pytest.mark.parametrize(("n_max", "t", "error"), [
+    (1, 0, InputError),
+    (1, -1, InputError),
+    (1, 40, BoundExceeded),  # p^t = 5^40: the units mod p^t are never listed
+    (7, 1, BoundExceeded),   # the tower bounds, checked before the first level
+    (200, 1, BoundExceeded),
+])
+def test_maximality_criterion_refuses_before_evaluating(eigensymbols, monkeypatch, n_max, t, error):
+    calls = []
+    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", lambda self, r: calls.append(r))
+    with pytest.raises(error):
+        maximality_criterion(eigensymbols["11a"], 5, n_max, t=t)
+    assert calls == []
 
 
 def test_maximality_criterion_fails_for_case_a_curve(eigensymbols):

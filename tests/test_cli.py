@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from mazurtate import cache
 from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, main
+from mazurtate.modsym import ModularSymbol, as_cusp
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,21 @@ def test_analyze_goes_through_the_cache(tmp_path, capsys):
     assert len(list(tmp_path.glob("eigsym_N26_*_plus.json"))) == 1
     warm = run_cli(capsys, *argv, "--cache", str(tmp_path))
     assert cold == uncached and warm == uncached
+
+
+def test_invariants_evaluates_each_cusp_once(monkeypatch, capsys):
+    # as in classify: only {inf}-{0} repeats, in the normalization
+    original = ModularSymbol.value_infinity_minus
+    calls = Counter()
+
+    def counted(sym, r):
+        calls[sym.coords, as_cusp(r)] += 1
+        return original(sym, r)
+
+    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    code, out, _ = run_cli(capsys, "invariants", "--curve", "26b1", "--p", "7", "--n-max", "3", "--format", "json")
+    assert code == 0 and len(json.loads(out)["per_level"]) == 4
+    assert {cusp for (_, cusp), k in calls.items() if k > 1} == {as_cusp(0)}
 
 
 def test_invariants_rows_match_analyze(capsys):
