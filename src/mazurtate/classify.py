@@ -267,7 +267,9 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
 
     Every unit a mod p^{n+1} is tried at every level n <= n_max, on the values
     of one walk_levels; t is refused below 1 or with p^t above MAX_WALKED_LEVEL
-    before any evaluation, and so is n_max as in MazurTateTower.
+    before any evaluation, and so is n_max as in MazurTateTower.  The units
+    solving one pair form a coset (`_solving_units`), so the candidates stay
+    one coset, intersected pair by pair and listed once at the end.
     When a witness exists and t > ord_p(phi({inf}-{0})), the level-n elements
     must have mu = ord_p(phi({inf}-{0})) and maximal lambda; that conclusion
     is re-verified on the walk's theta_n.
@@ -276,8 +278,7 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
         raise InputError(f"t must be at least 1, got {t}")
     if p ** min(t, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
         raise BoundExceeded(f"p^t = {p}^{t} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
-    modulus = p**t
-    candidates = [u for u in range(1, modulus) if u % p]
+    u0, j = 0, 0  # the candidate alphas: the units u = u0 mod p^j
     thetas = []
     for n, (below, top, theta, _) in enumerate(walk_levels(sym, p, n_max)):
         if n == 0:
@@ -289,14 +290,29 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
             lower = below[a % q]
             if lower.denominator % p == 0 or upper.denominator % p == 0:
                 raise ValueError("criterion needs a p-integral symbol")
-            x = PAdic.from_rational(lower, p, t).residue
-            y = PAdic.from_rational(upper, p, t).residue
-            candidates = [u for u in candidates if (y - u * x) % modulus == 0]
-            if not candidates:
+            coset = _solving_units(PAdic.from_rational(lower, p, t), PAdic.from_rational(upper, p, t).residue, p, t)
+            if coset is not None and coset[1] > j:  # keep the finer coset in (u0, j)
+                coset, (u0, j) = (u0, j), coset
+            if coset is None or u0 % p ** coset[1] != coset[0]:
                 return MaximalityReport(False, t, m, (), None)
         thetas.append(theta)
+    alphas = tuple(u for u in range(u0, p**t, p**j) if u % p)
     if t <= m:
-        return MaximalityReport(False, t, m, tuple(candidates), None)
+        return MaximalityReport(False, t, m, alphas, None)
     invariants = [theta.iwasawa_invariants() for theta in thetas]
     verified = all(inv.mu == m and inv.lam == p**n - 1 for n, inv in enumerate(invariants))
-    return MaximalityReport(True, t, m, tuple(candidates), verified)
+    return MaximalityReport(True, t, m, alphas, verified)
+
+
+def _solving_units(x: PAdic, y: int, p: int, t: int):
+    """(v, i) such that the units u with y = u x mod p^t are those with u = v mod p^i; None if no unit is one.
+
+    With k = min(ord_p x, t), y = u x mod p^t needs p^k | y, and then reads
+    u (x / p^k) = y / p^k mod p^(t-k), where x / p^k is a unit when k < t.
+    """
+    k = x.valuation_lower_bound()
+    if y % p**k:
+        return None
+    i = t - k
+    v = y // p**k * pow(x.residue // p**k, -1, p**i) % p**i
+    return (v, i) if i == 0 or v % p else None

@@ -7,9 +7,11 @@ elimination: the rows of J - 1 go in first, then those of T_ell - a_ell for
 good primes ell ascending up to the Sturm bound (`_equations`), until the
 kernel is a line.
 
-The elimination runs first modulo the prime linalg.MODULUS, and stops as
-soon as the kernel mod the prime is a line.  Its vector, 1 at the free
-column, is lifted by rational reconstruction and certified exactly over Q:
+The elimination runs first modulo the prime linalg.MODULUS: the rows of
+J - 1 and of the first good T_ell - a_ell are folded, and each later good
+T_ell - a_ell acts on the kernel mod the prime, until it is a line.  Its
+vector, 1 at a free column, is lifted by rational reconstruction and
+certified exactly over Q:
 it must satisfy J v = v and T_ell v = a_ell v for every ell whose rows were
 folded.  The rank mod a prime is at most the rank over Q, so a line mod the
 prime and these checks prove that the Q-kernel is the line through v.  If a
@@ -104,6 +106,14 @@ def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
 def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """Integer coordinates of the eigenline, found mod MODULUS and certified over Q.
 
+    The rows of J - 1, then those of the first good T_ell - a_ell, are folded
+    by echelon_mod.  While the kernel mod the prime is wider than a line,
+    each later good T_ell - a_ell acts on a basis K of it (`_restrict`), so a
+    later prime costs a system in dim K columns, not a fold of its rows into
+    the full pivots; it cuts out the same subspace.  K keeps the identity on
+    some free columns of the first fold, so the line has a coordinate 1, as
+    the free column of kernel_mod's vector.
+
     None whenever the certificate cannot be had; the caller then runs the
     exact elimination.  Folding stops at the first row that leaves the kernel
     mod the prime a line, so a kernel that would shrink to 0 is caught by the
@@ -113,26 +123,59 @@ def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """
     q = MODULUS
     dim = space.dimension
-    line = dim - 1
     pivots = {}
+    basis = None  # of the kernel mod q, once the first good ell is folded
     folded = []  # exact sparse rows of every matrix touched, for the certificate
     for ell, rows in _equations(space, curve, matrix):
         folded.extend(rows)
         residues = [residue_row(row, q) for row in rows]
         if None in residues:
             return None
-        echelon_mod(residues, q, pivots, until=line)
-        if ell is not None and len(pivots) == line:
+        if basis is not None:
+            basis = _restrict(residues, basis, q)
+        else:
+            echelon_mod(residues, q, pivots, until=dim - 1)
+            if ell is not None:
+                basis = kernel_mod(pivots, dim, q)
+        if basis is not None and len(basis) == 1:
             break
     else:
         return None
-    (vector,) = kernel_mod(pivots, dim, q)
+    (vector,) = basis
     coords = [rational_reconstruction(x, q) for x in vector]
     if None in coords:
         return None
     den = math.lcm(*(c.denominator for c in coords))
     coords = [int(c * den) for c in coords]
     return coords if _annihilates(folded, coords) else None
+
+
+def _restrict(rows, basis, q):
+    """Basis mod q of the vectors of span(basis) that the residue rows annihilate, down to a line.
+
+    Row r acts on span(basis) as the k entries r . basis[j], which are folded
+    by echelon_mod in k columns, stopping once the kernel there is a line,
+    as the fold of r into the full pivots would.  The images are made lazily,
+    each by one big-int multiply-add: coordinate c of the basis is packed
+    into one int, basis[j][c] in bits [j w, (j + 1) w).  Entries are in
+    [0, q) and a row has at most n = len(basis[0]) of them, so slot j of the
+    image is at most n (q - 1)^2 < 2^w and no slot carries into the next
+    (w = 130 bits for q = 2^61 - 1 and n = 153, at level 681).
+    """
+    k, n = len(basis), len(basis[0])
+    width = (n * (q - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    columns = list(zip(*basis))
+    packed = [sum(x << (j * width) for j, x in enumerate(column)) for column in columns]
+
+    def images():
+        for row in rows:
+            x = sum(a * packed[c] for c, a in row.items())
+            yield {j: r for j in range(k) if (r := (x >> (j * width) & mask) % q)}
+
+    pivots = echelon_mod(images(), q, until=k - 1)
+    return [[sum(a * b for a, b in zip(w, column)) % q for column in columns]
+            for w in kernel_mod(pivots, k, q)]
 
 
 def _annihilates(rows, coords) -> bool:

@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from mazurtate.classify import MAX_PRECISION, MTRequest, classify, maximality_criterion
+from mazurtate.classify import MAX_PRECISION, MTRequest, _solving_units, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
 from mazurtate.modsym import ModularSymbol, as_cusp
+from mazurtate.padics import PAdic
 
 from .conftest import make_curve
 
@@ -155,6 +157,42 @@ def test_maximality_criterion_constant_synthetic_symbol():
     # alpha = 1 satisfies the congruence; conclusions about theta_n hold too
     assert rep.holds
     assert 1 in rep.alphas
+
+
+def test_maximality_criterion_keeps_one_coset_of_candidates():
+    # every pair of a symbol constant at 5^5 reads u = 1 mod 5 at t = 6, so
+    # 3125 units stay candidates to the end; filtering them pair by pair made
+    # the t = 6 run about 45 times the t = 1 run (4 candidates) at n_max = 4
+    class ConstantSymbol:
+        def value_infinity_minus(self, r):
+            return 5**5
+
+    def best_time(t):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            rep = maximality_criterion(ConstantSymbol(), 5, 4, t=t)
+            times.append(time.perf_counter() - start)
+        return min(times), rep
+
+    elapsed, rep = best_time(6)
+    assert (rep.holds, rep.ord_p_phi0, rep.conclusions_verified) == (True, 5, True)
+    assert rep.alphas == tuple(range(1, 5**6, 5))
+    assert elapsed < 3 * best_time(1)[0] + 0.01
+
+
+@pytest.mark.parametrize(("p", "t"), [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_solving_units_is_the_coset_of_solutions(p, t):
+    modulus = p**t
+    for x in range(modulus):
+        for y in range(modulus):
+            coset = _solving_units(PAdic(p, x, t), y, p, t)
+            units = {u for u in range(modulus) if u % p and (y - u * x) % modulus == 0}
+            if coset is None:
+                assert not units
+            else:
+                v, i = coset
+                assert units == {u for u in range(modulus) if u % p and u % p**i == v}
 
 
 def test_mtrequest_validation():

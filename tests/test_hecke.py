@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import partial
 
@@ -7,10 +8,11 @@ from mazurtate import hecke
 from mazurtate.curves import EllipticCurve
 from mazurtate.errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
 from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize, sturm_bound
-from mazurtate.linalg import mat_mul, nullspace
+from mazurtate.linalg import MODULUS, echelon_mod, kernel_mod, mat_mul, nullspace, rref_mod_p
 from mazurtate.modsym import ModularSymbol, build_space
 
 from .conftest import involution, make_curve
+from .test_linalg import random_matrix, residues
 
 
 def densify(rows, dim):
@@ -286,3 +288,74 @@ def test_shared_hecke_matrices_are_built_once(monkeypatch):
     with pytest.raises(EigenspaceNotOneDimensional):
         eigensymbol(build_space(26), curve)
     assert built == [3, 5, 7]
+
+
+@pytest.mark.parametrize(("label", "trail"), [
+    ("681b1", [(153, 78), (153, 5), (5, 5), (5, 1)]),  # J, T_2, then T_5 and T_7 on the kernel
+    ("174b1", [(61, 34), (61, 9), (9, 1)]),
+    ("389a1", [(65, 33), (65, 1)]),  # T_2 already leaves a line
+])
+def test_later_primes_act_on_the_kernel(level_cases, monkeypatch, label, trail):
+    # (columns, kernel dimension mod q) after each echelon_mod; every fold
+    # stops at a line, so until + 1 is its column count: only the rows of
+    # J - 1 and of the first good T_ell reach the full-width fold
+    folds = []
+
+    def fold(rows, q, pivots=None, until=None):
+        pivots = echelon_mod(rows, q, pivots, until)
+        folds.append((until + 1, until + 1 - len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(hecke, "echelon_mod", fold)
+    space, curve, expected = level_cases[label]
+    coords = hecke._certified_eigenline(space, curve, partial(hecke_matrix, space))
+    assert _content_one_coords(space, coords) == expected
+    assert folds == trail
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_the_certificate_covers_the_restricted_primes(level_cases, ell):
+    # at 681 the kernel after T_2 is 5-dimensional: a wrong a_5 or a_7 acts
+    # only on it, and the exact check of its rows still refuses the line
+    space = level_cases["681b1"][0]
+    *coeffs, N = LEVEL_CURVES["681b1"]
+    curve = EllipticCurve(*coeffs, conductor=N, label="681b1")
+    curve._ap_cache[ell] = curve.a_ell(ell) + 1
+    assert hecke._certified_eigenline(space, curve, partial(hecke_matrix, space)) is None
+    with pytest.raises(InconsistentEigenvalues) as exc:
+        eigensymbol(space, curve)
+    assert str(exc.value) == f"no symbol matches the eigenvalue system at ell = {ell}"
+
+
+def rank_mod(rows, q):
+    return len(rref_mod_p(rows, q)[1])
+
+
+@pytest.mark.parametrize("q", [MODULUS, 7])
+@pytest.mark.parametrize("seed", range(20))
+def test_restriction_matches_the_full_fold(seed, q):
+    # the second batch restricted to the kernel of the first cuts out what
+    # echelon_mod cuts out over both batches, each stopping at a line
+    rng = random.Random(seed)
+    ncols = rng.randint(3, 9)
+    nrows = rng.randint(0, ncols - 2)  # so the kernel of the first batch is at least a plane
+    first = residues(random_matrix(rng, nrows, ncols, nrows), q)
+    second = residues(random_matrix(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols)), q)
+    basis = kernel_mod(echelon_mod(first, q), ncols, q)
+    assert len(basis) >= 2
+    restricted = hecke._restrict(second, basis, q)
+    full = kernel_mod(echelon_mod(first + second, q, until=ncols - 1), ncols, q)
+    # kernel_mod's basis is independent, so this is one subspace
+    assert len(restricted) == len(full) == rank_mod(restricted, q) == rank_mod(restricted + full, q)
+
+
+@pytest.mark.parametrize("q", [MODULUS, 7])
+def test_restriction_stops_at_a_line_within_a_batch(q):
+    # e_1 and e_2 leave the line through e_3 on the kernel of e_0; the fold
+    # stops there, so e_3 and e_1 + e_2 are not folded, as in the full fold
+    first = [{0: 1}]
+    second = [{1: 1}, {2: q - 1}, {3: 5}, {1: 1, 2: 1}]
+    basis = kernel_mod(echelon_mod(first, q), 4, q)
+    assert hecke._restrict(second, basis, q) == [[0, 0, 0, 1]]
+    assert kernel_mod(echelon_mod(first + second, q, until=3), 4, q) == [[0, 0, 0, 1]]
+    assert hecke._restrict(second[3:], basis, q) == [[0, 1, q - 1, 0], [0, 0, 0, 1]]
