@@ -15,14 +15,12 @@ from pathlib import Path
 from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import MAX_WALKED_LEVEL, MazurTateTower, theta0_interpolation_factor, walk_levels, working_precision
-from .errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
+from .elements import MAX_WALKED_LEVEL, MazurTateTower, theta0_interpolation_factor, walk_levels
+from .errors import BoundExceeded, InputError, NotGoodOrdinary
 from .hecke import NormalizationData
 from .padics import PAdic, unit_root, valuation
 from .primes import primes
 from .records import Record
-
-MAX_PRECISION = 1000  # p-adic digits; a larger --precision is refused
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -31,22 +29,11 @@ MULTIPLICITY_ONE_NOTE = (
 )
 
 
-def check_precision(precision: int | None) -> None:
-    """Refuse a requested p-adic precision outside 1..MAX_PRECISION; None means automatic."""
-    if precision is None:
-        return
-    if precision < 1:
-        raise InputError(f"precision must be at least 1, got {precision}")
-    if precision > MAX_PRECISION:
-        raise BoundExceeded(f"precision {precision} exceeds the bound {MAX_PRECISION}")
-
-
 class MTRequest(Record, frozen=True):
     curve: EllipticCurve
     p: int
     n_max: int = 2
     mode: str = "neron"  # "neron" | "cohomological"
-    precision: int | None = None
     cache_dir: Path | None = None  # falls back to $MT_CACHE_DIR, as in cache.load_space
 
     def __post_init__(self):
@@ -54,7 +41,6 @@ class MTRequest(Record, frozen=True):
             raise ValueError("n_max must be nonnegative")
         if self.mode not in ("neron", "cohomological"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        check_precision(self.precision)
 
 
 class LevelRow(Record, frozen=True):
@@ -143,7 +129,11 @@ def _require_good_ordinary(curve: EllipticCurve, p: int):
 
 
 def classify(request: MTRequest) -> DichotomyReport:
-    """Run the full pipeline and classify into the finite-level dichotomy."""
+    """Run the full pipeline and classify into the finite-level dichotomy.
+
+    One unit root, at the precision MazurTateTower.stabilized_precision
+    certifies, serves every stabilized element.
+    """
     curve, p, n_max = request.curve, request.p, request.n_max
     _require_good_ordinary(curve, p)
     sym, norm_data = load_symbol(curve, request.mode, request.cache_dir)
@@ -170,25 +160,14 @@ def classify(request: MTRequest) -> DichotomyReport:
     if not report.theta0_identity_verified:
         report.diagnostics.append("theta_0 interpolation identity failed")
 
-    base = request.precision or working_precision(n_max, min(0, shift))
-    for precision in (base, 2 * base, 4 * base):
-        try:
-            alpha = unit_root(curve.a_ell(p), p, precision)
-            stabilized = [tower.stabilized(alpha, n) for n in range(n_max + 1)]
-            rows = []
-            for n, s in enumerate(stabilized):
-                inv = s.iwasawa_invariants()
-                settled = bool(rows) and (inv.mu, inv.lam) == (rows[-1].mu, rows[-1].lam)
-                rows.append(StabilizedRow(n, inv.mu, inv.lam, settled))
-            report.stabilized = rows
-            report.norm_relation_verified = all(
-                tower.norm_relation(alpha, n).passed for n in range(1, n_max + 1)
-            )
-            break
-        except PrecisionInsufficient:
-            pass
-    else:
-        raise PrecisionInsufficient(f"stabilized invariants undetermined at precision {precision}")
+    a_p = curve.a_ell(p)
+    alpha = unit_root(a_p, p, tower.stabilized_precision(a_p))
+    rows = report.stabilized
+    for n in range(n_max + 1):
+        inv = tower.stabilized(alpha, n).iwasawa_invariants()
+        settled = bool(rows) and (inv.mu, inv.lam) == (rows[-1].mu, rows[-1].lam)
+        rows.append(StabilizedRow(n, inv.mu, inv.lam, settled))
+    report.norm_relation_verified = all(tower.norm_relation(n).passed for n in range(1, n_max + 1))
 
     report.boundary = boundary_congruence(sym, p)
     if report.boundary.solvable or _has_rational_p_torsion_signature(curve, p):

@@ -4,8 +4,8 @@ Commands: analyze (dichotomy classification), invariants (per-level mu/lambda
 table), boundary (congruence with a boundary symbol), eigensymbol (dump the
 cached plus-eigensymbol), selftest (randomized property battery).
 
-Exit codes: 0 success, 2 inconclusive verdict, 3 input error, 4 precision
-error.  All exact numbers in reports are integers or decimal strings; no
+Exit codes: 0 success, 2 inconclusive verdict, 3 input error (a usage error
+too).  All exact numbers in reports are integers or decimal strings; no
 floating point appears anywhere.
 """
 from __future__ import annotations
@@ -164,7 +164,7 @@ def cmd_analyze(args) -> int:
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
-    request = MTRequest(curve, args.p, args.n_max, mode, args.precision, args.cache)
+    request = MTRequest(curve, args.p, args.n_max, mode, args.cache)
     report = classify(request)
     if args.format == "json":
         emit(args, render_json(report.to_dict()))
@@ -176,13 +176,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .classify import check_precision, level_rows, normalization_shift
+    from .classify import level_rows, normalization_shift
     from .elements import MazurTateTower
 
     curve = load_curve(args)
     _check_p(args.p)
     mode = resolve_mode(args, curve)
-    check_precision(args.precision)  # invariants are exact, but the option is checked as in analyze
     sym, norm = cache.load_symbol(curve, mode, args.cache)
     shift = normalization_shift(norm, args.p)
     per_level = [r.to_dict() for r in level_rows(MazurTateTower(sym, args.p, args.n_max), shift)]
@@ -272,9 +271,14 @@ def cmd_selftest(args) -> int:
     return 0 if payload["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error (exit 3), not argparse's exit 2
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mazurtate", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="mazurtate", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     curve_parent = argparse.ArgumentParser(add_help=False)
@@ -294,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     padic.add_argument("--p", type=int, required=True, help="odd prime")
     padic.add_argument("--n-max", type=int, default=2, dest="n_max")
     padic.add_argument("--mode", choices=["coh", "neron", "auto"], default="auto")
-    padic.add_argument("--precision", type=int, default=None)
 
     sp = sub.add_parser("analyze", parents=[curve_parent, padic, common],
                         help="classify the Iwasawa-invariant dichotomy")
@@ -322,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.format == "csv" and args.command not in ("analyze", "invariants"):
             raise InputError(f"--format csv is not available for {args.command}")
         return args.func(args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .modsym import as_cusp, cusp_count
+from .primes import divisors
 
 
 def _cusp_key(N: int, a: int, c: int):
@@ -22,8 +23,7 @@ def _cusp_key(N: int, a: int, c: int):
 
 def _class_representatives(N: int):
     reps = []
-    divisors = sorted(k for k in range(1, N + 1) if N % k == 0)
-    for d in divisors:
+    for d in divisors(N):
         g = math.gcd(d, N // d)
         for x in range(1, g + 1):
             if math.gcd(x, g) != 1:

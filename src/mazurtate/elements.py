@@ -4,26 +4,22 @@ The levels of one symbol at p are walked once, upward (walk_levels); one
 MazurTateTower per (symbol, p) stores what the walk yields up to n_max, and
 the module-level functions are thin calls into it.
 Stabilized elements are p-adic, residues at the precision of the unit root
-alpha, and each is built by one route; the norm relation that
-certifies the route is an exact identity over Q.
+alpha, which MazurTateTower.stabilized_precision computes from the exact
+tower; each is built by one route, which an exact norm relation certifies.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, ZeroElement
 from .groupring import GroupLevel, GroupRingElement, layer_units
 from .padics import PAdic
 from .primes import int_valuation
 from .records import Record
 
-DEFAULT_GUARD_DIGITS = 20
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
 MAX_WALKED_LEVEL = 100_000  # so is p^(n_max+1), the modulus of the top level of cusps walked
-
-
-def working_precision(n_max: int, mu_floor: int = 0) -> int:
-    return n_max + abs(mu_floor) + DEFAULT_GUARD_DIGITS
 
 
 def raw_mazur_tate(sym, p: int, n: int) -> dict:
@@ -109,25 +105,46 @@ class MazurTateTower:
         return (self.thetas[n].to_padic(precision)
                 - self.scaled[n].to_padic(precision).scale(alpha.inverse()))
 
-    def norm_relation(self, alpha: PAdic, n: int) -> ResidualReport:
+    def stabilized_precision(self, a_p: int) -> int:
+        """P = max over n of 1 + min_k ord_p(N_k): every stabilized mu and lambda is certified mod p^P.
+
+        Here theta_n = T / d_T and S_n = S / d_S (d_T, d_S prime to p),
+        (x_k, y_k) = (T_k d_S, S_k d_T) and N_k = p x_k^2 - a_p x_k y_k + y_k^2;
+        the k-th coefficient of theta_n - alpha^{-1} S_n is (alpha x_k - y_k) / (alpha d_S d_T).
+        With beta = p / alpha in pZ_p, (alpha x - y)(beta x - y) = p x^2 - a_p x y + y^2,
+        a positive definite form as a_p^2 < 4p, so N_k is a nonzero integer unless
+        x_k = y_k = 0, and ord_p(alpha x_k - y_k) <= ord_p(N_k) gives mu_n < P.  Mod
+        p^P the least valuation of the residues is then mu_n, and lambda reads
+        the residues over p^mu_n mod p, which needs mu_n + 1 <= P.  min_k ord_p(N_k)
+        is ord_p(gcd_k N_k); a level with theta_n = S_n = 0 is a ZeroElement.
+        """
+        p = self.p
+        if a_p * a_p >= 4 * p:
+            raise ValueError(f"a_p = {a_p} is outside the Hasse bound for p = {p}")
+        precision = 1
+        for n, (theta, scaled) in enumerate(zip(self.thetas, self.scaled)):
+            pairs = ((t * scaled.den, s * theta.den) for t, s in zip(theta.ints, scaled.ints))
+            g = math.gcd(*(p * x * x - a_p * x * y + y * y for x, y in pairs))
+            if g == 0:
+                raise ZeroElement(f"theta_{n} = S_{n} = 0: the stabilized element has no invariants")
+            precision = max(precision, int_valuation(g, p) + 1)
+        return precision
+
+    def norm_relation(self, n: int) -> ResidualReport:
         """S_n = cor(theta_{n-1}), checked exactly over Q.
 
-        The two routes to theta_n(phi^alpha) differ by alpha^{-1} times
-        d = S_n - cor(theta_{n-1}); alpha is a unit, so each floor
-        min(ord_p(d_k), precision) is the one their p-adic comparison gives.
         With S_n = S / d_S and theta_{n-1} = T / d_T over common denominators,
-        d_k = (S_k d_T - T_(k mod p^(n-1)) d_S) / (d_S d_T) exactly.
+        the k-th coefficient of the difference is
+        (S_k d_T - T_(k mod p^(n-1)) d_S) / (d_S d_T); each floor is its exact
+        ord_p, math.inf where it is 0, and the report passes when every one is.
         """
         if n < 1:
             raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
-        alpha.inverse()  # refuses a non-unit alpha
-        p, precision = self.p, alpha.precision
         S, d_S = self.scaled[n].ints, self.scaled[n].den
         T, d_T = self.thetas[n - 1].ints, self.thetas[n - 1].den
-        q = len(T)
-        den = int_valuation(d_S * d_T, p)
-        floors = tuple(min(int_valuation(s * d_T - T[k % q] * d_S, p) - den, precision) for k, s in enumerate(S))
-        return ResidualReport(n, all(f == precision for f in floors), floors)
+        den = int_valuation(d_S * d_T, self.p)
+        floors = tuple(int_valuation(s * d_T - T[k % len(T)] * d_S, self.p) - den for k, s in enumerate(S))
+        return ResidualReport(n, all(f == math.inf for f in floors), floors)
 
     def theta0_identity(self, curve) -> bool:
         """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
@@ -146,19 +163,19 @@ def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement
 
 
 class ResidualReport(Record, frozen=True):
-    """Valuation floors of a residual, coefficient by coefficient, capped at the
-    working precision; passed when every coefficient vanishes to precision."""
+    """Exact ord_p of a residual, coefficient by coefficient (math.inf for a
+    zero coefficient); passed when every coefficient is 0."""
 
     level_n: int
     passed: bool
     residual_valuation_floors: tuple
 
 
-def check_norm_relation(sym, alpha: PAdic, p: int, n: int) -> ResidualReport:
+def check_norm_relation(sym, p: int, n: int) -> ResidualReport:
     """The norm relation at level n, exactly over Q (MazurTateTower.norm_relation)."""
     if n < 1:
         raise ValueError("the norm relation compares levels n and n-1; need n >= 1")
-    return MazurTateTower(sym, p, n).norm_relation(alpha, n)
+    return MazurTateTower(sym, p, n).norm_relation(n)
 
 
 def theta0_interpolation_factor(curve, p: int) -> int:

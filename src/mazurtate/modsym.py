@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import LevelTooLarge
 from .linalg import echelon, exact
-from .primes import prime_factors
+from .primes import divisors, euler_phi, prime_factors
 
 INFINITY = math.inf
 
@@ -33,10 +33,9 @@ class P1List:
             # every class has a representative (g, v) with g = gcd(u, N), so
             # one divisor at a time, in ascending order, yields the sorted list
             self._list = [(0, 1)] + [(1, v) for v in range(N)]
-            for g in range(2, N):
-                if N % g == 0:
-                    self._list += [(g, v) for v in range(N)
-                                   if math.gcd(v, g) == 1 and self.normalize(g, v) == (g, v)]
+            for g in divisors(N)[1:-1]:
+                self._list += [(g, v) for v in range(N)
+                               if math.gcd(v, g) == 1 and self.normalize(g, v) == (g, v)]
         self._index = {r: i for i, r in enumerate(self._list)}
 
     def normalize(self, u: int, v: int):
@@ -88,23 +87,8 @@ def psi_index(N: int) -> int:
     return out
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for p, _ in prime_factors(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def cusp_count(N: int) -> int:
-    total = 0
-    d = 1
-    while d * d <= N:
-        if N % d == 0:
-            total += _euler_phi(math.gcd(d, N // d))
-            if d != N // d:
-                total += _euler_phi(math.gcd(N // d, d))
-        d += 1
-    return total
+    return sum(euler_phi(math.gcd(d, N // d)) for d in divisors(N))
 
 
 def elliptic_point_counts(N: int):

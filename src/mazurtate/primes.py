@@ -1,5 +1,6 @@
 """Primes by trial division: primality, factorization and the ascending walk,
-with the odd-prime guard and ord_p of an integer.
+the divisors and Euler's phi built from the factorization, the odd-prime
+guard and ord_p of an integer.
 
 Callers pass levels below the index bound, Hecke primes below the Sturm
 bound and the prime p.  Trial division is exact and quick for those; its
@@ -52,6 +53,21 @@ def prime_factors(n: int):
         d += 1
     if n > 1:
         out.append((n, 1))
+    return out
+
+
+def divisors(n: int) -> list:
+    """The positive divisors of n >= 1, ascending."""
+    out = [1]
+    for q, e in prime_factors(n):
+        out += [d * q**k for k in range(1, e + 1) for d in out]
+    return sorted(out)
+
+
+def euler_phi(n: int) -> int:
+    out = n
+    for q, _ in prime_factors(n):
+        out = out // q * (q - 1)
     return out
 
 

@@ -13,6 +13,14 @@ CURVE_DATA = {
 }
 
 
+DEFAULT_GUARD_DIGITS = 20
+
+
+def working_precision(n_max, mu_floor=0):
+    """n_max + |mu_floor| + 20 digits: an ample p-adic precision for the tests' stabilized elements."""
+    return n_max + abs(mu_floor) + DEFAULT_GUARD_DIGITS
+
+
 def make_curve(label):
     return EllipticCurve(label=label, **CURVE_DATA[label])
 

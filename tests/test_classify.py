@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate.classify import MAX_PRECISION, MTRequest, _solving_units, classify, maximality_criterion
+from mazurtate import classify as classify_module
+from mazurtate.classify import MTRequest, _solving_units, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
-from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
+from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.modsym import ModularSymbol, as_cusp
-from mazurtate.padics import PAdic
+from mazurtate.padics import PAdic, unit_root
 
 from .conftest import make_curve
 
@@ -202,19 +203,6 @@ def test_mtrequest_validation():
         MTRequest(make_curve("11a"), 5, 1, mode="bogus")
 
 
-@pytest.mark.parametrize("precision", [-5, 0])
-def test_mtrequest_refuses_precision_below_one(precision):
-    with pytest.raises(InputError, match=f"precision must be at least 1, got {precision}"):
-        MTRequest(make_curve("11a"), 5, 1, precision=precision)
-
-
-def test_mtrequest_precision_range():
-    for precision in (None, 1, MAX_PRECISION):
-        assert MTRequest(make_curve("11a"), 5, 1, precision=precision).precision == precision
-    with pytest.raises(BoundExceeded):
-        MTRequest(make_curve("11a"), 5, 1, precision=MAX_PRECISION + 1)
-
-
 def test_classify_evaluates_each_cusp_once(monkeypatch):
     # every cusp a/p^k of the tower is evaluated once; only {inf}-{0} repeats,
     # in the normalization (content-one rescaling and the Neron scalar)
@@ -247,17 +235,20 @@ def test_classify_builds_each_stabilized_element_once(monkeypatch):
     assert calls == [0, 1, 2, 3]
 
 
-@pytest.mark.parametrize("precision", [None, 6])
-def test_precision_retry_reports_the_last_precision_tried(monkeypatch, precision):
-    tried = []
+def test_classify_computes_one_unit_root(monkeypatch):
+    # the precision is derived from the tower, so one unit root serves every
+    # stabilized element, with no retry
+    calls = []
 
-    def insufficient(tower, alpha, n):
-        tried.append(alpha.precision)
-        raise PrecisionInsufficient("forced")
+    def counted(a_p, p, precision):
+        calls.append((a_p, p, precision))
+        return unit_root(a_p, p, precision)
 
-    monkeypatch.setattr(MazurTateTower, "stabilized", insufficient)
-    with pytest.raises(PrecisionInsufficient) as excinfo:
-        classify(MTRequest(make_curve("11a"), 5, 2, "neron", precision))
-    base = precision or tried[0]
-    assert tried == [base, 2 * base, 4 * base]
-    assert str(excinfo.value) == f"stabilized invariants undetermined at precision {4 * base}"
+    monkeypatch.setattr(classify_module, "unit_root", counted)
+    for label, p, n_max in (("11a", 5, 2), ("26b1", 7, 3), ("174b1", 7, 3)):
+        calls.clear()
+        curve = make_curve(label)
+        report = classify(MTRequest(curve, p, n_max, "neron"))
+        tower = MazurTateTower(classify_module.load_symbol(curve)[0], p, n_max)
+        assert calls == [(curve.a_ell(p), p, tower.stabilized_precision(curve.a_ell(p)))]
+        assert len(report.stabilized) == n_max + 1

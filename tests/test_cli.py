@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,8 +12,10 @@ from pathlib import Path
 import pytest
 
 from mazurtate import cache
-from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, main
+from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, build_parser, main
 from mazurtate.modsym import ModularSymbol, as_cusp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -301,7 +305,7 @@ def test_huge_prime_p_ends_with_coded_error(capsys, command):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--curve", "11a", "--p", "3", "--n-max", "40"],
     ["invariants", "--curve", "11a", "--p", "3", "--n-max", "40"],
-    ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000"],
+    ["analyze", "--curve", "11a", "--p", "5", "--n-max", "6"],
     ["invariants", "--curve", "11a", "--p", "9973", "--n-max", "1"],
     ["analyze", "--curve", "11a", "--p", "1009", "--n-max", "1"],
     ["analyze", "--curve", "11a", "--p", "5", "--n-max", "1", "--lratio", "1e100000"],
@@ -315,13 +319,14 @@ def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
 
 
 def test_invariants_refuses_precision_above_bound_as_analyze_does(capsys):
+    # the precision is computed, so --precision is an unknown option to both
     common = ["--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000", "--format", "json"]
     code_a, _, err_a = run_cli(capsys, "analyze", *common)
     code_i, out_i, err_i = run_cli(capsys, "invariants", *common)
     assert code_i == code_a == 3
     assert out_i == ""
-    assert json.loads(err_i) == json.loads(err_a)
-    assert json.loads(err_i)["error"] == "bound_exceeded"
+    assert json.loads(err_i) == json.loads(err_a) == {
+        "error": "input_error", "message": "unrecognized arguments: --precision 3000000"}
 
 
 @pytest.mark.parametrize("command", ["analyze", "invariants"])
@@ -331,7 +336,40 @@ def test_precision_below_one_is_an_input_error(capsys, command, precision):
                              "--precision", precision, "--format", "json")
     assert code == 3
     assert out == ""
-    assert json.loads(err) == {"error": "input_error", "message": f"precision must be at least 1, got {precision}"}
+    assert json.loads(err) == {"error": "input_error", "message": f"unrecognized arguments: --precision {precision}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--curve", "11a", "--p", "x"], "argument --p: invalid int value: 'x'"),
+    (["boundary", "--curve", "11a", "--p", "7", "--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze", "--curve", "11a"], "the following arguments are required: --p"),
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+])
+def test_usage_errors_are_coded_input_errors(capsys, argv, message):
+    # argparse's wording after these prefixes varies between Python versions
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "input_error"
+    assert json.loads(err)["message"].startswith(message)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 0
+    assert "usage: mazurtate" in capsys.readouterr().out
+
+
+def test_readme_cli_section_names_the_parser_options():
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {option for sub in subparsers.choices.values() for action in sub._actions
+              for option in action.option_strings if option.startswith("--")}
+    assert documented - {"--help"} == parsed - {"--help"}
 
 
 def write_curve(tmp_path, record):

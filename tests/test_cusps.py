@@ -6,7 +6,8 @@ from fractions import Fraction
 
 from mazurtate.cusps import CuspClassTable, boundary_space_matrix
 from mazurtate.linalg import rref_mod_p
-from mazurtate.modsym import INFINITY, _euler_phi, as_cusp, build_space
+from mazurtate.modsym import INFINITY, as_cusp, build_space
+from mazurtate.primes import euler_phi
 
 from .conftest import act
 from .test_modsym import random_gamma0
@@ -35,7 +36,7 @@ def test_class_count_formula_random_levels():
     rng = random.Random(0)
     for _ in range(30):
         N = rng.randint(1, 100)
-        expected = sum(_euler_phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
+        expected = sum(euler_phi(math.gcd(d, N // d)) for d in range(1, N + 1) if N % d == 0)
         assert len(CuspClassTable(N)) == expected
 
 

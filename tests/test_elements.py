@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from mazurtate import cache
 from mazurtate.elements import (
     MazurTateTower,
     check_norm_relation,
@@ -11,15 +13,15 @@ from mazurtate.elements import (
     raw_mazur_tate,
     stabilized_mazur_tate,
     theta0_interpolation_factor,
-    working_precision,
 )
-from mazurtate.errors import PrecisionInsufficient
+from mazurtate.errors import PrecisionInsufficient, ZeroElement
 from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.modsym import ModularSymbol
 from mazurtate.padics import PAdic, unit_root
+from mazurtate.primes import int_valuation
 
-from .conftest import Scaled, sign_parts, zero_symbol
-from .test_groupring import one_unit_dlog
+from .conftest import Scaled, make_curve, sign_parts, working_precision, zero_symbol
+from .test_groupring import FIXTURE_TOWERS, one_unit_dlog
 
 
 def test_raw_element_coefficient_sum(eigensymbols):
@@ -81,13 +83,12 @@ def test_stabilized_integrality_11a(eigensymbols, curves):
             assert c.is_zero_to_precision or c.valuation() >= 0
 
 
-def test_norm_relation_residual_zero(eigensymbols, curves):
+def test_norm_relation_residual_zero(eigensymbols):
     for label, p in (("11a", 5), ("26b1", 7)):
-        alpha = unit_root(curves[label].a_ell(p), p, working_precision(3))
         for n in (1, 2, 3):
-            rep = check_norm_relation(eigensymbols[label], alpha, p, n)
+            rep = check_norm_relation(eigensymbols[label], p, n)
             assert rep.passed
-            assert min(rep.residual_valuation_floors) >= alpha.precision
+            assert set(rep.residual_valuation_floors) == {math.inf}
 
 
 def test_norm_relation_holds_for_any_symbol(spaces):
@@ -95,9 +96,8 @@ def test_norm_relation_holds_for_any_symbol(spaces):
     rng = random.Random(12)
     sp = spaces[26]
     psi = ModularSymbol(sp, [Fraction(rng.randint(-5, 5)) for _ in range(sp.dimension)])
-    alpha = PAdic(7, 3, 18)  # any unit works
-    assert check_norm_relation(psi, alpha, 7, 1).passed
-    assert check_norm_relation(psi, alpha, 7, 2).passed
+    assert check_norm_relation(psi, 7, 1).passed
+    assert check_norm_relation(psi, 7, 2).passed
 
 
 def test_direct_and_cor_route_elements_agree(eigensymbols, curves):
@@ -134,46 +134,110 @@ def test_stabilized_refuses_a_non_p_integral_symbol_as_the_padic_route_did(eigen
 
 
 def test_exact_norm_relation_negative_control(eigensymbols, curves):
-    # perturb one coefficient of S_2 by p^k: the exact check must see ord_p = k
-    # below the working precision, and agree floor by floor with the p-adic
-    # comparison of the two routes, which cannot see k >= precision
+    # perturb one coefficient of S_2 by p^k: the exact check sees ord_p = k at
+    # every k, and its floors, capped at prec, are those of the p-adic
+    # comparison of the two routes, which cannot see k >= prec
     p, prec = 5, 8
     alpha = unit_root(curves["11a"].a_ell(p), p, prec)
     inv_alpha = alpha.inverse()
-    for k in (0, 1, 3, prec - 1, prec, prec + 2):
+    for k in (0, 1, 3, prec - 1, prec, prec + 2, 3 * prec):
         tower = MazurTateTower(eigensymbols["11a"], p, 2)
-        assert tower.norm_relation(alpha, 2).passed
+        assert tower.norm_relation(2).passed
         coeffs = list(tower.scaled[2].coeffs)
         coeffs[7] += p**k
         tower.scaled[2] = GroupRingElement(tower.scaled[2].level, coeffs)
-        rep = tower.norm_relation(alpha, 2)
-        assert rep.passed == (k >= prec)
-        assert min(rep.residual_valuation_floors) == min(k, prec)
-        assert [f for f in rep.residual_valuation_floors if f != prec] == ([k] if k < prec else [])
+        rep = tower.norm_relation(2)
+        assert not rep.passed
+        assert [(i, f) for i, f in enumerate(rep.residual_valuation_floors) if f != math.inf] == [(7, k)]
         cor_route = (tower.thetas[2].to_padic(prec)
                      - tower.thetas[1].corestriction().to_padic(prec).scale(inv_alpha))
         diff = tower.stabilized(alpha, 2) - cor_route
-        assert rep.residual_valuation_floors == tuple(c.valuation_lower_bound() for c in diff.coeffs)
-        assert rep.passed == all(c.is_zero_to_precision for c in diff.coeffs)
-        assert tower.norm_relation(alpha, 1).passed
+        capped = tuple(min(f, prec) for f in rep.residual_valuation_floors)
+        assert capped == tuple(c.valuation_lower_bound() for c in diff.coeffs)
+        assert tower.norm_relation(1).passed
     with pytest.raises(PrecisionInsufficient):
-        tower.norm_relation(PAdic(p, 10, prec), 2)
-    with pytest.raises(PrecisionInsufficient):
-        check_norm_relation(eigensymbols["11a"], PAdic(p, 0, prec), p, 1)
+        tower.stabilized(PAdic(p, 10, prec), 2)  # alpha must be a unit
 
 
-def test_exact_norm_relation_floors_of_a_non_p_integral_symbol(eigensymbols, curves):
+def test_exact_norm_relation_floors_of_a_non_p_integral_symbol(eigensymbols):
     # with p in the denominators, a perturbation of ord_p = k - 3 shows as that floor
-    p, prec = 5, 8
-    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
-    for k in (0, 2, 5, prec + 3):
+    p = 5
+    for k in (0, 2, 5, 11):
         tower = MazurTateTower(Fraction(1, p) * eigensymbols["11a"], p, 2)
-        assert tower.norm_relation(alpha, 2).passed
+        assert tower.norm_relation(2).passed
         coeffs = list(tower.scaled[2].coeffs)
         coeffs[7] += Fraction(p**k, p**3)
         tower.scaled[2] = GroupRingElement(tower.scaled[2].level, coeffs)
-        rep = tower.norm_relation(alpha, 2)
-        assert [f for f in rep.residual_valuation_floors if f != prec] == ([k - 3] if k - 3 < prec else [])
+        rep = tower.norm_relation(2)
+        assert [f for f in rep.residual_valuation_floors if f != math.inf] == [k - 3]
+
+
+def ordinary_traces(p):
+    """Every a_p with a_p^2 < 4p (the Hasse bound) that p does not divide."""
+    bound = math.isqrt(4 * p)
+    return [a for a in range(-bound, bound + 1) if a % p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_unit_root_difference_valuation_is_bounded_by_the_norm_form(p):
+    # (alpha x - y)(beta x - y) = p x^2 - a_p x y + y^2 with beta = p / alpha in pZ_p
+    rng = random.Random(p)
+    for a_p in ordinary_traces(p):
+        alpha = unit_root(a_p, p, 60)
+        for trial in range(300):
+            x = rng.randint(-p**3, p**3) * p ** rng.randint(0, 12)
+            if trial % 2:  # y near alpha x, so that alpha x - y is divisible by a high power of p
+                k = rng.randint(1, 20)
+                y = alpha.residue * x % p**k + rng.randint(-2, 2) * p ** (k + rng.randint(0, 3))
+            else:
+                y = rng.randint(-p**3, p**3) * p ** rng.randint(0, 12)
+            if x == y == 0:
+                continue
+            norm = p * x * x - a_p * x * y + y * y
+            assert norm > 0
+            assert (alpha * x - y).valuation() <= int_valuation(norm, p) < 60
+
+
+def stabilized_invariants(tower, alpha):
+    return [tower.stabilized(alpha, n).iwasawa_invariants() for n in range(len(tower.thetas))]
+
+
+@pytest.mark.parametrize("label, p, n_max", FIXTURE_TOWERS + [("26b1", 7, 2), ("11a", 5, 3)])
+def test_invariants_at_the_derived_precision_equal_those_at_precision_60(label, p, n_max, monkeypatch):
+    # every tower the benchmark and the fixture reports classify, at every depth up to n_max
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    curve = make_curve(label)
+    sym, _ = cache.load_symbol(curve, "cohomological")
+    a_p = curve.a_ell(p)
+    for depth in range(n_max + 1):
+        tower = MazurTateTower(sym, p, depth)
+        precision = tower.stabilized_precision(a_p)
+        assert 1 <= precision <= 5
+        assert stabilized_invariants(tower, unit_root(a_p, p, precision)) == stabilized_invariants(
+            tower, unit_root(a_p, p, 60))
+
+
+def test_derived_precision_on_random_symbols(spaces):
+    rng = random.Random(22)
+    for _ in range(60):
+        p = rng.choice((3, 5, 7))
+        sp = spaces[rng.choice((11, 26))]
+        sym = ModularSymbol(sp, [rng.randint(-9, 9) * p ** rng.choice((0, 0, 1, 3)) for _ in range(sp.dimension)])
+        a_p = rng.choice(ordinary_traces(p))
+        tower = MazurTateTower(sym, p, {3: 3, 5: 2, 7: 1}[p])
+        if any(t.is_zero() and s.is_zero() for t, s in zip(tower.thetas, tower.scaled)):
+            with pytest.raises(ZeroElement):
+                tower.stabilized_precision(a_p)
+            continue
+        precision = tower.stabilized_precision(a_p)
+        assert stabilized_invariants(tower, unit_root(a_p, p, precision)) == stabilized_invariants(
+            tower, unit_root(a_p, p, 60))
+
+
+def test_derived_precision_refuses_a_trace_outside_the_hasse_bound(eigensymbols):
+    tower = MazurTateTower(eigensymbols["11a"], 5, 1)
+    with pytest.raises(ValueError, match="Hasse bound"):
+        tower.stabilized_precision(6)
 
 
 def norm_compatibility_residual(tower, alpha, n):
@@ -250,7 +314,7 @@ def test_raw_levels_require_n_at_least_one(eigensymbols):
     with pytest.raises(ValueError):
         raw_mazur_tate(eigensymbols["11a"], 5, 0)
     with pytest.raises(ValueError):
-        check_norm_relation(eigensymbols["11a"], PAdic(5, 1, 5), 5, 0)
+        check_norm_relation(eigensymbols["11a"], 5, 0)
 
 
 def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
@@ -270,7 +334,7 @@ def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
 
 
 def test_tower_serves_every_route_at_any_precision(eigensymbols):
-    # one tower, rebuilt at two precisions, as classify does on a retry
+    # one tower serves its stabilized elements at any two precisions
     tower = MazurTateTower(eigensymbols["11a"], 5, 3)
     low, high = unit_root(1, 5, 4), unit_root(1, 5, 30)
     for n in range(4):
@@ -278,7 +342,7 @@ def test_tower_serves_every_route_at_any_precision(eigensymbols):
         assert {c.precision for c in coarse.coeffs} == {4}
         assert {c.precision for c in fine.coeffs} == {30}
         assert coarse == fine  # equal modulo 5^4
-    assert all(tower.norm_relation(alpha, n).passed for alpha in (low, high) for n in range(1, 4))
+    assert all(tower.norm_relation(n).passed for n in range(1, 4))
     with pytest.raises(ValueError):
         MazurTateTower(eigensymbols["11a"], 5, -1)
 

@@ -6,7 +6,7 @@ import pytest
 
 from mazurtate import cache, groupring
 from mazurtate.classify import normalization_shift
-from mazurtate.elements import MazurTateTower, working_precision
+from mazurtate.elements import MazurTateTower
 from mazurtate.errors import NotAGenerator, PrecisionInsufficient, ZeroElement
 from mazurtate.groupring import (
     GroupLevel,
@@ -18,7 +18,7 @@ from mazurtate.groupring import (
 )
 from mazurtate.padics import PAdic, unit_root, valuation
 
-from .conftest import make_curve
+from .conftest import make_curve, working_precision
 
 
 def test_t_basis_of_gamma():

@@ -40,7 +40,11 @@ def dense_rref(matrix):
 def random_matrix(rng, nrows, ncols, rank):
     """Integer matrix of rank at most `rank`, entries mostly zero."""
     base = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(ncols)] for _ in range(rank)]
-    return [[sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(ncols)] for _ in range(nrows)]
+    rows = []
+    for _ in range(nrows):  # one coefficient per base row, so each row is in their span
+        coeffs = [rng.randint(-2, 2) for _ in base]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)])
+    return rows
 
 
 def sparse(matrix):
@@ -62,6 +66,11 @@ def pivot_matrix(pivots, ncols):
 CASES = [(seed, nrows, ncols, rank)
          for seed, (nrows, ncols, rank) in enumerate(
              [(1, 1, 1), (3, 3, 3), (4, 6, 2), (6, 4, 4), (7, 7, 3), (5, 9, 5), (9, 5, 1), (8, 8, 0)] * 5)]
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
+def test_random_matrix_rank_is_at_most_rank(seed, nrows, ncols, rank):
+    assert len(dense_rref(random_matrix(random.Random(seed), nrows, ncols, rank))) <= rank
 
 
 @pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
