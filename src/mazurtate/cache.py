@@ -1,10 +1,12 @@
 """On-disk caches: relation quotients keyed by level, eigensymbols by curve.
 
-Eigensymbol files are keyed by a sha256 of the curve's content (a1..a6, N),
-never by its label; on read the stored coefficients are compared and the
-vector is checked against the first eigen-equations (hecke.fits_first_equations);
-a stored space is used only if it is certified as the quotient map
-(ManinSymbolSpace.presents_quotient).
+A level has a plus-quotient file, which every command reads, and a full one,
+which only the eigensymbol command reads.  Eigensymbol files hold coordinates
+over the plus basis and are keyed by a sha256 of the curve's content
+(a1..a6, N), never by its label; on read the stored coefficients are compared
+and the vector is checked against the first eigen-equations
+(hecke.fits_first_equations); a stored space is used only if it is certified
+as the quotient map of its kind (ManinSymbolSpace.presents_quotient).
 Everything is JSON with exact integers/rationals as decimal strings, guarded
 by a sha256 checksum over the canonical payload; a corrupted, stale or
 unparsable file, or one that fails those checks, is a miss and is silently
@@ -26,12 +28,18 @@ from .primes import prime_factors
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
 
-# Spaces are stored as sparse (coordinate, value) pairs; files of any other
-# kind, such as the older dense "manin_space" rows, are rebuilt on read.
+# Spaces are stored as sparse (coordinate, value) pairs, the plus quotient
+# under its own kind; files of any other kind, such as the older dense
+# "manin_space" rows, are rebuilt on read.
 SPACE_KIND = "manin_space_sparse"
+PLUS_SPACE_KIND = "manin_space_plus"
+
+# Eigensymbols are stored over the plus basis; the older "eigensymbol" files,
+# over the full basis, are rebuilt on read.
+EIGENSYMBOL_KIND = "plus_eigensymbol"
 
 # The names load_space and load_eigensymbol write; verify_cache_dir sweeps no other file.
-CACHE_FILE_NAME = re.compile(r"(space_N\d+|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
+CACHE_FILE_NAME = re.compile(r"(space_N\d+(_plus)?|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
 
 
 def default_cache_dir() -> Path | None:
@@ -88,7 +96,7 @@ def _read(path: Path) -> dict | None:
 
 def space_payload(space: ManinSymbolSpace) -> dict:
     return {
-        "kind": SPACE_KIND,
+        "kind": PLUS_SPACE_KIND if space.plus else SPACE_KIND,
         "N": space.N,
         "basis": list(space.basis),
         "expressions": [[[t, str(c)] for t, c in e] for e in space.expressions],
@@ -102,7 +110,8 @@ def space_from_payload(payload: dict) -> ManinSymbolSpace:
     p1 = P1List(N)
     # values are stored as str() of the exact format, so "/" marks the only Fractions
     expressions = [tuple((t, Fraction(c) if "/" in c else int(c)) for t, c in e) for e in payload["expressions"]]
-    return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
+    return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]),
+                            plus=payload["kind"] == PLUS_SPACE_KIND)
 
 
 def _certified_space(payload: dict) -> ManinSymbolSpace | None:
@@ -119,19 +128,20 @@ def _parsed(parse, payload):
         return None
 
 
-def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
-    """Cached space when a directory is configured; rebuild on any mismatch, parse
-    failure or failed certificate."""
+def load_space(N: int, cache_dir: Path | None = None, plus: bool = True) -> ManinSymbolSpace:
+    """Cached plus quotient (with plus=False the full quotient) when a directory
+    is configured; rebuild on any mismatch, parse failure or failed certificate."""
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
-        return build_space(N)
-    path = cache_dir / f"space_N{N}.json"
+        return build_space(N, plus)
+    kind, suffix = (PLUS_SPACE_KIND, "_plus") if plus else (SPACE_KIND, "")
+    path = cache_dir / f"space_N{N}{suffix}.json"
     payload = _read(path)
-    if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
+    if payload is not None and payload.get("N") == N and payload.get("kind") == kind:
         space = _parsed(_certified_space, payload)
         if space is not None:
             return space
-    space = build_space(N)
+    space = build_space(N, plus)
     _write(path, space_payload(space))
     return space
 
@@ -139,10 +149,11 @@ def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:
     """Cached plus-eigensymbol when a directory is configured, else computed.
 
-    A stored vector is used only if it parses, has the space's dimension and
-    passes hecke.fits_first_equations; those checks are exact but are not a
-    certificate of the eigenline, which would need the rank.  Any failure
-    is a miss: the symbol is computed and the file rewritten.
+    The space is the plus quotient.  A stored vector is used only if it
+    parses, has the space's dimension and passes hecke.fits_first_equations;
+    those checks are exact but are not a certificate of the eigenline, which
+    would need the rank.  Any failure is a miss: the symbol is computed and
+    the file rewritten.
     """
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
@@ -153,13 +164,13 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     key = hashlib.sha256(json.dumps(coeffs + [curve.conductor]).encode()).hexdigest()
     path = cache_dir / f"eigsym_N{space.N}_{key}_plus.json"
     payload = _read(path)
-    if (payload is not None and payload.get("kind") == "eigensymbol" and payload.get("N") == space.N
+    if (payload is not None and payload.get("kind") == EIGENSYMBOL_KIND and payload.get("N") == space.N
             and payload.get("coeffs") == coeffs):
         sym = _parsed(lambda p: ModularSymbol(space, p["coords"], sign="+"), payload)
         if sym is not None and fits_first_equations(space, curve, sym.coords):
             return sym
     sym = eigensymbol(space, curve)
-    _write(path, {"kind": "eigensymbol", "N": space.N, "coeffs": coeffs, "sign": "+",
+    _write(path, {"kind": EIGENSYMBOL_KIND, "N": space.N, "coeffs": coeffs, "sign": "+",
                   "coords": [str(c) for c in sym.coords]})
     return sym
 

@@ -226,13 +226,17 @@ def cmd_boundary(args) -> int:
 def cmd_eigensymbol(args) -> int:
     curve = load_curve(args)
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
+    # coordinates over the full quotient's basis: each basis generator's
+    # expression is its own unit vector, so coordinate t is the value on basis[t]
+    full = cache.load_space(curve.conductor, args.cache, plus=False)
+    values = sym.generator_values()
     payload = {
         "label": curve.label,
         "level": sym.space.N,
-        "dimension": sym.space.dimension,
+        "dimension": full.dimension,
         "sign": "+",
-        "coords": [str(c) for c in sym.coords],
-        "generator_values": [str(v) for v in sym.generator_values()],
+        "coords": [str(values[b]) for b in full.basis],
+        "generator_values": [str(v) for v in values],
         "value_at_infinity_minus_zero": str(sym.value_infinity_minus(0)),
     }
     if args.format == "json":

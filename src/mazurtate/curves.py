@@ -143,10 +143,10 @@ class EllipticCurve(Record):
         """Hecke eigenvalue a_ell, cached."""
         if ell in self._ap_cache:
             return self._ap_cache[ell]
+        if ell > ELL_BOUND:  # before is_prime, which trial-divides up to sqrt(ell)
+            raise BoundExceeded(f"ell = {ell} exceeds the point-counting bound {ELL_BOUND}")
         if not is_prime(ell):
             raise InputError(f"{ell} is not prime")
-        if ell > ELL_BOUND:
-            raise BoundExceeded(f"ell = {ell} exceeds the point-counting bound {ELL_BOUND}")
         # at bad ell this is ell - #E^ns(F_ell): +-1 multiplicative, 0 additive
         a = ell + 1 - self.count_points(ell)
         if self.conductor % ell != 0:

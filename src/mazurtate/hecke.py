@@ -1,20 +1,20 @@
 """Hecke operators on Manin symbols and eigensymbol extraction.
 
 T_ell (ell coprime to the level) acts through Merel's matrices of determinant
-ell; like the sign involution J, it is a list of sparse rows {coordinate:
-value}.  The eigenline of a rational newform is cut out by one sparse
-elimination: the rows of J - 1 go in first, then those of T_ell - a_ell for
-good primes ell ascending up to the Sturm bound (`_equations`), until the
-kernel is a line.
+ell as a list of sparse rows {coordinate: value}.  T_ell commutes with the
+sign involution J, so it acts on the plus quotient (modsym), where every
+functional is J-invariant: the eigenline of a rational newform there is the
+plus-eigensymbol, cut out by one sparse elimination of the rows of
+T_ell - a_ell for good primes ell ascending up to the Sturm bound
+(`_equations`), until the kernel is a line.
 
-The elimination runs first modulo the prime linalg.MODULUS: the rows of
-J - 1 and of the first good T_ell - a_ell are folded, and each later good
-T_ell - a_ell acts on the kernel mod the prime, until it is a line.  Its
-vector, 1 at a free column, is lifted by rational reconstruction and
-certified exactly over Q:
-it must satisfy J v = v and T_ell v = a_ell v for every ell whose rows were
-folded.  The rank mod a prime is at most the rank over Q, so a line mod the
-prime and these checks prove that the Q-kernel is the line through v.  If a
+The elimination runs first modulo the prime linalg.MODULUS: the rows of the
+first good T_ell - a_ell are folded, and each later good T_ell - a_ell acts
+on the kernel mod the prime, until it is a line.  Its vector, 1 at a free
+column, is lifted by rational reconstruction and certified exactly over Q:
+it must satisfy T_ell v = a_ell v for every ell whose rows were folded.
+The rank mod a prime is at most the rank over Q, so a line mod the prime
+and these checks prove that the Q-kernel is the line through v.  If a
 denominator is divisible by the prime, the kernel mod the prime is still
 wider than a line at the Sturm bound, a reconstruction fails or a check
 fails, the exact elimination over Q (linalg.echelon) runs instead; only it
@@ -77,8 +77,7 @@ def sturm_bound(space: ManinSymbolSpace) -> int:
 
 
 def _equations(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
-    """(ell, rows) in folding order: (None, J - 1), then (ell, T_ell - a_ell) for good ell <= the Sturm bound."""
-    yield None, list(_shifted_rows(space.involution_matrix(), 1))
+    """(ell, rows of T_ell - a_ell) in folding order: good ell ascending up to the Sturm bound."""
     bound = sturm_bound(space)
     for ell in primes():
         if ell > bound:
@@ -90,12 +89,14 @@ def _equations(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
 def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
     """The plus-eigensymbol of the curve, cohomologically normalized.
 
-    Folds the equations of the +1-eigenspace of the sign involution, then
-    those of T_ell - a_ell prime by prime, until the kernel is one-dimensional:
-    mod a prime with an exact certificate, or else exactly over Q.
+    Folds the equations of T_ell - a_ell on the plus quotient prime by prime,
+    until the kernel is one-dimensional: mod a prime with an exact
+    certificate, or else exactly over Q.
     """
     if curve.conductor != space.N:
         raise ValueError("curve conductor does not match the space level")
+    if not space.plus:
+        raise ValueError("the eigensymbol is cut out on the plus quotient")
     matrix = functools.cache(lambda ell: hecke_matrix(space, ell))  # shared by both paths
     coords = _certified_eigenline(space, curve, matrix)
     if coords is None:
@@ -106,38 +107,33 @@ def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
 def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """Integer coordinates of the eigenline, found mod MODULUS and certified over Q.
 
-    The rows of J - 1, then those of the first good T_ell - a_ell, are folded
-    by echelon_mod.  While the kernel mod the prime is wider than a line,
-    each later good T_ell - a_ell acts on a basis K of it (`_restrict`), so a
-    later prime costs a system in dim K columns, not a fold of its rows into
-    the full pivots; it cuts out the same subspace.  K keeps the identity on
-    some free columns of the first fold, so the line has a coordinate 1, as
-    the free column of kernel_mod's vector.
+    The rows of the first good T_ell - a_ell are folded by echelon_mod.
+    While the kernel mod the prime is wider than a line, each later good
+    T_ell - a_ell acts on a basis K of it (`_restrict`), so a later prime
+    costs a system in dim K columns, not a fold of its rows into the full
+    pivots; it cuts out the same subspace.  K keeps the identity on some free
+    columns of the first fold, so the line has a coordinate 1, as the free
+    column of kernel_mod's vector.
 
     None whenever the certificate cannot be had; the caller then runs the
     exact elimination.  Folding stops at the first row that leaves the kernel
     mod the prime a line, so a kernel that would shrink to 0 is caught by the
-    exact check, which covers every row of every matrix touched: those of J,
-    and those of T_ell up to the first good ell at least, as the exact path
-    folds them.
+    exact check, which covers every row of every matrix touched: those of
+    T_ell up to the first good ell at least, as the exact path folds them.
     """
     q = MODULUS
-    dim = space.dimension
-    pivots = {}
     basis = None  # of the kernel mod q, once the first good ell is folded
     folded = []  # exact sparse rows of every matrix touched, for the certificate
-    for ell, rows in _equations(space, curve, matrix):
+    for _, rows in _equations(space, curve, matrix):
         folded.extend(rows)
         residues = [residue_row(row, q) for row in rows]
         if None in residues:
             return None
-        if basis is not None:
-            basis = _restrict(residues, basis, q)
+        if basis is None:
+            basis = kernel_mod(echelon_mod(residues, q, until=space.dimension - 1), space.dimension, q)
         else:
-            echelon_mod(residues, q, pivots, until=dim - 1)
-            if ell is not None:
-                basis = kernel_mod(pivots, dim, q)
-        if basis is not None and len(basis) == 1:
+            basis = _restrict(residues, basis, q)
+        if len(basis) == 1:
             break
     else:
         return None
@@ -160,7 +156,7 @@ def _restrict(rows, basis, q):
     into one int, basis[j][c] in bits [j w, (j + 1) w).  Entries are in
     [0, q) and a row has at most n = len(basis[0]) of them, so slot j of the
     image is at most n (q - 1)^2 < 2^w and no slot carries into the next
-    (w = 130 bits for q = 2^61 - 1 and n = 153, at level 681).
+    (w = 129 bits for q = 2^61 - 1 and n = 78, at level 681).
     """
     k, n = len(basis), len(basis[0])
     width = (n * (q - 1) ** 2).bit_length()
@@ -184,26 +180,28 @@ def _annihilates(rows, coords) -> bool:
 
 
 def fits_first_equations(space: ManinSymbolSpace, curve: EllipticCurve, coords) -> bool:
-    """Whether coords are nonzero with J v = v and T_ell v = a_ell v for the least good ell.
+    """Whether coords are nonzero with T_ell v = a_ell v for the least good ell.
 
-    Both eigenline paths fold at least these rows, so a stored vector that
-    fails them is not the eigenline.  Passing is not a certificate of the
-    line: that needs the rank, which costs as much as the eigenline.
+    Both eigenline paths fold at least these rows, and every vector on the
+    plus quotient is J-invariant, so a stored vector that fails them is not
+    the eigenline.  Passing is not a certificate of the line: that needs the
+    rank, which costs as much as the eigenline.
     """
-    first = itertools.islice(_equations(space, curve, lambda ell: hecke_matrix(space, ell)), 2)
+    first = itertools.islice(_equations(space, curve, lambda ell: hecke_matrix(space, ell)), 1)
     return any(coords) and all(_annihilates(rows, coords) for _, rows in first)
 
 
 def _exact_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """The eigenline by the exact elimination over Q, with its coded errors."""
     dim = space.dimension
+    if dim == 0:
+        raise InconsistentEigenvalues("plus-subspace is trivial")
     pivots = {}
     for ell, rows in _equations(space, curve, matrix):
         echelon(rows, pivots)
         if len(pivots) == dim:
-            raise InconsistentEigenvalues("plus-subspace is trivial" if ell is None else
-                                          f"no symbol matches the eigenvalue system at ell = {ell}")
-        if ell is not None and len(pivots) == dim - 1:
+            raise InconsistentEigenvalues(f"no symbol matches the eigenvalue system at ell = {ell}")
+        if len(pivots) == dim - 1:
             return kernel(pivots, dim)[0]
     raise EigenspaceNotOneDimensional(f"eigenspace still {dim - len(pivots)}-dimensional "
                                       f"past the Sturm bound {sturm_bound(space)}")

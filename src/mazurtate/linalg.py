@@ -1,9 +1,9 @@
 """Exact linear algebra: sparse elimination over Q and mod a prime, dense over F_p.
 
-Over Q, rows are sparse dicts {column: value}, as are the sign involution
-and Hecke operators.  Every exact rational on the symbol path, from these
-rows to a symbol's value table, is stored by one rule (`exact`): an int when
-it is integral, a Fraction only otherwise.  `echelon` folds rows into pivot
+Over Q, rows are sparse dicts {column: value}, as are the Hecke operators.
+Every exact rational on the symbol path, from these rows to a symbol's value
+table, is stored by one rule (`exact`): an int when it is integral, a
+Fraction only otherwise.  `echelon` folds rows into pivot
 rows, each stating a pivot variable as a combination of non-pivot columns;
 `kernel` reads a kernel basis off those pivots.  The Manin-symbol relation
 quotient is computed this way, and so is the Hecke eigenline when its fast

@@ -1,12 +1,13 @@
 """Weight-2 modular symbols for Gamma_0(N) via Manin symbols.
 
 The space is presented as the free Q-module on P^1(Z/N) modulo the two-term
-and three-term relations of Manin; every generator carries a sparse expression
-over a chosen quotient basis, and a symbol's value phi({inf} - {r}) at a cusp
-r is summed along the continued fraction of r (the Manin trick).  Operators
-(the sign involution, and T_ell in hecke) are lists of sparse rows.  The
-generator indexed by (c:d), with SL_2(Z) lift g having bottom row (c,d),
-stands for the divisor {g.0}-{g.inf}.
+and three-term relations of Manin; the plus quotient, which every command
+works in, adds the relation x_(J i) = x_i of the sign involution J: (c:d) ->
+(-c:d).  Every generator carries a sparse expression over a chosen quotient
+basis, and a symbol's value phi({inf} - {r}) at a cusp r is summed along the
+continued fraction of r (the Manin trick).  Operators (T_ell in hecke) are
+lists of sparse rows.  The generator indexed by (c:d), with SL_2(Z) lift g
+having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
 """
 from __future__ import annotations
 
@@ -125,6 +126,22 @@ def quotient_dimension(N: int) -> int:
     return 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
 
 
+def plus_dimension(N: int) -> int:
+    """g + c_J - 1, the dimension of the plus quotient at level N.
+
+    The +1 part of J is g-dimensional on the cuspidal symbols, and
+    (c_J - 1)-dimensional on the boundary, the degree-0 divisors on the cusp
+    classes, which J permutes.  J sends the class keyed (d, x) (see cusps) to
+    (d, -x), x a unit mod gcd(d, N/d), so c_J, the number of its orbits,
+    counts x and -x once.
+    """
+    orbits = 0
+    for d in divisors(N):
+        units = euler_phi(math.gcd(d, N // d))
+        orbits += units if units == 1 else units // 2  # -x = x only mod 1 and 2
+    return genus_x0(N) + orbits - 1
+
+
 # --- cusps ---
 
 
@@ -152,28 +169,27 @@ def _indices(xs, bound) -> bool:
     return all(type(x) is int and 0 <= x < bound for x in xs)
 
 
-class ManinSymbolSpace:
-    """Quotient presentation of the weight-2 modular symbols on Gamma_0(N)."""
+def _involution(p1: P1List):
+    """Index action of J: (c:d) -> (-c:d)."""
+    return [p1.index(-c, d) for c, d in p1]
 
-    def __init__(self, N, p1, basis, expressions, sigma, tau):
+
+class ManinSymbolSpace:
+    """Quotient presentation of the weight-2 modular symbols on Gamma_0(N), or of their plus quotient."""
+
+    def __init__(self, N, p1, basis, expressions, sigma, tau, plus=True):
         self.N = N
         self.p1 = p1
         self.basis = basis          # P^1 indices of the free generators
         self.expressions = expressions  # per P^1 index: sorted (coordinate, value) pairs, values in the exact format
         self.sigma = sigma          # index action of the order-2 relation matrix
         self.tau = tau              # index action of the order-3 relation matrix
+        self.plus = plus            # whether x_(J i) = x_i is a relation too
         self.dimension = len(basis)
-        self._involution = None
 
     def involution_index(self, i: int) -> int:
         c, d = self.p1[i]
         return self.p1.index(-c, d)
-
-    def involution_matrix(self):
-        """Sparse rows of the sign involution on basis coordinates, one per basis generator."""
-        if self._involution is None:
-            self._involution = [self.coordinate_row([self.involution_index(b)]) for b in self.basis]
-        return self._involution
 
     def coordinate_row(self, indices):
         """Sparse basis coordinates {coordinate: value} of the sum of the generators at these P^1 indices."""
@@ -192,10 +208,13 @@ class ManinSymbolSpace:
         expressions of a sigma-pair are each other's negation, entry by entry,
         as build_space writes them) and so must every three-term relation, each
         basis generator's expression must be its own unit coordinate, and the
-        dimension must be 2g + c - 1.  The map then factors through the
-        quotient and sends the basis to the unit vectors of a space of the
-        quotient's dimension, so it is the one quotient map.  Every index must
-        be an int in range, so that evaluating the map cannot fail.
+        dimension must be 2g + c - 1.  On the plus quotient the expressions
+        of a J-pair must also be equal, entry by entry, with J computed from
+        P^1 here, and the dimension must be plus_dimension.  The map then
+        factors through the quotient and sends the basis to the unit vectors
+        of a space of the quotient's dimension, so it is the one quotient map.
+        Every index must be an int in range, so that evaluating the map cannot
+        fail.
         """
         N, p1, sigma, tau = self.N, self.p1, self.sigma, self.tau
         expressions, dim = self.expressions, self.dimension
@@ -209,7 +228,10 @@ class ManinSymbolSpace:
             # against (d : -c) and (d : -c-d), the images under the order-2 and order-3 matrices
             if (d * d1 + c * c1) % N or (d * d2 + (c + d) * c2) % N:
                 return False
-        if dim != quotient_dimension(N) or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
+        expected = plus_dimension(N) if self.plus else quotient_dimension(N)
+        if dim != expected or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
+            return False
+        if self.plus and any(expressions[j] != e for j, e in zip(_involution(p1), expressions)):
             return False
         for i, j in enumerate(sigma):
             if i <= j and expressions[j] != tuple((t, -c) for t, c in expressions[i]):
@@ -229,12 +251,14 @@ def check_level(N: int) -> None:
         raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {MAX_INDEX}")
 
 
-def build_space(N: int) -> ManinSymbolSpace:
-    """Construct the Manin-symbol presentation at level N.
+def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
+    """Construct the presentation of the plus quotient at level N, or with
+    plus=False of the full Manin-symbol quotient.
 
-    Two-term relations are folded in combinatorially (they pair generators up
-    to sign); the remaining three-term relations go through linalg.echelon,
-    the sparse elimination over Q.
+    Two-term relations, and on the plus quotient x_(J i) = x_i, are folded in
+    combinatorially (each <sigma, J>-orbit is one generator up to sign, or
+    zero if its signs clash); the remaining three-term relations go through
+    linalg.echelon, the sparse elimination over Q.
     """
     if N < 1:
         raise ValueError("level must be positive")
@@ -245,17 +269,22 @@ def build_space(N: int) -> ManinSymbolSpace:
     sigma = [index(d, -c) for c, d in p1]
     tau = [index(d, -c - d) for c, d in p1]
 
-    # x + x.S = 0: fixed points die, otherwise pair with a sign.
+    # x + x.S = 0 and x = x.J: an orbit {i, Si, Ji, SJi} (J commutes with S)
+    # folds onto its least index i with signs +, -, +, -, and dies if one of
+    # its generators gets both signs (J is the identity on the full quotient)
+    involution = _involution(p1) if plus else range(m)
     zero = [False] * m
     rep = list(range(m))
     rep_sign = [1] * m
     for i in range(m):
-        j = sigma[i]
-        if j == i:
-            zero[i] = True
-        elif j > i:
-            rep[j] = i
-            rep_sign[j] = -1
+        if rep[i] < i:  # folded with a lesser index already
+            continue
+        j = involution[i]
+        clash = sigma[i] in (i, j)  # i = Si, or Ji = Si and so i = SJi
+        for k, sgn in ((i, 1), (sigma[i], -1), (j, 1), (sigma[j], -1)):
+            zero[k] = clash
+            rep[k] = i
+            rep_sign[k] = sgn
 
     def as_term(i):
         if zero[i]:
@@ -298,11 +327,12 @@ def build_space(N: int) -> ManinSymbolSpace:
             base = var_expr[rep[i]]
             expressions.append(base if rep_sign[i] == 1 else tuple((t, -c) for t, c in base))
 
-    expected = quotient_dimension(N)
+    expected = plus_dimension(N) if plus else quotient_dimension(N)
     if dim != expected:
-        raise RuntimeError(f"dimension {dim} at level {N} disagrees with 2g+c-1 = {expected}")
+        formula = "g+c_J-1" if plus else "2g+c-1"
+        raise RuntimeError(f"dimension {dim} at level {N} disagrees with {formula} = {expected}")
 
-    return ManinSymbolSpace(N, p1, free, expressions, sigma, tau)
+    return ManinSymbolSpace(N, p1, free, expressions, sigma, tau, plus)
 
 
 class ModularSymbol:

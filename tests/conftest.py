@@ -32,7 +32,14 @@ def curves():
 
 @pytest.fixture(scope="session")
 def spaces():
+    """Plus quotients, where the eigensymbols live."""
     return {N: build_space(N) for N in (11, 26, 50, 174)}
+
+
+@pytest.fixture(scope="session")
+def full_spaces():
+    """Full quotients, which also carry symbols that are not J-invariant."""
+    return {N: build_space(N, plus=False) for N in (11, 26)}
 
 
 @pytest.fixture(scope="session")
@@ -59,9 +66,14 @@ def act(mat, r):
     return as_cusp((a * u + b * v, c * u + d * v))
 
 
+def involution_matrix(space):
+    """Sparse rows of the sign involution J on basis coordinates, one per basis generator."""
+    return [space.coordinate_row([space.involution_index(b)]) for b in space.basis]
+
+
 def involution(sym):
-    """phi o J on basis coordinates, through the rows of J (ManinSymbolSpace.involution_matrix)."""
-    rows = sym.space.involution_matrix()
+    """phi o J on basis coordinates, through the rows of J (involution_matrix)."""
+    rows = involution_matrix(sym.space)
     return ModularSymbol(sym.space, [sum(x * sym.coords[k] for k, x in row.items()) for row in rows])
 
 

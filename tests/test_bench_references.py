@@ -76,8 +76,12 @@ def test_cache_jobs_match_reference_cold_and_warm(tmp_path, capsys, monkeypatch)
     # jobs fill the cache and when they read it back without building anything
     assert len(CACHE_JOBS) == 6
     assert [job for job in CACHE_JOBS if not run_job(job, capsys, monkeypatch, tmp_path)] == []
-    assert sorted(path.name.split("_")[0] for path in tmp_path.glob("*.json")) == \
-        ["eigsym"] * 4 + ["space"] * 4
+    # four eigensymbols and four plus quotients; the full quotient only for
+    # the two eigensymbol jobs, which report coordinates over its basis
+    names = sorted(path.name for path in tmp_path.glob("*.json"))
+    assert [name.split("_")[0] for name in names] == ["eigsym"] * 4 + ["space"] * 6
+    assert [name for name in names if name.startswith("space") and not name.endswith("_plus.json")] == \
+        ["space_N571.json", "space_N681.json"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cached object was rebuilt")

@@ -10,21 +10,25 @@ from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import build_space
 
 from .conftest import make_curve
+from .test_modsym import plus_forgeries
 
 
 def test_space_roundtrip(tmp_path):
-    fresh = cache.load_space(11, tmp_path)
-    again = cache.load_space(11, tmp_path)
-    direct = build_space(11)
-    assert again.basis == direct.basis
-    assert again.expressions == direct.expressions
-    assert (tmp_path / "space_N11.json").exists()
-    assert fresh.dimension == again.dimension
+    for plus, name in ((True, "space_N11_plus.json"), (False, "space_N11.json")):
+        fresh = cache.load_space(11, tmp_path, plus=plus)
+        again = cache.load_space(11, tmp_path, plus=plus)
+        direct = build_space(11, plus)
+        assert again.basis == direct.basis
+        assert again.expressions == direct.expressions
+        assert again.plus == plus
+        assert (tmp_path / name).exists()
+        assert fresh.dimension == again.dimension
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_corrupted_space_cache_is_rebuilt(tmp_path):
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
+    path = tmp_path / "space_N11_plus.json"
     payload = json.loads(path.read_text())
     payload["expressions"][0][0] = "999"  # tamper without fixing the checksum
     path.write_text(json.dumps(payload))
@@ -53,6 +57,21 @@ def test_verify_cache_dir_counts_and_drops(tmp_path):
     assert not bad.exists()
 
 
+def test_verify_cache_dir_sweeps_every_kind_of_file(tmp_path):
+    # the plus and full quotients and the eigensymbol: every name a load writes
+    assert main(["eigensymbol", "--curve", "11a", "--cache", str(tmp_path), "--format", "json"]) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names[1:] == ["space_N11.json", "space_N11_plus.json"] and names[0].startswith("eigsym_N11_")
+    assert all(cache.CACHE_FILE_NAME.fullmatch(name) for name in names)
+    assert not any(cache.CACHE_FILE_NAME.fullmatch(name) for name in
+                   ("space_N11_minus.json", "space_N11_plus_plus.json", "space_N_plus.json"))
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 3, "corrupted": 0}
+    for path in tmp_path.iterdir():
+        path.write_text("{not json")
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 3}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
     cache.load_space(11, tmp_path)
     record = tmp_path / "mycurve.json"
@@ -71,7 +90,7 @@ def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
 def test_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
     cache.load_space(11)
-    assert (tmp_path / "space_N11.json").exists()
+    assert (tmp_path / "space_N11_plus.json").exists()
 
 
 def test_eigensymbol_cache_is_keyed_by_curve_not_label(tmp_path):
@@ -82,6 +101,22 @@ def test_eigensymbol_cache_is_keyed_by_curve_not_label(tmp_path):
     assert code == 0
     assert json.loads((tmp_path / "out.json").read_text())["coords"] == ["-2", "-3", "-3", "3", "0", "6", "2"]
     assert len(list(tmp_path.glob("eigsym_N26_*_plus.json"))) == 2
+
+
+def test_old_kind_eigensymbol_file_is_a_miss(tmp_path):
+    # an eigensymbol stored over the full basis, under the older kind, is
+    # rebuilt over the plus basis and rewritten under the current kind
+    space, curve, path = _eigensymbol_file(tmp_path)
+    payload = cache._read(path)
+    full = build_space(11, plus=False)
+    values = eigensymbol(space, curve).generator_values()
+    payload |= {"kind": "eigensymbol", "coords": [str(values[b]) for b in full.basis]}
+    cache._write(path, payload)
+    assert len(cache._read(path)["coords"]) == 3
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+    payload = cache._read(path)
+    assert payload["kind"] == cache.EIGENSYMBOL_KIND
+    assert payload["coords"] == [str(c) for c in eigensymbol(space, curve).coords]
 
 
 def test_label_does_not_reach_the_file_system(tmp_path):
@@ -108,9 +143,9 @@ def test_stored_coefficients_are_checked_on_read(tmp_path):
 
 
 def test_directory_at_old_temp_name_does_not_block_writes(tmp_path):
-    (tmp_path / "space_N11.tmp").mkdir()
+    (tmp_path / "space_N11_plus.tmp").mkdir()
     space = cache.load_space(11, tmp_path)
-    assert cache._read(tmp_path / "space_N11.json") is not None
+    assert cache._read(tmp_path / "space_N11_plus.json") is not None
     assert space.dimension == build_space(11).dimension
 
 
@@ -121,13 +156,13 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
 
 
 def test_old_dense_space_file_is_rebuilt(tmp_path):
-    space = build_space(11)
+    space = build_space(11, plus=False)
     path = tmp_path / "space_N11.json"
     rows = [space.coordinate_row([i]) for i in range(len(space.p1))]
     dense = [[str(row.get(t, Fraction(0))) for t in range(space.dimension)] for row in rows]
     cache._write(path, {"kind": "manin_space", "N": 11, "basis": list(space.basis), "expressions": dense,
                         "sigma": list(space.sigma), "tau": list(space.tau)})
-    assert cache.load_space(11, tmp_path).expressions == space.expressions
+    assert cache.load_space(11, tmp_path, plus=False).expressions == space.expressions
     payload = cache._read(path)
     assert payload["kind"] == cache.SPACE_KIND
     assert payload == cache.space_payload(space)
@@ -149,8 +184,8 @@ def test_load_symbol_passes_over_p1_once(monkeypatch):
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     spaces = []
 
-    def counted_space(N):
-        space = build_space(N)
+    def counted_space(N, plus):
+        space = build_space(N, plus)
         space.expressions = CountingList(space.expressions)
         spaces.append(space)
         return space
@@ -167,7 +202,7 @@ def test_cache_path_naming_a_file_is_refused_before_any_build(tmp_path, monkeypa
     regular = tmp_path / "cache"
     regular.write_text("")
     not_a_dir = regular / "sub" if under_file else regular
-    monkeypatch.setattr(cache, "build_space", lambda N: pytest.fail("space built"))
+    monkeypatch.setattr(cache, "build_space", lambda N, plus: pytest.fail("space built"))
     monkeypatch.setattr(cache, "eigensymbol", lambda *a: pytest.fail("eigensymbol built"))
     with pytest.raises(InputError, match="cannot use cache directory"):
         cache.load_space(11, not_a_dir)
@@ -212,7 +247,7 @@ def _forge(path, key, value):
 @pytest.mark.parametrize("entry", [[[0]], [["0", "x"]], [[0, "1/0"]], 7])
 def test_space_file_that_does_not_parse_is_a_miss(tmp_path, entry):
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
+    path = tmp_path / "space_N11_plus.json"
     expressions = cache._read(path)["expressions"]
     _forge(path, "expressions", [entry] + expressions[1:])
     fresh = build_space(11)
@@ -220,15 +255,15 @@ def test_space_file_that_does_not_parse_is_a_miss(tmp_path, entry):
     assert cache._read(path) == cache.space_payload(fresh)  # rewritten
 
 
-def _eigensymbol_file(tmp_path):
-    space = cache.load_space(11, tmp_path)
-    curve = make_curve("11a")
+def _eigensymbol_file(tmp_path, label="11a"):
+    curve = make_curve(label)
+    space = cache.load_space(curve.conductor, tmp_path)
     cache.load_eigensymbol(space, curve, tmp_path)
-    (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
+    (path,) = tmp_path.glob(f"eigsym_N{curve.conductor}_*_plus.json")
     return space, curve, path
 
 
-@pytest.mark.parametrize("coords", [["x", "0", "0"], ["1/0", "0", "0"], [None, "0", "0"], ["1", "2"], 5])
+@pytest.mark.parametrize("coords", [["x", "0"], ["1/0", "0"], [None, "0"], ["1", "2", "3"], 5])
 def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
     space, curve, path = _eigensymbol_file(tmp_path)
     _forge(path, "coords", coords)
@@ -240,8 +275,8 @@ def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
 @pytest.mark.parametrize("delta", [1, -1])
 @pytest.mark.parametrize("k", range(3))
 def test_eigensymbol_file_off_the_eigenline_is_a_miss(tmp_path, k, delta):
-    # checksum-clean but off the line: J v = v or T_2 v = a_2 v fails
-    space, curve, path = _eigensymbol_file(tmp_path)
+    # checksum-clean but off the line: T_3 v = a_3 v fails (26b1, whose plus quotient has 5 coordinates)
+    space, curve, path = _eigensymbol_file(tmp_path, "26b1")
     coords = [int(c) for c in cache._read(path)["coords"]]
     coords[k] += delta
     _forge(path, "coords", [str(c) for c in coords])
@@ -261,8 +296,8 @@ def test_forged_eigensymbol_file_does_not_change_the_analysis(tmp_path, capsys):
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
     coords = cache._read(path)["coords"]
-    assert coords[2] == "-10"
-    _forge(path, "coords", coords[:2] + ["-9"])
+    assert coords[1] == "5"
+    _forge(path, "coords", coords[:1] + ["4"])
     capsys.readouterr()
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr().out == uncached
@@ -270,7 +305,7 @@ def test_forged_eigensymbol_file_does_not_change_the_analysis(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["[]", "5", '"checksum"'])
 def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
-    path = tmp_path / "space_N11.json"
+    path = tmp_path / "space_N11_plus.json"
     path.write_text(text)
     fresh = build_space(11)
     assert cache.load_space(11, tmp_path).expressions == fresh.expressions
@@ -285,10 +320,22 @@ def test_forged_space_file_does_not_change_the_analysis(tmp_path, capsys):
     assert main(argv) == 0
     uncached = capsys.readouterr().out
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
+    path = tmp_path / "space_N11_plus.json"
     expressions = cache._read(path)["expressions"]
-    assert expressions[5] == [[1, "1"]]
-    _forge(path, "expressions", expressions[:5] + [[[0, "2"]]] + expressions[6:])
+    assert expressions[4] == [[1, "1"]]
+    _forge(path, "expressions", expressions[:4] + [[[0, "2"]]] + expressions[5:])
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr().out == uncached
     assert cache._read(path) == cache.space_payload(build_space(11))  # rewritten
+
+
+@pytest.mark.parametrize("forge", ["full payload", "J-pair", "dimension"])
+def test_forged_plus_space_file_is_rebuilt(tmp_path, forge):
+    # checksum-clean plus-kind files that the plus certificate refuses
+    name = {"full payload": "full-space payload under the plus kind", "J-pair": "J-pair with unequal expressions",
+            "dimension": "wrong dimension"}[forge]
+    path = tmp_path / "space_N26_plus.json"
+    cache._write(path, cache.space_payload(plus_forgeries(26)[name]))
+    assert cache._read(path)["kind"] == cache.PLUS_SPACE_KIND
+    assert cache.load_space(26, tmp_path).expressions == build_space(26).expressions
+    assert cache._read(path) == cache.space_payload(build_space(26))  # rewritten

@@ -242,7 +242,8 @@ def test_analyze_goes_through_the_cache(tmp_path, capsys):
     argv = ["analyze", "--curve", "26b1", "--p", "7", "--n-max", "2", "--format", "json"]
     uncached = run_cli(capsys, *argv)
     cold = run_cli(capsys, *argv, "--cache", str(tmp_path))
-    assert (tmp_path / "space_N26.json").is_file()
+    assert (tmp_path / "space_N26_plus.json").is_file()
+    assert not (tmp_path / "space_N26.json").exists()  # only eigensymbol reads the full quotient
     assert len(list(tmp_path.glob("eigsym_N26_*_plus.json"))) == 1
     warm = run_cli(capsys, *argv, "--cache", str(tmp_path))
     assert cold == uncached and warm == uncached
@@ -280,7 +281,7 @@ def test_huge_conductor_ends_with_coded_error(capsys):
 
 
 def test_conductor_that_does_not_fit_the_model_is_refused_before_any_space(capsys, monkeypatch):
-    def no_space(N):
+    def no_space(N, plus):
         raise AssertionError(f"built the space at level {N}")
 
     monkeypatch.setattr(cache, "build_space", no_space)

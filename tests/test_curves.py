@@ -3,7 +3,7 @@ import time
 import pytest
 
 from mazurtate.curves import EllipticCurve
-from mazurtate.classify import _require_good_ordinary
+from mazurtate.classify import MTRequest, _require_good_ordinary, classify
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 
 from .conftest import make_curve
@@ -116,6 +116,21 @@ def test_good_ordinary_detection():
 def test_bound_exceeded():
     with pytest.raises(BoundExceeded):
         make_curve("11a").a_ell(100003)
+
+
+def test_bound_is_checked_before_primality(monkeypatch):
+    # is_prime trial-divides up to sqrt(ell): a Mersenne prime of 89 bits
+    # would keep it busy for hours, so the bound must refuse it first
+    from mazurtate import curves
+
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) ran before the bound")
+
+    monkeypatch.setattr(curves, "is_prime", refuse)
+    with pytest.raises(BoundExceeded):
+        make_curve("11a").a_ell(2**89 - 1)
+    with pytest.raises(BoundExceeded):
+        classify(MTRequest(make_curve("11a"), 2**89 - 1))
 
 
 def test_input_validation():

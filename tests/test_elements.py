@@ -56,9 +56,9 @@ def test_theta0_identity_additive_fixture_uses_up_variant(eigensymbols, curves):
     assert check_theta0_identity(eigensymbols["50b1"], curves["50b1"], 5)
 
 
-def test_theta_depends_only_on_plus_part(spaces):
+def test_theta_depends_only_on_plus_part(full_spaces):
     rng = random.Random(8)
-    sp = spaces[11]
+    sp = full_spaces[11]
     psi = ModularSymbol(sp, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(sp.dimension)])
     plus, minus = sign_parts(psi)
     for n in (0, 1):
@@ -384,9 +384,9 @@ def test_halved_raw_values_match_every_cusp(eigensymbols):
             assert all(v == sym.value_infinity_minus(Fraction(a, q)) for a, v in raw.items())
 
 
-def test_forged_plus_label_keeps_the_full_loop(spaces, monkeypatch):
+def test_forged_plus_label_keeps_the_full_loop(full_spaces, monkeypatch):
     rng = random.Random(5)
-    sp = spaces[26]
+    sp = full_spaces[26]
     forged = ModularSymbol(sp, [rng.randint(-9, 9) for _ in range(sp.dimension)], sign="+")
     assert not forged.is_plus()
     expected = {a: forged.value_infinity_minus(Fraction(a, 49)) for a in range(1, 49) if a % 7}

@@ -11,7 +11,7 @@ from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize
 from mazurtate.linalg import MODULUS, echelon_mod, kernel_mod, mat_mul, nullspace, rref_mod_p
 from mazurtate.modsym import ModularSymbol, build_space
 
-from .conftest import involution, make_curve
+from .conftest import involution_matrix, make_curve
 from .test_linalg import random_matrix, residues
 
 
@@ -60,7 +60,7 @@ def test_hecke_operators_commute():
 
 
 def test_hecke_trace_is_rational():
-    sp = build_space(26)
+    sp = build_space(26, plus=False)
     T3 = densify(hecke_matrix(sp, 3), sp.dimension)
     tr = sum(T3[i][i] for i in range(sp.dimension))
     assert isinstance(tr, Fraction)
@@ -83,7 +83,12 @@ def test_eigensymbol_26b1_up_to_20(spaces, curves):
 
 def test_eigensymbol_is_plus_eigenvector(eigensymbols):
     for sym in eigensymbols.values():
-        assert involution(sym).coords == sym.coords
+        assert sym.space.plus and sym.is_plus()
+
+
+def test_eigensymbol_needs_the_plus_quotient():
+    with pytest.raises(ValueError, match="plus quotient"):
+        eigensymbol(build_space(11, plus=False), make_curve("11a"))
 
 
 def test_divisor_level_tp_relation(eigensymbols, curves):
@@ -97,11 +102,13 @@ def test_divisor_level_tp_relation(eigensymbols, curves):
         assert phi0 != 0
 
 
-def test_hecke_commutes_with_involution(spaces):
-    dim = spaces[11].dimension
-    J = densify(spaces[11].involution_matrix(), dim)
-    T3 = densify(hecke_matrix(spaces[11], 3), dim)
-    assert mat_mul(J, T3) == mat_mul(T3, J)
+def test_hecke_commutes_with_involution(full_spaces):
+    # so T_ell acts on the plus quotient, where the eigenline is cut out
+    for sp in full_spaces.values():
+        J = densify(involution_matrix(sp), sp.dimension)
+        for ell in (3, 5):
+            T = densify(hecke_matrix(sp, ell), sp.dimension)
+            assert mat_mul(J, T) == mat_mul(T, J)
 
 
 def test_wrong_eigenvalues_raise():
@@ -291,14 +298,14 @@ def test_shared_hecke_matrices_are_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize(("label", "trail"), [
-    ("681b1", [(153, 78), (153, 5), (5, 5), (5, 1)]),  # J, T_2, then T_5 and T_7 on the kernel
-    ("174b1", [(61, 34), (61, 9), (9, 1)]),
-    ("389a1", [(65, 33), (65, 1)]),  # T_2 already leaves a line
+    ("681b1", [(78, 5), (5, 5), (5, 1)]),  # T_2, then T_5 and T_7 on the kernel
+    ("174b1", [(34, 9), (9, 1)]),
+    ("389a1", [(33, 1)]),  # T_2 already leaves a line
 ])
 def test_later_primes_act_on_the_kernel(level_cases, monkeypatch, label, trail):
     # (columns, kernel dimension mod q) after each echelon_mod; every fold
     # stops at a line, so until + 1 is its column count: only the rows of
-    # J - 1 and of the first good T_ell reach the full-width fold
+    # the first good T_ell reach the fold over the plus quotient's columns
     folds = []
 
     def fold(rows, q, pivots=None, until=None):

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from mazurtate import cache
+from mazurtate.cusps import CuspClassTable
 from mazurtate.errors import LevelTooLarge
+from mazurtate.linalg import echelon, nullspace
 from mazurtate.modsym import (
     INFINITY,
     ManinSymbolSpace,
@@ -19,10 +22,12 @@ from mazurtate.modsym import (
     build_space,
     cusp_count,
     genus_x0,
+    plus_dimension,
     psi_index,
 )
 
-from .conftest import Scaled, act, divisor_value, involution, make_curve, sign_parts, zero_symbol
+from .conftest import (Scaled, act, divisor_value, involution, involution_matrix, make_curve, sign_parts,
+                       zero_symbol)
 
 
 def random_gamma0(N, rng, steps=8):
@@ -60,8 +65,8 @@ def rank_mod_q(rows, ncols, q):
     return rank
 
 
-def full_relation_matrix(N):
-    """The raw two- and three-term relation rows on P^1(Z/N)."""
+def full_relation_matrix(N, plus=False):
+    """The raw two- and three-term relation rows on P^1(Z/N), and with plus the rows x - x.J."""
     p1 = P1List(N)
     m = len(p1)
     idx = p1.index
@@ -76,12 +81,17 @@ def full_relation_matrix(N):
         row[idx(d, -c - d)] += 1
         row[idx(-c - d, c)] += 1
         rows.append(row)
+        if plus:
+            row = [0] * m
+            row[i] += 1
+            row[idx(-c, d)] -= 1
+            rows.append(row)
     return rows, m
 
 
 @pytest.mark.parametrize("N,expected_dim", [(11, 3), (1, 0), (26, 7)])
 def test_dimension_against_independent_rank(N, expected_dim):
-    space = build_space(N)
+    space = build_space(N, plus=False)
     assert space.dimension == expected_dim
     rows, m = full_relation_matrix(N)
     # oracle: rank of the raw relation matrix over two large prime fields
@@ -89,16 +99,42 @@ def test_dimension_against_independent_rank(N, expected_dim):
         assert m - rank_mod_q(rows, m, q) == expected_dim
 
 
+@pytest.mark.parametrize("N,expected_dim", [(11, 2), (1, 0), (26, 5), (50, 9)])
+def test_plus_dimension_against_independent_rank(N, expected_dim):
+    space = build_space(N)
+    assert space.dimension == expected_dim
+    rows, m = full_relation_matrix(N, plus=True)
+    for q in (1000003, 999983):
+        assert m - rank_mod_q(rows, m, q) == expected_dim
+
+
 def test_dimension_formula_for_all_levels_up_to_60_and_samples():
     for N in list(range(1, 61)) + [89, 98, 100, 121, 144, 174, 200]:
-        space = build_space(N)
+        space = build_space(N, plus=False)
         expected = 2 * genus_x0(N) + cusp_count(N) - 1 if N > 1 else 0
         assert space.dimension == expected
 
 
+def j_orbits_on_cusp_classes(N):
+    """Orbits of r -> -r on the cusp classes, by classifying the representatives."""
+    table = CuspClassTable(N)
+    return len({frozenset((k, table.classify((-a, c)))) for k, (a, c) in enumerate(table.representatives)})
+
+
+def test_plus_dimension_formula_for_all_levels_below_300():
+    # g + c_J - 1 is the plus build's dimension and that of the +1 part of J
+    # on the full quotient, whose rank of J - 1 is taken exactly over Q
+    for N in range(1, 300):
+        full = build_space(N, plus=False)
+        expected = genus_x0(N) + j_orbits_on_cusp_classes(N) - 1
+        assert plus_dimension(N) == expected == build_space(N).dimension, N
+        shifted = [{**row, t: row.get(t, 0) - 1} for t, row in enumerate(involution_matrix(full))]
+        assert full.dimension - len(echelon(shifted)) == expected, N
+
+
 def test_n26_cusp_count_is_4():
     assert cusp_count(26) == 4
-    assert build_space(26).dimension == 2 * genus_x0(26) + 4 - 1
+    assert build_space(26, plus=False).dimension == 2 * genus_x0(26) + 4 - 1
 
 
 def test_level_too_large():
@@ -131,7 +167,7 @@ SPACE_DIGESTS = {
 
 @pytest.mark.parametrize("N", sorted(SPACE_DIGESTS))
 def test_space_presentation_is_pinned(N):
-    sp = build_space(N)
+    sp = build_space(N, plus=False)
     payload = json.dumps([list(sp.basis), [[[t, str(c)] for t, c in e] for e in sp.expressions]])
     assert hashlib.sha256(payload.encode()).hexdigest() == SPACE_DIGESTS[N]
 
@@ -171,19 +207,20 @@ def densify(row, dim):
 
 
 def test_relations_hold_identically_on_expressions():
-    for N in (11, 26, 45, 50):
-        sp = build_space(N)
+    for N, plus in itertools.product((11, 26, 45, 50), (False, True)):
+        sp = build_space(N, plus)
         e = [dense(expr, sp.dimension) for expr in sp.expressions]
         for i in range(len(sp.p1)):
             s = [a + b for a, b in zip(e[i], e[sp.sigma[i]])]
             assert all(x == 0 for x in s)
             t = [a + b + c for a, b, c in zip(e[i], e[sp.tau[i]], e[sp.tau[sp.tau[i]]])]
             assert all(x == 0 for x in t)
+            assert e[sp.involution_index(i)] == e[i] or not plus
 
 
 def test_expressions_are_sorted_nonzero_pairs():
-    for N in (11, 26, 45, 50):
-        sp = build_space(N)
+    for N, plus in itertools.product((11, 26, 45, 50), (False, True)):
+        sp = build_space(N, plus)
         for i, expr in enumerate(sp.expressions):
             coords = [t for t, _ in expr]
             assert coords == sorted(set(coords))
@@ -196,17 +233,19 @@ def test_expressions_are_sorted_nonzero_pairs():
 def test_built_spaces_present_their_quotient():
     for N in list(range(1, 80)) + [174, 389, 571, 681]:
         assert build_space(N).presents_quotient(), N
+        assert build_space(N, plus=False).presents_quotient(), N
 
 
 def forgeries(sp):
     """Copies of the space's parts, each broken in one way a checksum does not see."""
     N, p1, basis, expressions, sigma, tau = sp.N, sp.p1, list(sp.basis), list(sp.expressions), sp.sigma, sp.tau
     b = basis[1]
-    pair = next(i for i in range(len(p1)) if i < sigma[i] and len(expressions[i]) > 1)
+    pair = next(i for i in range(len(p1)) if i < sigma[i] and i not in basis and expressions[i])
+    J = [sp.involution_index(i) for i in range(len(p1))] if sp.plus else range(len(p1))
     out = {}
 
     def forge(name, **parts):
-        args = dict(N=N, p1=p1, basis=basis, expressions=expressions, sigma=sigma, tau=tau) | parts
+        args = dict(N=N, p1=p1, basis=basis, expressions=expressions, sigma=sigma, tau=tau, plus=sp.plus) | parts
         out[name] = ManinSymbolSpace(**args)
 
     forge("basis value doubled", expressions=expressions[:b] + [((1, 2),)] + expressions[b + 1:])
@@ -219,11 +258,11 @@ def forgeries(sp):
     forge("tau run backwards", tau=[tau[j] for j in tau])
     forge("tau not a permutation", tau=[tau[0]] + list(tau[:-1]))
     forge("basis generator dropped", basis=basis[:-1])
-    # a sigma-pair moved together keeps the two-term relations, not the three-term ones
+    # a <sigma, J>-orbit moved together keeps the two-term (and J) relations, not the three-term ones
     moved = list(expressions)
     (t, c), rest = expressions[pair][0], expressions[pair][1:]
-    moved[pair] = ((t, c + 1),) + rest
-    moved[sigma[pair]] = tuple((u, -x) for u, x in moved[pair])
+    moved[pair] = moved[J[pair]] = ((t, c + 1),) + rest
+    moved[sigma[pair]] = moved[J[sigma[pair]]] = tuple((u, -x) for u, x in moved[pair])
     forge("three-term relation broken", expressions=moved)
     forge("coordinate out of range", expressions=[e + ((sp.dimension, 0),) if i in (pair, sigma[pair]) else e
                                                   for i, e in enumerate(expressions)])
@@ -232,10 +271,40 @@ def forgeries(sp):
     return out
 
 
+def plus_forgeries(N):
+    """Plus-quotient files broken in ways that only the J relation or the plus dimension sees."""
+    sp, full = build_space(N), build_space(N, plus=False)
+    out = {}
+    # pi + f e_0, for the quotient map pi and a functional f on the full
+    # quotient that vanishes on the plus basis generators but not on every
+    # x - x.J: every two- and three-term relation vanishes, the basis is sent
+    # to unit vectors and the dimension is right, but one J-pair differs
+    rows = [dense(full.expressions[b], full.dimension) for b in sp.basis]
+    for w in nullspace(rows, full.dimension):
+        f = [sum(c * w[t] for t, c in e) for e in full.expressions]
+        if any(f[i] != f[sp.involution_index(i)] for i in range(len(f))):
+            break
+    shifted = [dense(e, sp.dimension) for e in sp.expressions]
+    for row, x in zip(shifted, f):
+        row[0] += x
+    expressions = [tuple((t, c) for t, c in enumerate(row) if c) for row in shifted]
+    out["J-pair with unequal expressions"] = ManinSymbolSpace(N, sp.p1, sp.basis, expressions, sp.sigma, sp.tau)
+    payload = cache.space_payload(full) | {"kind": cache.PLUS_SPACE_KIND}
+    out["full-space payload under the plus kind"] = cache.space_from_payload(payload)
+    # the quotient by one more relation, x_b = 0 for the last basis generator b
+    last = sp.dimension - 1
+    smaller = [tuple((t, c) for t, c in e if t != last) for e in sp.expressions]
+    out["wrong dimension"] = ManinSymbolSpace(N, sp.p1, sp.basis[:-1], smaller, sp.sigma, sp.tau)
+    return out
+
+
 @pytest.mark.parametrize("N", [11, 26, 174, 681])
 def test_forged_spaces_fail_the_certificate(N):
-    sp = build_space(N)
-    for name, forged in forgeries(sp).items():
+    for sp in (build_space(N), build_space(N, plus=False)):
+        assert sp.presents_quotient()
+        for name, forged in forgeries(sp).items():
+            assert not forged.presents_quotient(), (name, sp.plus)
+    for name, forged in plus_forgeries(N).items():
         assert not forged.presents_quotient(), name
 
 
@@ -307,7 +376,7 @@ def test_psi_index_multiplicative_structure():
 
 @pytest.fixture(scope="module")
 def random_symbol():
-    sp = build_space(11)
+    sp = build_space(11, plus=False)
     rng = random.Random(9)
     return ModularSymbol(sp, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(sp.dimension)])
 
