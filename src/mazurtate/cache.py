@@ -1,12 +1,12 @@
-"""On-disk caches: relation quotients keyed by level, eigensymbols by curve.
+"""On-disk caches: full relation quotients keyed by level, eigensymbols by curve.
 
-A level has a plus-quotient file, which every command reads, and a full one,
-which only the eigensymbol command reads.  Eigensymbol files hold coordinates
-over the plus basis and are keyed by a sha256 of the curve's content
-(a1..a6, N), never by its label; on read the stored coefficients are compared
-and the vector is checked against the first eigen-equations
-(hecke.fits_first_equations); a stored space is used only if it is certified
-as the quotient map of its kind (ManinSymbolSpace.presents_quotient).
+The plus quotient, which every command works in, is built on every run; only
+the full quotient, which the eigensymbol command alone reads, is stored.
+Eigensymbol files hold coordinates over the plus basis and are keyed by a
+sha256 of the curve's content (a1..a6, N), never by its label; on read the
+stored coefficients are compared and the vector is checked against the first
+eigen-equations (hecke.fits_first_equations); a stored space is used only if
+it is certified as the quotient map (ManinSymbolSpace.presents_quotient).
 Everything is JSON with exact integers/rationals as decimal strings, guarded
 by a sha256 checksum over the canonical payload; a corrupted, stale or
 unparsable file, or one that fails those checks, is a miss and is silently
@@ -28,18 +28,16 @@ from .primes import prime_factors
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
 
-# Spaces are stored as sparse (coordinate, value) pairs, the plus quotient
-# under its own kind; files of any other kind, such as the older dense
-# "manin_space" rows, are rebuilt on read.
+# Full quotients are stored as sparse (coordinate, value) pairs; files of any
+# other kind, such as the older dense "manin_space" rows, are rebuilt on read.
 SPACE_KIND = "manin_space_sparse"
-PLUS_SPACE_KIND = "manin_space_plus"
 
 # Eigensymbols are stored over the plus basis; the older "eigensymbol" files,
 # over the full basis, are rebuilt on read.
 EIGENSYMBOL_KIND = "plus_eigensymbol"
 
 # The names load_space and load_eigensymbol write; verify_cache_dir sweeps no other file.
-CACHE_FILE_NAME = re.compile(r"(space_N\d+(_plus)?|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
+CACHE_FILE_NAME = re.compile(r"(space_N\d+|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
 
 
 def default_cache_dir() -> Path | None:
@@ -96,7 +94,7 @@ def _read(path: Path) -> dict | None:
 
 def space_payload(space: ManinSymbolSpace) -> dict:
     return {
-        "kind": PLUS_SPACE_KIND if space.plus else SPACE_KIND,
+        "kind": SPACE_KIND,
         "N": space.N,
         "basis": list(space.basis),
         "expressions": [[[t, str(c)] for t, c in e] for e in space.expressions],
@@ -110,38 +108,30 @@ def space_from_payload(payload: dict) -> ManinSymbolSpace:
     p1 = P1List(N)
     # values are stored as str() of the exact format, so "/" marks the only Fractions
     expressions = [tuple((t, Fraction(c) if "/" in c else int(c)) for t, c in e) for e in payload["expressions"]]
-    return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]),
-                            plus=payload["kind"] == PLUS_SPACE_KIND)
-
-
-def _certified_space(payload: dict) -> ManinSymbolSpace | None:
-    """The stored space if it is certified as the quotient map (ManinSymbolSpace.presents_quotient)."""
-    space = space_from_payload(payload)
-    return space if space.presents_quotient() else None
+    return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
 
 
 def _parsed(parse, payload):
-    """parse(payload), or None when the payload does not parse."""
+    """parse(payload), or None when it fails on a malformed payload."""
     try:
         return parse(payload)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         return None
 
 
-def load_space(N: int, cache_dir: Path | None = None, plus: bool = True) -> ManinSymbolSpace:
-    """Cached plus quotient (with plus=False the full quotient) when a directory
-    is configured; rebuild on any mismatch, parse failure or failed certificate."""
+def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
+    """Cached full quotient when a directory is configured, else built; a stored
+    one is rebuilt on any mismatch, parse failure or failed certificate."""
     cache_dir = resolve_cache_dir(cache_dir)
     if cache_dir is None:
-        return build_space(N, plus)
-    kind, suffix = (PLUS_SPACE_KIND, "_plus") if plus else (SPACE_KIND, "")
-    path = cache_dir / f"space_N{N}{suffix}.json"
+        return build_space(N, plus=False)
+    path = cache_dir / f"space_N{N}.json"
     payload = _read(path)
-    if payload is not None and payload.get("N") == N and payload.get("kind") == kind:
-        space = _parsed(_certified_space, payload)
-        if space is not None:
+    if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
+        space = _parsed(space_from_payload, payload)
+        if space is not None and _parsed(ManinSymbolSpace.presents_quotient, space):
             return space
-    space = build_space(N, plus)
+    space = build_space(N, plus=False)
     _write(path, space_payload(space))
     return space
 
@@ -178,14 +168,17 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
 def load_symbol(curve, mode: str = "cohomological", cache_dir: Path | None = None):
     """(normalized plus-eigensymbol, NormalizationData) of the curve, through the cache.
 
-    Before any space is read or built, the level is checked against the
-    index bound (before it is factored) and a_ell is taken at each prime of
-    the conductor, which refuses a conductor exponent the model does not fit.
+    Before the plus quotient is built, the level is checked against the
+    index bound (before it is factored), a_ell is taken at each prime of
+    the conductor, which refuses a conductor exponent the model does not
+    fit, and the cache directory is resolved.  The plus quotient is built on
+    every run: building it costs less than a certified read would.
     """
     check_level(curve.conductor)
     for ell, _ in prime_factors(curve.conductor):
         curve.a_ell(ell)
-    space = load_space(curve.conductor, cache_dir)
+    cache_dir = resolve_cache_dir(cache_dir)
+    space = build_space(curve.conductor)
     return normalize(load_eigensymbol(space, curve, cache_dir), curve, mode)
 
 

@@ -34,7 +34,7 @@ class MTRequest(Record, frozen=True):
     p: int
     n_max: int = 2
     mode: str = "neron"  # "neron" | "cohomological"
-    cache_dir: Path | None = None  # falls back to $MT_CACHE_DIR, as in cache.load_space
+    cache_dir: Path | None = None  # falls back to $MT_CACHE_DIR, as in cache.resolve_cache_dir
 
     def __post_init__(self):
         if self.n_max < 0:

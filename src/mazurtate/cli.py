@@ -228,7 +228,7 @@ def cmd_eigensymbol(args) -> int:
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     # coordinates over the full quotient's basis: each basis generator's
     # expression is its own unit vector, so coordinate t is the value on basis[t]
-    full = cache.load_space(curve.conductor, args.cache, plus=False)
+    full = cache.load_space(curve.conductor, args.cache)
     values = sym.generator_values()
     payload = {
         "label": curve.label,

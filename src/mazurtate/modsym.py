@@ -177,7 +177,7 @@ def _involution(p1: P1List):
 class ManinSymbolSpace:
     """Quotient presentation of the weight-2 modular symbols on Gamma_0(N), or of their plus quotient."""
 
-    def __init__(self, N, p1, basis, expressions, sigma, tau, plus=True):
+    def __init__(self, N, p1, basis, expressions, sigma, tau, plus=False):
         self.N = N
         self.p1 = p1
         self.basis = basis          # P^1 indices of the free generators
@@ -186,10 +186,6 @@ class ManinSymbolSpace:
         self.tau = tau              # index action of the order-3 relation matrix
         self.plus = plus            # whether x_(J i) = x_i is a relation too
         self.dimension = len(basis)
-
-    def involution_index(self, i: int) -> int:
-        c, d = self.p1[i]
-        return self.p1.index(-c, d)
 
     def coordinate_row(self, indices):
         """Sparse basis coordinates {coordinate: value} of the sum of the generators at these P^1 indices."""
@@ -200,7 +196,7 @@ class ManinSymbolSpace:
         return {t: c for t, c in row.items() if c}
 
     def presents_quotient(self) -> bool:
-        """Exact certificate that the expressions are the quotient map of build_space.
+        """Exact certificate that the expressions are the full quotient map of build_space(N, plus=False).
 
         sigma and tau must be permutations matching the relation matrices on
         P^1 (by the cross-product test: primitive (c:d) = (c':d') iff
@@ -208,13 +204,10 @@ class ManinSymbolSpace:
         expressions of a sigma-pair are each other's negation, entry by entry,
         as build_space writes them) and so must every three-term relation, each
         basis generator's expression must be its own unit coordinate, and the
-        dimension must be 2g + c - 1.  On the plus quotient the expressions
-        of a J-pair must also be equal, entry by entry, with J computed from
-        P^1 here, and the dimension must be plus_dimension.  The map then
-        factors through the quotient and sends the basis to the unit vectors
-        of a space of the quotient's dimension, so it is the one quotient map.
-        Every index must be an int in range, so that evaluating the map cannot
-        fail.
+        dimension must be 2g + c - 1.  The map then factors through the
+        quotient and sends the basis to the unit vectors of a space of the
+        quotient's dimension, so it is the one quotient map.  Every index must
+        be an int in range, so that evaluating the map cannot fail.
         """
         N, p1, sigma, tau = self.N, self.p1, self.sigma, self.tau
         expressions, dim = self.expressions, self.dimension
@@ -228,10 +221,7 @@ class ManinSymbolSpace:
             # against (d : -c) and (d : -c-d), the images under the order-2 and order-3 matrices
             if (d * d1 + c * c1) % N or (d * d2 + (c + d) * c2) % N:
                 return False
-        expected = plus_dimension(N) if self.plus else quotient_dimension(N)
-        if dim != expected or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
-            return False
-        if self.plus and any(expressions[j] != e for j, e in zip(_involution(p1), expressions)):
+        if dim != quotient_dimension(N) or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
             return False
         for i, j in enumerate(sigma):
             if i <= j and expressions[j] != tuple((t, -c) for t, c in expressions[i]):
@@ -404,8 +394,7 @@ class ModularSymbol:
         """
         if self._is_plus is None:
             vals = self.generator_values()
-            involution_index = self.space.involution_index
-            self._is_plus = all(v == vals[involution_index(i)] for i, v in enumerate(vals))
+            self._is_plus = all(v == vals[j] for v, j in zip(vals, _involution(self.space.p1)))
         return self._is_plus
 
     def __repr__(self):

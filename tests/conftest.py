@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from mazurtate.curves import EllipticCurve
 from mazurtate.hecke import eigensymbol
-from mazurtate.modsym import ModularSymbol, as_cusp, build_space
+from mazurtate.modsym import ModularSymbol, _involution, as_cusp, build_space
 
 CURVE_DATA = {
     "11a": dict(a1=0, a2=-1, a3=1, a4=-10, a6=-20, conductor=11, lratio=Fraction(1, 5)),
@@ -68,7 +68,8 @@ def act(mat, r):
 
 def involution_matrix(space):
     """Sparse rows of the sign involution J on basis coordinates, one per basis generator."""
-    return [space.coordinate_row([space.involution_index(b)]) for b in space.basis]
+    J = _involution(space.p1)
+    return [space.coordinate_row([J[b]]) for b in space.basis]
 
 
 def involution(sym):

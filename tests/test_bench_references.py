@@ -12,6 +12,7 @@ import pytest
 
 from mazurtate import cache, hecke
 from mazurtate.cli import main
+from mazurtate.modsym import build_space
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 REFERENCES = json.loads((BENCH / "references.json").read_text())
@@ -73,20 +74,22 @@ def test_eigensymbol_jobs_never_take_the_exact_elimination(job, capsys, monkeypa
 
 def test_cache_jobs_match_reference_cold_and_warm(tmp_path, capsys, monkeypatch):
     # the cached outputs must equal the uncached references, both when the
-    # jobs fill the cache and when they read it back without building anything
+    # jobs fill the cache and when they read it back without rebuilding what it holds
     assert len(CACHE_JOBS) == 6
     assert [job for job in CACHE_JOBS if not run_job(job, capsys, monkeypatch, tmp_path)] == []
-    # four eigensymbols and four plus quotients; the full quotient only for
-    # the two eigensymbol jobs, which report coordinates over its basis
+    # four eigensymbols; the full quotient only for the two eigensymbol jobs,
+    # which report coordinates over its basis, and no plus quotient
     names = sorted(path.name for path in tmp_path.glob("*.json"))
-    assert [name.split("_")[0] for name in names] == ["eigsym"] * 4 + ["space"] * 6
-    assert [name for name in names if name.startswith("space") and not name.endswith("_plus.json")] == \
-        ["space_N571.json", "space_N681.json"]
+    assert [name.split("_")[0] for name in names] == ["eigsym"] * 4 + ["space"] * 2
+    assert names[4:] == ["space_N571.json", "space_N681.json"]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cached object was rebuilt")
 
-    monkeypatch.setattr(cache, "build_space", refuse)
+    def build_plus_only(N, plus=True):  # the plus quotient is built on every run
+        return build_space(N) if plus else refuse()
+
+    monkeypatch.setattr(cache, "build_space", build_plus_only)
     monkeypatch.setattr(cache, "eigensymbol", refuse)
     assert [job for job in CACHE_JOBS if not run_job(job, capsys, monkeypatch, tmp_path)] == []
 

@@ -10,37 +10,34 @@ from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import build_space
 
 from .conftest import make_curve
-from .test_modsym import plus_forgeries
 
 
 def test_space_roundtrip(tmp_path):
-    for plus, name in ((True, "space_N11_plus.json"), (False, "space_N11.json")):
-        fresh = cache.load_space(11, tmp_path, plus=plus)
-        again = cache.load_space(11, tmp_path, plus=plus)
-        direct = build_space(11, plus)
-        assert again.basis == direct.basis
-        assert again.expressions == direct.expressions
-        assert again.plus == plus
-        assert (tmp_path / name).exists()
-        assert fresh.dimension == again.dimension
-    assert len(list(tmp_path.iterdir())) == 2
+    fresh = cache.load_space(11, tmp_path)
+    again = cache.load_space(11, tmp_path)
+    direct = build_space(11, plus=False)
+    assert again.basis == direct.basis
+    assert again.expressions == direct.expressions
+    assert not again.plus
+    assert fresh.dimension == again.dimension
+    assert list(tmp_path.iterdir()) == [tmp_path / "space_N11.json"]
 
 
 def test_corrupted_space_cache_is_rebuilt(tmp_path):
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11_plus.json"
+    path = tmp_path / "space_N11.json"
     payload = json.loads(path.read_text())
     payload["expressions"][0][0] = "999"  # tamper without fixing the checksum
     path.write_text(json.dumps(payload))
     rebuilt = cache.load_space(11, tmp_path)
-    assert rebuilt.expressions == build_space(11).expressions
+    assert rebuilt.expressions == build_space(11, plus=False).expressions
     # the rebuilt file is clean again
     assert cache._read(path) is not None
 
 
 def test_eigensymbol_roundtrip(tmp_path):
     curve = make_curve("11a")
-    space = cache.load_space(11, tmp_path)
+    space = build_space(11)
     first = cache.load_eigensymbol(space, curve, tmp_path)
     second = cache.load_eigensymbol(space, curve, tmp_path)
     assert first.coords == second.coords
@@ -58,18 +55,20 @@ def test_verify_cache_dir_counts_and_drops(tmp_path):
 
 
 def test_verify_cache_dir_sweeps_every_kind_of_file(tmp_path):
-    # the plus and full quotients and the eigensymbol: every name a load writes
+    # the full quotient and the eigensymbol: every name a load writes
     assert main(["eigensymbol", "--curve", "11a", "--cache", str(tmp_path), "--format", "json"]) == 0
     names = sorted(path.name for path in tmp_path.iterdir())
-    assert names[1:] == ["space_N11.json", "space_N11_plus.json"] and names[0].startswith("eigsym_N11_")
+    assert names[1:] == ["space_N11.json"] and names[0].startswith("eigsym_N11_")
     assert all(cache.CACHE_FILE_NAME.fullmatch(name) for name in names)
     assert not any(cache.CACHE_FILE_NAME.fullmatch(name) for name in
-                   ("space_N11_minus.json", "space_N11_plus_plus.json", "space_N_plus.json"))
-    assert cache.verify_cache_dir(tmp_path) == {"clean": 3, "corrupted": 0}
+                   ("space_N11_plus.json", "space_N11_minus.json", "space_N11_plus_plus.json", "space_N_plus.json"))
+    old_plus = tmp_path / "space_N11_plus.json"  # a plus-quotient file from an older cache
+    old_plus.write_text("{not json")
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 2, "corrupted": 0}
     for path in tmp_path.iterdir():
         path.write_text("{not json")
-    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 3}
-    assert list(tmp_path.iterdir()) == []
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 2}
+    assert list(tmp_path.iterdir()) == [old_plus]
 
 
 def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
@@ -90,7 +89,7 @@ def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
 def test_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
     cache.load_space(11)
-    assert (tmp_path / "space_N11_plus.json").exists()
+    assert (tmp_path / "space_N11.json").exists()
 
 
 def test_eigensymbol_cache_is_keyed_by_curve_not_label(tmp_path):
@@ -130,7 +129,7 @@ def test_label_does_not_reach_the_file_system(tmp_path):
 
 
 def test_stored_coefficients_are_checked_on_read(tmp_path):
-    space = cache.load_space(11, tmp_path)
+    space = build_space(11)
     curve = make_curve("11a")
     cache.load_eigensymbol(space, curve, tmp_path)
     (path,) = tmp_path.glob("eigsym_N11_*_plus.json")
@@ -143,10 +142,10 @@ def test_stored_coefficients_are_checked_on_read(tmp_path):
 
 
 def test_directory_at_old_temp_name_does_not_block_writes(tmp_path):
-    (tmp_path / "space_N11_plus.tmp").mkdir()
+    (tmp_path / "space_N11.tmp").mkdir()
     space = cache.load_space(11, tmp_path)
-    assert cache._read(tmp_path / "space_N11_plus.json") is not None
-    assert space.dimension == build_space(11).dimension
+    assert cache._read(tmp_path / "space_N11.json") is not None
+    assert space.dimension == build_space(11, plus=False).dimension
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
@@ -162,7 +161,7 @@ def test_old_dense_space_file_is_rebuilt(tmp_path):
     dense = [[str(row.get(t, Fraction(0))) for t in range(space.dimension)] for row in rows]
     cache._write(path, {"kind": "manin_space", "N": 11, "basis": list(space.basis), "expressions": dense,
                         "sigma": list(space.sigma), "tau": list(space.tau)})
-    assert cache.load_space(11, tmp_path, plus=False).expressions == space.expressions
+    assert cache.load_space(11, tmp_path).expressions == space.expressions
     payload = cache._read(path)
     assert payload["kind"] == cache.SPACE_KIND
     assert payload == cache.space_payload(space)
@@ -184,7 +183,7 @@ def test_load_symbol_passes_over_p1_once(monkeypatch):
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     spaces = []
 
-    def counted_space(N, plus):
+    def counted_space(N, plus=True):
         space = build_space(N, plus)
         space.expressions = CountingList(space.expressions)
         spaces.append(space)
@@ -202,7 +201,7 @@ def test_cache_path_naming_a_file_is_refused_before_any_build(tmp_path, monkeypa
     regular = tmp_path / "cache"
     regular.write_text("")
     not_a_dir = regular / "sub" if under_file else regular
-    monkeypatch.setattr(cache, "build_space", lambda N, plus: pytest.fail("space built"))
+    monkeypatch.setattr(cache, "build_space", lambda N, plus=True: pytest.fail("space built"))
     monkeypatch.setattr(cache, "eigensymbol", lambda *a: pytest.fail("eigensymbol built"))
     with pytest.raises(InputError, match="cannot use cache directory"):
         cache.load_space(11, not_a_dir)
@@ -247,17 +246,17 @@ def _forge(path, key, value):
 @pytest.mark.parametrize("entry", [[[0]], [["0", "x"]], [[0, "1/0"]], 7])
 def test_space_file_that_does_not_parse_is_a_miss(tmp_path, entry):
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11_plus.json"
+    path = tmp_path / "space_N11.json"
     expressions = cache._read(path)["expressions"]
     _forge(path, "expressions", [entry] + expressions[1:])
-    fresh = build_space(11)
+    fresh = build_space(11, plus=False)
     assert cache.load_space(11, tmp_path).expressions == fresh.expressions
     assert cache._read(path) == cache.space_payload(fresh)  # rewritten
 
 
 def _eigensymbol_file(tmp_path, label="11a"):
     curve = make_curve(label)
-    space = cache.load_space(curve.conductor, tmp_path)
+    space = build_space(curve.conductor)
     cache.load_eigensymbol(space, curve, tmp_path)
     (path,) = tmp_path.glob(f"eigsym_N{curve.conductor}_*_plus.json")
     return space, curve, path
@@ -305,9 +304,9 @@ def test_forged_eigensymbol_file_does_not_change_the_analysis(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["[]", "5", '"checksum"'])
 def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
-    path = tmp_path / "space_N11_plus.json"
+    path = tmp_path / "space_N11.json"
     path.write_text(text)
-    fresh = build_space(11)
+    fresh = build_space(11, plus=False)
     assert cache.load_space(11, tmp_path).expressions == fresh.expressions
     assert cache._read(path) == cache.space_payload(fresh)  # rewritten
     path.write_text(text)
@@ -316,26 +315,14 @@ def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
 
 def test_forged_space_file_does_not_change_the_analysis(tmp_path, capsys):
     # checksum-clean, well-formed, but not the quotient map: the certificate refuses it
-    argv = ["analyze", "--curve", "11a", "--p", "5", "--n-max", "2"]
+    argv = ["eigensymbol", "--curve", "11a"]
     assert main(argv) == 0
     uncached = capsys.readouterr().out
     cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11_plus.json"
+    path = tmp_path / "space_N11.json"
     expressions = cache._read(path)["expressions"]
-    assert expressions[4] == [[1, "1"]]
+    assert expressions[4] == [[1, "1"], [2, "-1"]]
     _forge(path, "expressions", expressions[:4] + [[[0, "2"]]] + expressions[5:])
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr().out == uncached
-    assert cache._read(path) == cache.space_payload(build_space(11))  # rewritten
-
-
-@pytest.mark.parametrize("forge", ["full payload", "J-pair", "dimension"])
-def test_forged_plus_space_file_is_rebuilt(tmp_path, forge):
-    # checksum-clean plus-kind files that the plus certificate refuses
-    name = {"full payload": "full-space payload under the plus kind", "J-pair": "J-pair with unequal expressions",
-            "dimension": "wrong dimension"}[forge]
-    path = tmp_path / "space_N26_plus.json"
-    cache._write(path, cache.space_payload(plus_forgeries(26)[name]))
-    assert cache._read(path)["kind"] == cache.PLUS_SPACE_KIND
-    assert cache.load_space(26, tmp_path).expressions == build_space(26).expressions
-    assert cache._read(path) == cache.space_payload(build_space(26))  # rewritten
+    assert cache._read(path) == cache.space_payload(build_space(11, plus=False))  # rewritten
