@@ -18,8 +18,8 @@ from .curves import EllipticCurve
 from .elements import MAX_WALKED_LEVEL, MazurTateTower, theta0_interpolation_factor, walk_levels
 from .errors import BoundExceeded, InputError, NotGoodOrdinary
 from .hecke import NormalizationData
-from .padics import PAdic, unit_root, valuation
-from .primes import primes
+from .padics import unit_root, valuation
+from .primes import int_valuation, primes
 from .records import Record
 
 MULTIPLICITY_ONE_NOTE = (
@@ -131,8 +131,8 @@ def _require_good_ordinary(curve: EllipticCurve, p: int):
 def classify(request: MTRequest) -> DichotomyReport:
     """Run the full pipeline and classify into the finite-level dichotomy.
 
-    One unit root, at the precision MazurTateTower.stabilized_precision
-    certifies, serves every stabilized element.
+    One unit root, at the precision P MazurTateTower.stabilized_precision
+    certifies, serves every stabilized element, through its inverse mod p^P.
     """
     curve, p, n_max = request.curve, request.p, request.n_max
     _require_good_ordinary(curve, p)
@@ -161,10 +161,11 @@ def classify(request: MTRequest) -> DichotomyReport:
         report.diagnostics.append("theta_0 interpolation identity failed")
 
     a_p = curve.a_ell(p)
-    alpha = unit_root(a_p, p, tower.stabilized_precision(a_p))
+    precision = tower.stabilized_precision(a_p)
+    inverse = pow(unit_root(a_p, p, precision), -1, p**precision)
     rows = report.stabilized
     for n in range(n_max + 1):
-        inv = tower.stabilized(alpha, n).iwasawa_invariants()
+        inv = tower.stabilized(inverse, n).iwasawa_invariants()
         settled = bool(rows) and (inv.mu, inv.lam) == (rows[-1].mu, rows[-1].lam)
         rows.append(StabilizedRow(n, inv.mu, inv.lam, settled))
     report.norm_relation_verified = all(tower.norm_relation(n).passed for n in range(1, n_max + 1))
@@ -258,6 +259,7 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
     if p ** min(t, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
         raise BoundExceeded(f"p^t = {p}^{t} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
     u0, j = 0, 0  # the candidate alphas: the units u = u0 mod p^j
+    modulus = p**t
     thetas = []
     for n, (below, top, theta, _) in enumerate(walk_levels(sym, p, n_max)):
         if n == 0:
@@ -269,7 +271,8 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
             lower = below[a % q]
             if lower.denominator % p == 0 or upper.denominator % p == 0:
                 raise ValueError("criterion needs a p-integral symbol")
-            coset = _solving_units(PAdic.from_rational(lower, p, t), PAdic.from_rational(upper, p, t).residue, p, t)
+            coset = _solving_units(lower.numerator * pow(lower.denominator, -1, modulus),
+                                   upper.numerator * pow(upper.denominator, -1, modulus), p, t)
             if coset is not None and coset[1] > j:  # keep the finer coset in (u0, j)
                 coset, (u0, j) = (u0, j), coset
             if coset is None or u0 % p ** coset[1] != coset[0]:
@@ -283,15 +286,17 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
     return MaximalityReport(True, t, m, alphas, verified)
 
 
-def _solving_units(x: PAdic, y: int, p: int, t: int):
+def _solving_units(x: int, y: int, p: int, t: int):
     """(v, i) such that the units u with y = u x mod p^t are those with u = v mod p^i; None if no unit is one.
 
-    With k = min(ord_p x, t), y = u x mod p^t needs p^k | y, and then reads
-    u (x / p^k) = y / p^k mod p^(t-k), where x / p^k is a unit when k < t.
+    With x, y reduced mod p^t and k = min(ord_p x, t), y = u x mod p^t needs
+    p^k | y, and then reads u (x / p^k) = y / p^k mod p^(t-k), where x / p^k
+    is a unit when k < t.
     """
-    k = x.valuation_lower_bound()
+    x, y = x % p**t, y % p**t
+    k = min(int_valuation(x, p), t)
     if y % p**k:
         return None
     i = t - k
-    v = y // p**k * pow(x.residue // p**k, -1, p**i) % p**i
+    v = y // p**k * pow(x // p**k, -1, p**i) % p**i
     return (v, i) if i == 0 or v % p else None

@@ -1,10 +1,11 @@
 """Elliptic curves over Q: Weierstrass quantities, point counts, a_ell.
 
 The conductor is a required input (no Tate's algorithm here); it is validated
-against the discriminant.  Good-reduction eigenvalues come from brute-force
-point counting; at bad primes a_ell = ell - #E^ns(F_ell), which covers the
-split/nonsplit/additive trichotomy uniformly (including ell = 2, 3 where the
-quadratic-residue test on -c6 breaks down).  A singular cubic has exactly one
+against the discriminant, and a_ell at a bad ell refuses an exponent above
+the largest any elliptic curve over Q has.  Good-reduction eigenvalues come
+from brute-force point counting; at bad primes a_ell = ell - #E^ns(F_ell),
+which covers the split/nonsplit/additive trichotomy uniformly (including
+ell = 2, 3 where the quadratic-residue test on -c6 breaks down).  A singular cubic has exactly one
 singular point, and it is affine, so #E^ns(F_ell) = #E(F_ell) - 1 and
 a_ell = ell + 1 - #E(F_ell) at every ell.
 """
@@ -20,6 +21,9 @@ from .primes import int_valuation, is_prime
 from .records import Record
 
 ELL_BOUND = 100000
+# the largest conductor exponent of an elliptic curve over Q at 2 and 3
+# (Brumer-Kramer); at every ell >= 5 it is 2
+MAX_CONDUCTOR_EXPONENT = {2: 8, 3: 5}
 MAX_LRATIO_EXPONENT = 4300  # CPython's default cap on the digits of an int read from a string
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
@@ -154,6 +158,11 @@ class EllipticCurve(Record):
                 raise InputError(f"a_{ell} = {a} violates the Hasse bound; bad input model")
         else:
             exponent = int_valuation(self.conductor, ell)
+            bound = MAX_CONDUCTOR_EXPONENT.get(ell, 2)
+            if exponent > bound:
+                raise InputError(
+                    f"conductor exponent {exponent} at {ell} exceeds {bound}, the most any curve has; bad input model"
+                )
             # the model's reduction (0 additive, +-1 multiplicative) must match the conductor
             if (a == 0) != (exponent >= 2):
                 raise InputError(

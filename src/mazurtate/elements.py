@@ -3,9 +3,11 @@
 The levels of one symbol at p are walked once, upward (walk_levels); one
 MazurTateTower per (symbol, p) stores what the walk yields up to n_max, and
 the module-level functions are thin calls into it.
-Stabilized elements are p-adic, residues at the precision of the unit root
-alpha, which MazurTateTower.stabilized_precision computes from the exact
-tower; each is built by one route, which an exact norm relation certifies.
+Every element is exact.  A stabilized element is theta_n - a S_n for an
+integer a = alpha^{-1} mod p^P, where MazurTateTower.stabilized_precision
+computes P from the exact tower; its invariants are those of
+theta_n - alpha^{-1} S_n, and it is built by one route, which an exact norm
+relation certifies.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ from fractions import Fraction
 
 from .errors import BoundExceeded, ZeroElement
 from .groupring import GroupLevel, GroupRingElement, layer_units
-from .padics import PAdic
 from .primes import int_valuation
 from .records import Record
 
@@ -81,7 +82,7 @@ class MazurTateTower:
 
     S_n serves the stabilized element at every level, and the norm relation
     S_n = cor(theta_{n-1}) is checked exactly.  Only exact elements are
-    stored, so the stabilized elements can be rebuilt at any precision.
+    stored, so a stabilized element can be built from a lift at any precision.
     """
 
     def __init__(self, sym, p: int, n_max: int):
@@ -93,30 +94,35 @@ class MazurTateTower:
             self.thetas.append(theta)
             self.scaled.append(scaled)
 
-    def stabilized(self, alpha: PAdic, n: int) -> GroupRingElement:
-        """theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} S_n for every n >= 0.
+    def stabilized(self, inverse: int, n: int) -> GroupRingElement:
+        """theta_n(phi) - inverse * S_n, the exact element standing for theta_n(phi^alpha), n >= 0.
 
-        This is theta_n of phi^alpha = phi - alpha^{-1} phi|[[p,0],[0,1]]; for
-        n >= 1 it equals theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)), since
-        S_n = cor(theta_{n-1}) (norm_relation).  Both exact elements are taken
-        mod p^precision, the precision of alpha, and combined as residues.
+        theta_n(phi^alpha) = theta_n(phi) - alpha^{-1} S_n is theta_n of
+        phi^alpha = phi - alpha^{-1} phi|[[p,0],[0,1]]; for n >= 1 it equals
+        theta_n(phi) - alpha^{-1} cor(theta_{n-1}(phi)), since
+        S_n = cor(theta_{n-1}) (norm_relation).  inverse is any integer with
+        inverse = alpha^{-1} mod p^P, P = stabilized_precision(a_p); the
+        element then has the mu and lambda of theta_n(phi^alpha), whichever
+        lift is taken (see stabilized_precision).
         """
-        precision = alpha.precision
-        return (self.thetas[n].to_padic(precision)
-                - self.scaled[n].to_padic(precision).scale(alpha.inverse()))
+        return self.thetas[n] - self.scaled[n].scale(inverse)
 
     def stabilized_precision(self, a_p: int) -> int:
         """P = max over n of 1 + min_k ord_p(N_k): every stabilized mu and lambda is certified mod p^P.
 
-        Here theta_n = T / d_T and S_n = S / d_S (d_T, d_S prime to p),
+        Here theta_n = T / d_T and S_n = S / d_S over common denominators,
         (x_k, y_k) = (T_k d_S, S_k d_T) and N_k = p x_k^2 - a_p x_k y_k + y_k^2;
         the k-th coefficient of theta_n - alpha^{-1} S_n is (alpha x_k - y_k) / (alpha d_S d_T).
         With beta = p / alpha in pZ_p, (alpha x - y)(beta x - y) = p x^2 - a_p x y + y^2,
         a positive definite form as a_p^2 < 4p, so N_k is a nonzero integer unless
-        x_k = y_k = 0, and ord_p(alpha x_k - y_k) <= ord_p(N_k) gives mu_n < P.  Mod
-        p^P the least valuation of the residues is then mu_n, and lambda reads
-        the residues over p^mu_n mod p, which needs mu_n + 1 <= P.  min_k ord_p(N_k)
-        is ord_p(gcd_k N_k); a level with theta_n = S_n = 0 is a ZeroElement.
+        x_k = y_k = 0, and ord_p(alpha x_k - y_k) <= ord_p(N_k), so the least of
+        these valuations, v_n, is below P.  For an integer a = alpha^{-1} mod p^P
+        the numerators x_k - a y_k of stabilized(a, n) agree with
+        x_k - alpha^{-1} y_k mod p^P, so their least valuation is v_n too and
+        their quotients by p^v_n agree mod p, as v_n + 1 <= P; the element's mu
+        (v_n - ord_p(d_S d_T)) and lambda (read off those quotients mod p) are
+        those of theta_n(phi^alpha).  min_k ord_p(N_k) is ord_p(gcd_k N_k); a
+        level with theta_n = S_n = 0 is a ZeroElement.
         """
         p = self.p
         if a_p * a_p >= 4 * p:
@@ -157,9 +163,9 @@ def mazur_tate(sym, p: int, n: int) -> GroupRingElement:
     return MazurTateTower(sym, p, n).thetas[n]
 
 
-def stabilized_mazur_tate(sym, alpha: PAdic, p: int, n: int) -> GroupRingElement:
-    """theta_n of the p-stabilized symbol (MazurTateTower.stabilized)."""
-    return MazurTateTower(sym, p, n).stabilized(alpha, n)
+def stabilized_mazur_tate(sym, inverse: int, p: int, n: int) -> GroupRingElement:
+    """theta_n of the p-stabilized symbol, through a lift of alpha^{-1} (MazurTateTower.stabilized)."""
+    return MazurTateTower(sym, p, n).stabilized(inverse, n)
 
 
 class ResidualReport(Record, frozen=True):

@@ -1,4 +1,7 @@
-"""Exception hierarchy with machine-readable codes (used for CLI exit codes)."""
+"""Exception hierarchy with machine-readable codes (used for CLI exit codes).
+
+An InputError exits 3 and every other MazurTateError exits 1.
+"""
 
 
 class MazurTateError(Exception):
@@ -49,8 +52,3 @@ class EigenspaceNotOneDimensional(MazurTateError):
 class InconsistentEigenvalues(MazurTateError):
     code = "inconsistent_eigenvalues"
     exit_code = 1
-
-
-class PrecisionInsufficient(MazurTateError):
-    code = "precision_insufficient"
-    exit_code = 4

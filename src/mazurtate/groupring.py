@@ -7,9 +7,10 @@ are read without building that basis: the binomial change of basis gamma ->
 1 + T is unitriangular over Z, so mu is the least valuation of the gamma-
 coefficients, and lambda is the first nonzero T-coefficient of their Taylor
 shift mod p, whose base-p digits Lucas's theorem lets us find one at a time,
-top digit first.  An element stores its coefficients as one tuple of integers
-over one scale: over a common denominator (exact rationals), or as residues at
-one precision (p-adics); the two kinds never mix.
+top digit first.  Elements are exact: an element stores its coefficients as
+one tuple of integers over a common denominator.  No p-adic kind is needed,
+as a stabilized element is the exact element built from an integer lift of
+alpha^{-1} (elements.MazurTateTower.stabilized).
 
 The generator is fixed, so a layer is just (p, n).  The raw values that feed
 it (elements.raw_mazur_tate) are a dict keyed by the units a mod p^{n+1};
@@ -20,8 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotAGenerator, PrecisionInsufficient, ZeroElement
-from .padics import PAdic
+from .errors import NotAGenerator, ZeroElement
 from .primes import int_valuation, require_odd_prime
 from .records import Record
 
@@ -122,49 +122,33 @@ class IwasawaInvariants(Record, frozen=True):
 class GroupRingElement:
     """Element of K[G_n] as coefficients c_0 .. c_{p^n - 1} on gamma^0 .. gamma^{p^n - 1}.
 
-    They are stored as one tuple ``ints`` over one scale: c_i = ints[i] / den
-    with den > 0 and gcd(den, ints) = 1 (exact), or c_i = ints[i] in [0,
-    p^precision) at the least precision of the inputs (p-adic); the other
-    scale is None.  The two kinds never mix.  ``coeffs`` rebuilds the scalars.
+    They are stored as one tuple ``ints`` over a common denominator: c_i =
+    ints[i] / den with den > 0 and gcd(den, ints) = 1, so equal elements
+    store equal integers.  ``coeffs`` rebuilds the Fractions.
     """
 
-    __slots__ = ("level", "ints", "den", "precision")
+    __slots__ = ("level", "ints", "den")
 
     def __init__(self, level: GroupLevel, coeffs):
-        coeffs = tuple(coeffs)
+        coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         if len(coeffs) != level.order:
             raise ValueError(f"need exactly {level.order} coefficients, got {len(coeffs)}")
-        kinds = {isinstance(c, PAdic) for c in coeffs}
-        if len(kinds) > 1:
-            raise ValueError("rational and p-adic coefficients must not mix")
-        if kinds.pop():
-            if any(c.p != level.p for c in coeffs):
-                raise ValueError("mixed primes")
-            F = self._of(level, [c.residue for c in coeffs], None, min(c.precision for c in coeffs))
-        else:
-            coeffs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
-            den = math.lcm(*(c.denominator for c in coeffs))
-            F = self._of(level, [c.numerator * (den // c.denominator) for c in coeffs], den)
-        self.level, self.ints, self.den, self.precision = F.level, F.ints, F.den, F.precision
+        den = math.lcm(*(c.denominator for c in coeffs))
+        F = self._of(level, [c.numerator * (den // c.denominator) for c in coeffs], den)
+        self.level, self.ints, self.den = F.level, F.ints, F.den
 
     @classmethod
-    def _of(cls, level: GroupLevel, ints, den=1, precision=None) -> "GroupRingElement":
-        """ints over den, reduced to gcd 1, or ints mod p^precision if that is given."""
-        if precision is None:
-            g = math.gcd(den, *ints)
-            if g != 1:
-                ints, den = [b // g for b in ints], den // g
-        elif precision < 1:
-            raise PrecisionInsufficient(f"precision must be positive, got {precision}")
-        else:
-            modulus = level.p**precision
-            ints = [b % modulus for b in ints]
+    def _of(cls, level: GroupLevel, ints, den=1) -> "GroupRingElement":
+        """ints over den, reduced to gcd 1."""
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints, den = [b // g for b in ints], den // g
         F = cls.__new__(cls)
-        F.level, F.ints, F.den, F.precision = level, tuple(ints), den, precision
+        F.level, F.ints, F.den = level, tuple(ints), den
         return F
 
     def _like(self, ints, level: GroupLevel | None = None) -> "GroupRingElement":
-        return GroupRingElement._of(level or self.level, ints, self.den, self.precision)
+        return GroupRingElement._of(level or self.level, ints, self.den)
 
     # -- constructors --
 
@@ -181,8 +165,7 @@ class GroupRingElement:
         """The element sum_k t_k T^k, T = gamma - 1.
 
         Its gamma^j coefficient is (-1)^j sum_k C(k, j) (-1)^k t_k: the Taylor
-        shift of ``t_coefficients`` between two sign alternations.  P-adic
-        results are at the least precision of the input.
+        shift of ``t_coefficients`` between two sign alternations.
         """
         t = cls(level, t_coeffs)
         shifted = _taylor_shift_by_one([-b if k % 2 else b for k, b in enumerate(t.ints)])
@@ -191,13 +174,7 @@ class GroupRingElement:
     # -- basic structure --
 
     @property
-    def is_padic(self) -> bool:
-        return self.precision is not None
-
-    @property
     def coeffs(self) -> tuple:
-        if self.is_padic:
-            return tuple(PAdic(self.level.p, b, self.precision) for b in self.ints)
         return tuple(Fraction(b, self.den) for b in self.ints)
 
     def is_zero(self) -> bool:
@@ -206,11 +183,6 @@ class GroupRingElement:
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
         if other.level != self.level:
             raise ValueError("levels differ")
-        if other.is_padic != self.is_padic:
-            raise ValueError("rational and p-adic coefficients must not mix")
-        if self.is_padic:
-            ints = [a + b for a, b in zip(self.ints, other.ints)]
-            return self._of(self.level, ints, None, min(self.precision, other.precision))
         den = math.lcm(self.den, other.den)
         u, v = den // self.den, den // other.den
         return self._of(self.level, [a * u + b * v for a, b in zip(self.ints, other.ints)], den)
@@ -222,30 +194,12 @@ class GroupRingElement:
         return self._like([-b for b in self.ints])
 
     def scale(self, scalar) -> "GroupRingElement":
-        """scalar * self; p-adic, at the lesser precision, if either is p-adic."""
-        if not (self.is_padic or isinstance(scalar, PAdic)):
-            scalar = Fraction(scalar)
-            return self._of(self.level, [b * scalar.numerator for b in self.ints], self.den * scalar.denominator)
-        if not isinstance(scalar, PAdic):
-            scalar = PAdic.from_rational(scalar, self.level.p, self.precision)
-        elif scalar.p != self.level.p:
-            raise ValueError("mixed primes")
-        F = self.to_padic(scalar.precision)
-        return F._like([b * scalar.residue for b in F.ints])
+        """scalar * self, for a rational scalar."""
+        scalar = Fraction(scalar)
+        return self._of(self.level, [b * scalar.numerator for b in self.ints], self.den * scalar.denominator)
 
-    def to_padic(self, precision: int) -> "GroupRingElement":
-        if self.is_padic:
-            return self._of(self.level, self.ints, None, min(precision, self.precision))
-        p = self.level.p
-        if self.den % p == 0:
-            bad = next(c for c in self.coeffs if c.denominator % p == 0)
-            raise ValueError(f"{bad} is not p-integral at p={p}")
-        unit = pow(self.den, -1, p**precision)
-        return self._of(self.level, [b * unit for b in self.ints], None, precision)
-
-    def augmentation(self):
-        total = sum(self.ints)
-        return PAdic(self.level.p, total, self.precision) if self.is_padic else Fraction(total, self.den)
+    def augmentation(self) -> Fraction:
+        return Fraction(sum(self.ints), self.den)
 
     # -- the T-basis and invariants --
 
@@ -264,20 +218,18 @@ class GroupRingElement:
         """mu = min ord_p over T-coefficients, lambda = least index attaining it.
 
         Both are read off ``ints``.  The change of basis to T is unitriangular
-        over Z, invertible also over Z/p^precision, so it keeps the least
-        valuation v of the ints; mu is v - ord_p(den) (den = 1 if p-adic), and
-        lambda is the first nonzero coefficient of the Taylor shift of
-        ints / p^v mod p, read digit by digit (``_lambda_mod_p``) without
-        forming the shift.
+        over Z, so it keeps the least valuation v of the ints; mu is
+        v - ord_p(den), and lambda is the first nonzero coefficient of the
+        Taylor shift of ints / p^v mod p, read digit by digit
+        (``_lambda_mod_p``) without forming the shift.  So both depend only
+        on the ints mod p^(v+1) and on ord_p(den).
         """
         if self.is_zero():
-            if self.is_padic:
-                raise PrecisionInsufficient("all coefficients vanish to working precision")
             raise ZeroElement("invariants of the zero element are undefined")
         p = self.level.p
         v = int_valuation(math.gcd(*self.ints), p)
         unit = p**v
-        mu = v - int_valuation(self.den or 1, p)
+        mu = v - int_valuation(self.den, p)
         return IwasawaInvariants(mu, _lambda_mod_p([b // unit for b in self.ints], p))
 
     # -- maps between layers --
@@ -301,7 +253,7 @@ class GroupRingElement:
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        return self.level == other.level and self.coeffs == other.coeffs
+        return (self.level, self.ints, self.den) == (other.level, other.ints, other.den)
 
     def __repr__(self):
         return f"GroupRingElement(p={self.level.p}, n={self.level.n}, coeffs={self.coeffs})"

@@ -56,11 +56,11 @@ def hecke_matrix(space: ManinSymbolSpace, ell: int):
     if space.N % ell == 0:
         raise ValueError(f"T_{ell} via Merel matrices requires ell coprime to the level")
     index = space.p1.index
+    matrices = list(merel_matrices(ell))
     rows = []
     for b in space.basis:
         c, d = space.p1[b]
-        rows.append(space.coordinate_row(index(c * p + d * r, c * q + d * s)
-                                         for p, q, r, s in merel_matrices(ell)))
+        rows.append(space.coordinate_row(index(c * p + d * r, c * q + d * s) for p, q, r, s in matrices))
     return rows
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from mazurtate.curves import EllipticCurve
 from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import ModularSymbol, _involution, as_cusp, build_space
+from mazurtate.padics import unit_root
 
 CURVE_DATA = {
     "11a": dict(a1=0, a2=-1, a3=1, a4=-10, a6=-20, conductor=11, lratio=Fraction(1, 5)),
@@ -19,6 +20,11 @@ DEFAULT_GUARD_DIGITS = 20
 def working_precision(n_max, mu_floor=0):
     """n_max + |mu_floor| + 20 digits: an ample p-adic precision for the tests' stabilized elements."""
     return n_max + abs(mu_floor) + DEFAULT_GUARD_DIGITS
+
+
+def unit_root_inverse(a_p, p, precision):
+    """alpha^-1 mod p^precision for the unit root alpha: the lift a stabilized element is built from."""
+    return pow(unit_root(a_p, p, precision), -1, p**precision)
 
 
 def make_curve(label):

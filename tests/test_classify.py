@@ -6,9 +6,9 @@ import pytest
 from mazurtate import classify as classify_module
 from mazurtate.classify import MTRequest, _solving_units, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
-from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary, PrecisionInsufficient
+from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.modsym import ModularSymbol, as_cusp
-from mazurtate.padics import PAdic, unit_root
+from mazurtate.padics import unit_root
 
 from .conftest import make_curve
 
@@ -187,7 +187,7 @@ def test_solving_units_is_the_coset_of_solutions(p, t):
     modulus = p**t
     for x in range(modulus):
         for y in range(modulus):
-            coset = _solving_units(PAdic(p, x, t), y, p, t)
+            coset = _solving_units(x, y, p, t)
             units = {u for u in range(modulus) if u % p and (y - u * x) % modulus == 0}
             if coset is None:
                 assert not units
@@ -225,9 +225,9 @@ def test_classify_builds_each_stabilized_element_once(monkeypatch):
     original = MazurTateTower.stabilized
     calls = []
 
-    def counted(tower, alpha, n):
+    def counted(tower, inverse, n):
         calls.append(n)
-        return original(tower, alpha, n)
+        return original(tower, inverse, n)
 
     monkeypatch.setattr(MazurTateTower, "stabilized", counted)
     report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
@@ -252,24 +252,3 @@ def test_classify_computes_one_unit_root(monkeypatch):
         tower = MazurTateTower(classify_module.load_symbol(curve)[0], p, n_max)
         assert calls == [(curve.a_ell(p), p, tower.stabilized_precision(curve.a_ell(p)))]
         assert len(report.stabilized) == n_max + 1
-
-@pytest.mark.parametrize("precision", [None, 6])
-def test_precision_retry_reports_the_last_precision_tried(monkeypatch, precision):
-    # with no retry, the precision classify tries first is the last one: a
-    # PrecisionInsufficient from a stabilized element ends the run at that
-    # precision. None takes the tower's own P; 6 forces stabilized_precision.
-    if precision is not None:
-        monkeypatch.setattr(MazurTateTower, "stabilized_precision", lambda tower, a_p: precision)
-    tried = []
-
-    def insufficient(tower, alpha, n):
-        tried.append(alpha.precision)
-        raise PrecisionInsufficient("forced")
-
-    monkeypatch.setattr(MazurTateTower, "stabilized", insufficient)
-    curve = make_curve("11a")
-    with pytest.raises(PrecisionInsufficient) as excinfo:
-        classify(MTRequest(curve, 5, 2, "neron"))
-    tower = MazurTateTower(classify_module.load_symbol(curve)[0], 5, 2)
-    assert tried == [precision or tower.stabilized_precision(curve.a_ell(5))]
-    assert str(excinfo.value) == "forced"

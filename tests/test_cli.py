@@ -294,6 +294,22 @@ def test_conductor_that_does_not_fit_the_model_is_refused_before_any_space(capsy
         assert json.loads(err)["error"] == "input_error", argv
 
 
+@pytest.mark.parametrize("conductor", [512, 1024, 2048])
+def test_conductor_exponent_past_the_bound_is_refused_at_once(capsys, monkeypatch, conductor):
+    # y^2 = x^3 - x (32a2) at 2^9 .. 2^11: no curve has f_2 > 8, and the Hecke
+    # sweep at such a level took 140 s at 1024 before a_ell refused it
+    def no_space(N, plus):
+        raise AssertionError(f"built the space at level {N}")
+
+    monkeypatch.setattr(cache, "build_space", no_space)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "eigensymbol", "--coeffs", "0,0,0,-1,0", "--conductor", str(conductor))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "input_error", "message": (
+        f"conductor exponent {conductor.bit_length() - 1} at 2 exceeds 8, the most any curve has; bad input model")}
+
+
 @pytest.mark.parametrize("command", ["analyze", "boundary"])
 def test_huge_prime_p_ends_with_coded_error(capsys, command):
     start = time.perf_counter()

@@ -5,6 +5,7 @@ import pytest
 from mazurtate.curves import EllipticCurve
 from mazurtate.classify import MTRequest, _require_good_ordinary, classify
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
+from mazurtate.primes import prime_factors
 
 from .conftest import make_curve
 
@@ -161,6 +162,36 @@ def test_conductor_must_fit_the_model():
     curve = EllipticCurve(1, 1, 1, -3, 1, conductor=10)  # the 50b1 model
     with pytest.raises(InputError, match="a_5"):
         curve.a_ell(5)
+
+
+# (coefficients, conductor): the fixtures, every curve the benchmark and the
+# test suite run by coefficients, the large levels the roadmap names, and
+# curves additive at 2 and 3 (27a1, 36a1, 64a1, 243a1 with f_3 = 5)
+ACCEPTED_CURVES = [
+    ("0,-1,1,-10,-20", 11), ("1,-1,1,-3,3", 26), ("1,1,1,-3,1", 50), ("-5,-18,-18,0,0", 174),
+    ("1,0,1,-5,-8", 26), ("0,0,1,-1,0", 37), ("0,1,1,-2,0", 389), ("0,-1,1,-929,-10595", 571),
+    ("1,1,0,-1154,-15345", 681), ("0,0,1,-7,6", 5077), ("0,1,1,-4,-1", 5021), ("0,-1,1,-4,1", 5197),
+    ("0,-1,1,-24,54", 997), ("1,1,0,-10,9", 2017), ("1,0,1,0,-7", 19927), ("0,0,1,0,-7", 27),
+    ("0,0,0,0,1", 36), ("0,0,0,-4,0", 64), ("0,0,0,-1,0", 32), ("0,0,1,0,-1", 243),
+]
+
+
+@pytest.mark.parametrize("coeffs, conductor", ACCEPTED_CURVES)
+def test_known_curves_pass_every_bad_prime_check(coeffs, conductor):
+    curve = EllipticCurve(*map(int, coeffs.split(",")), conductor=conductor)
+    for ell, _ in prime_factors(conductor):
+        curve.a_ell(ell)
+
+
+def test_conductor_exponent_above_the_brumer_kramer_bound_is_refused():
+    # f_2 <= 8, f_3 <= 5 and f_ell <= 2 for ell >= 5: an exponent at the bound
+    # passes this check, one above it is refused, whatever the model
+    for coeffs, ell, bound, other in (("0,0,0,-1,0", 2, 8, 1), ("0,0,1,0,-7", 3, 5, 1), ("1,1,1,-3,1", 5, 2, 2)):
+        model = [int(a) for a in coeffs.split(",")]
+        EllipticCurve(*model, conductor=ell**bound * other).a_ell(ell)
+        curve = EllipticCurve(*model, conductor=ell ** (bound + 1) * other)
+        with pytest.raises(InputError, match=f"conductor exponent {bound + 1} at {ell} exceeds {bound}"):
+            curve.a_ell(ell)
 
 
 def test_validation_does_not_factor_the_discriminant():

@@ -14,13 +14,13 @@ from mazurtate.elements import (
     stabilized_mazur_tate,
     theta0_interpolation_factor,
 )
-from mazurtate.errors import PrecisionInsufficient, ZeroElement
+from mazurtate.errors import ZeroElement
 from mazurtate.groupring import GroupLevel, GroupRingElement
 from mazurtate.modsym import ModularSymbol
-from mazurtate.padics import PAdic, unit_root
+from mazurtate.padics import unit_root, valuation
 from mazurtate.primes import int_valuation
 
-from .conftest import Scaled, make_curve, sign_parts, working_precision, zero_symbol
+from .conftest import Scaled, make_curve, sign_parts, unit_root_inverse, working_precision, zero_symbol
 from .test_groupring import FIXTURE_TOWERS, one_unit_dlog
 
 
@@ -76,11 +76,10 @@ def test_corestriction_identity_of_scaled_symbol(eigensymbols):
 
 
 def test_stabilized_integrality_11a(eigensymbols, curves):
-    alpha = unit_root(curves["11a"].a_ell(5), 5, working_precision(3))
+    inverse = unit_root_inverse(curves["11a"].a_ell(5), 5, working_precision(3))
     for n in range(4):
-        st = stabilized_mazur_tate(eigensymbols["11a"], alpha, 5, n)
-        for c in st.coeffs:
-            assert c.is_zero_to_precision or c.valuation() >= 0
+        st = stabilized_mazur_tate(eigensymbols["11a"], inverse, 5, n)
+        assert all(valuation(c, 5) >= 0 for c in st.coeffs)
 
 
 def test_norm_relation_residual_zero(eigensymbols):
@@ -105,41 +104,36 @@ def test_direct_and_cor_route_elements_agree(eigensymbols, curves):
     # theta_0 - alpha^{-1} (p - 1) phi({inf}-{0}), since phi|[[p,0],[0,1]] at
     # a/p is phi({inf}-{0}) for each of the p - 1 units a
     sym, p, prec = eigensymbols["26b1"], 7, 15
-    alpha = unit_root(curves["26b1"].a_ell(p), p, prec)
-    inv_alpha = alpha.inverse()
+    inverse = unit_root_inverse(curves["26b1"].a_ell(p), p, prec)
     for n in (0, 1, 2):
         theta = mazur_tate(sym, p, n)
         if n:
             lifted = mazur_tate(sym, p, n - 1).corestriction()
         else:
             lifted = GroupRingElement(theta.level, [(p - 1) * sym.value_infinity_minus(0)])
-        b = theta.to_padic(prec) - lifted.to_padic(prec).scale(inv_alpha)
-        a = stabilized_mazur_tate(sym, alpha, p, n)
-        assert all((x - y).is_zero_to_precision for x, y in zip(a.coeffs, b.coeffs))
-        assert [x.precision for x in a.coeffs] == [y.precision for y in b.coeffs] == [prec] * theta.level.order
+        assert stabilized_mazur_tate(sym, inverse, p, n) == theta - lifted.scale(inverse)
 
 
-def test_stabilized_refuses_a_non_p_integral_symbol_as_the_padic_route_did(eigensymbols, curves):
-    p, prec = 5, 10
-    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
-    for scale in (Fraction(1, 5), Fraction(3, 25)):
-        tower = MazurTateTower(scale * eigensymbols["11a"], p, 2)
-        for n in range(3):
-            with pytest.raises(ValueError) as padic_route:
-                tower.thetas[n].to_padic(prec) - tower.scaled[n].to_padic(prec).scale(alpha.inverse())
-            with pytest.raises(ValueError) as one_residue:
-                tower.stabilized(alpha, n)
-            assert str(one_residue.value) == str(padic_route.value)
-            assert str(one_residue.value).endswith(f" is not p-integral at p={p}")
+def test_stabilized_invariants_of_a_non_p_integral_symbol_shift_by_its_scale(eigensymbols, curves):
+    # the exact lift needs no p-integrality: scaling phi by 1/5 or 3/25 lowers
+    # every stabilized mu by 1 or 2 and keeps lambda, each tower at its own
+    # derived precision
+    p, a_p = 5, curves["11a"].a_ell(5)
+    tower = MazurTateTower(eigensymbols["11a"], p, 2)
+    base = stabilized_invariants(tower, unit_root_inverse(a_p, p, tower.stabilized_precision(a_p)))
+    for scale, shift in ((Fraction(1, 5), 1), (Fraction(3, 25), 2)):
+        scaled = MazurTateTower(scale * eigensymbols["11a"], p, 2)
+        inverse = unit_root_inverse(a_p, p, scaled.stabilized_precision(a_p))
+        assert [(inv.mu + shift, inv.lam) for inv in stabilized_invariants(scaled, inverse)] == [
+            inv.as_tuple() for inv in base]
 
 
 def test_exact_norm_relation_negative_control(eigensymbols, curves):
     # perturb one coefficient of S_2 by p^k: the exact check sees ord_p = k at
-    # every k, and its floors, capped at prec, are those of the p-adic
-    # comparison of the two routes, which cannot see k >= prec
+    # every k, and its floors are those of the difference of the two routes,
+    # as the lift of alpha^-1 is a unit
     p, prec = 5, 8
-    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
-    inv_alpha = alpha.inverse()
+    inverse = unit_root_inverse(curves["11a"].a_ell(p), p, prec)
     for k in (0, 1, 3, prec - 1, prec, prec + 2, 3 * prec):
         tower = MazurTateTower(eigensymbols["11a"], p, 2)
         assert tower.norm_relation(2).passed
@@ -149,14 +143,10 @@ def test_exact_norm_relation_negative_control(eigensymbols, curves):
         rep = tower.norm_relation(2)
         assert not rep.passed
         assert [(i, f) for i, f in enumerate(rep.residual_valuation_floors) if f != math.inf] == [(7, k)]
-        cor_route = (tower.thetas[2].to_padic(prec)
-                     - tower.thetas[1].corestriction().to_padic(prec).scale(inv_alpha))
-        diff = tower.stabilized(alpha, 2) - cor_route
-        capped = tuple(min(f, prec) for f in rep.residual_valuation_floors)
-        assert capped == tuple(c.valuation_lower_bound() for c in diff.coeffs)
+        cor_route = tower.thetas[2] - tower.thetas[1].corestriction().scale(inverse)
+        diff = tower.stabilized(inverse, 2) - cor_route
+        assert rep.residual_valuation_floors == tuple(valuation(c, p) for c in diff.coeffs)
         assert tower.norm_relation(1).passed
-    with pytest.raises(PrecisionInsufficient):
-        tower.stabilized(PAdic(p, 10, prec), 2)  # alpha must be a unit
 
 
 def test_exact_norm_relation_floors_of_a_non_p_integral_symbol(eigensymbols):
@@ -188,18 +178,19 @@ def test_unit_root_difference_valuation_is_bounded_by_the_norm_form(p):
             x = rng.randint(-p**3, p**3) * p ** rng.randint(0, 12)
             if trial % 2:  # y near alpha x, so that alpha x - y is divisible by a high power of p
                 k = rng.randint(1, 20)
-                y = alpha.residue * x % p**k + rng.randint(-2, 2) * p ** (k + rng.randint(0, 3))
+                y = alpha * x % p**k + rng.randint(-2, 2) * p ** (k + rng.randint(0, 3))
             else:
                 y = rng.randint(-p**3, p**3) * p ** rng.randint(0, 12)
             if x == y == 0:
                 continue
             norm = p * x * x - a_p * x * y + y * y
             assert norm > 0
-            assert (alpha * x - y).valuation() <= int_valuation(norm, p) < 60
+            # mod p^60 alpha x - y is known; inf (a residue of 0) would fail
+            assert int_valuation((alpha * x - y) % p**60, p) <= int_valuation(norm, p) < 60
 
 
-def stabilized_invariants(tower, alpha):
-    return [tower.stabilized(alpha, n).iwasawa_invariants() for n in range(len(tower.thetas))]
+def stabilized_invariants(tower, inverse):
+    return [tower.stabilized(inverse, n).iwasawa_invariants() for n in range(len(tower.thetas))]
 
 
 @pytest.mark.parametrize("label, p, n_max", FIXTURE_TOWERS + [("26b1", 7, 2), ("11a", 5, 3)])
@@ -213,8 +204,11 @@ def test_invariants_at_the_derived_precision_equal_those_at_precision_60(label, 
         tower = MazurTateTower(sym, p, depth)
         precision = tower.stabilized_precision(a_p)
         assert 1 <= precision <= 5
-        assert stabilized_invariants(tower, unit_root(a_p, p, precision)) == stabilized_invariants(
-            tower, unit_root(a_p, p, 60))
+        # any lift of alpha^-1 mod p^precision gives the invariants of the lift mod p^60
+        inverse = unit_root_inverse(a_p, p, precision)
+        expected = stabilized_invariants(tower, unit_root_inverse(a_p, p, 60))
+        for lift in (inverse, inverse + 3 * p**precision, inverse - p**precision):
+            assert stabilized_invariants(tower, lift) == expected
 
 
 def test_derived_precision_on_random_symbols(spaces):
@@ -230,8 +224,10 @@ def test_derived_precision_on_random_symbols(spaces):
                 tower.stabilized_precision(a_p)
             continue
         precision = tower.stabilized_precision(a_p)
-        assert stabilized_invariants(tower, unit_root(a_p, p, precision)) == stabilized_invariants(
-            tower, unit_root(a_p, p, 60))
+        inverse = unit_root_inverse(a_p, p, precision)
+        expected = stabilized_invariants(tower, unit_root_inverse(a_p, p, 60))
+        for lift in (inverse, inverse + rng.randint(-9, 9) * p**precision):
+            assert stabilized_invariants(tower, lift) == expected
 
 
 def test_derived_precision_refuses_a_trace_outside_the_hasse_bound(eigensymbols):
@@ -240,67 +236,72 @@ def test_derived_precision_refuses_a_trace_outside_the_hasse_bound(eigensymbols)
         tower.stabilized_precision(6)
 
 
-def norm_compatibility_residual(tower, alpha, n):
-    """project(theta_{n+1}(phi^alpha)) - alpha * theta_n(phi^alpha).
+def vanishes_mod(F, p, precision):
+    """F = 0 mod p^precision: its denominator is prime to p and p^precision divides every int."""
+    return F.den % p != 0 and all(b % p**precision == 0 for b in F.ints)
 
-    It vanishes to precision precisely when alpha is the unit root and the
+
+def norm_compatibility_residual(tower, alpha, precision, n):
+    """project(theta_{n+1}(phi^alpha)) - alpha * theta_n(phi^alpha), on the lifts
+    through alpha^-1 mod p^precision, which a non-unit alpha does not have.
+
+    It vanishes mod p^precision precisely when alpha is the unit root and the
     symbol is the matching eigensymbol.
     """
-    return tower.stabilized(alpha, n + 1).project() - tower.stabilized(alpha, n).scale(alpha)
+    inverse = pow(alpha, -1, tower.p**precision)
+    return tower.stabilized(inverse, n + 1).project() - tower.stabilized(inverse, n).scale(alpha)
 
 
 def test_norm_compatibility_and_negative_control(eigensymbols, curves):
-    tower = MazurTateTower(eigensymbols["11a"], 5, 3)
-    alpha = unit_root(curves["11a"].a_ell(5), 5, working_precision(3))
+    p, precision = 5, working_precision(3)
+    tower = MazurTateTower(eigensymbols["11a"], p, 3)
+    alpha = unit_root(curves["11a"].a_ell(p), p, precision)
     for n in (0, 1, 2):
-        assert norm_compatibility_residual(tower, alpha, n).is_zero()
-    corrupted = PAdic(5, alpha.residue + 5, alpha.precision)  # unit, not a root
-    diff = norm_compatibility_residual(tower, corrupted, 1)
-    assert not diff.is_zero()
-    assert min(c.valuation_lower_bound() for c in diff.coeffs) <= 2
+        assert vanishes_mod(norm_compatibility_residual(tower, alpha, precision, n), p, precision)
+    diff = norm_compatibility_residual(tower, alpha + p, precision, 1)  # unit, not a root
+    assert not vanishes_mod(diff, p, precision)
+    assert min(valuation(c, p) for c in diff.coeffs) <= 2
+    with pytest.raises(ValueError):
+        norm_compatibility_residual(tower, 2 * p, precision, 1)  # alpha must be a unit
 
 
-def bottom_interpolation_residual(tower, alpha):
-    """alpha^-1 aug(theta_0(phi^alpha)) - (1 - 1/alpha)^2 phi({inf}-{0}).
+def bottom_interpolation_residual(tower, alpha, precision):
+    """alpha^-1 aug(theta_0(phi^alpha)) - (1 - 1/alpha)^2 phi({inf}-{0}), through
+    the lift of alpha^-1 mod p^precision; a rational, 0 mod p^precision when the law holds.
 
     The norm-compatible system divides theta_n(phi^alpha) by alpha^(n+1), so
     its bottom layer interpolates the trivial character.
     """
-    p, precision = tower.p, alpha.precision
-    inv_alpha = alpha.inverse()
-    one = PAdic.from_rational(1, p, precision)
-    expected = (one - inv_alpha) * (one - inv_alpha) * PAdic.from_rational(tower.phi0, p, precision)
-    return inv_alpha * tower.stabilized(alpha, 0).augmentation() - expected
+    inverse = pow(alpha, -1, tower.p**precision)
+    return inverse * tower.stabilized(inverse, 0).augmentation() - (1 - inverse) ** 2 * tower.phi0
 
 
 def test_interpolation_at_trivial_character(eigensymbols, curves):
     for label, p in (("11a", 5), ("26b1", 7), ("174b1", 7)):
         alpha = unit_root(curves[label].a_ell(p), p, 20)
         tower = MazurTateTower(eigensymbols[label], p, 0)
-        assert bottom_interpolation_residual(tower, alpha).is_zero_to_precision
-        # a unit that is not the root breaks it
-        assert not bottom_interpolation_residual(tower, PAdic(p, alpha.residue + p, 20)).is_zero_to_precision
+        assert valuation(bottom_interpolation_residual(tower, alpha, 20), p) >= 20
+        # a unit that is not the root breaks it, and a non-unit has no lift of alpha^-1
+        assert valuation(bottom_interpolation_residual(tower, alpha + p, 20), p) < 20
+        with pytest.raises(ValueError):
+            bottom_interpolation_residual(tower, 2 * p, 20)
 
 
 def test_interpolation_value_matches_hand_computation(eigensymbols, curves):
-    # aug(theta_0(phi^alpha)) = (a_p - 2 - (p-1)/alpha) * phi({inf}-{0})
+    # aug(theta_0(phi^alpha)) = (a_p - 2 - (p-1)/alpha) * phi({inf}-{0}), and
+    # exactly so on the lift through a = alpha^-1 mod p^20
     sym = eigensymbols["11a"]
     p, prec = 5, 20
-    alpha = unit_root(curves["11a"].a_ell(p), p, prec)
-    aug = stabilized_mazur_tate(sym, alpha, p, 0).augmentation()
-    phi0 = PAdic.from_rational(sym.value_infinity_minus(0), p, prec)
-    ap = PAdic.from_rational(curves["11a"].a_ell(p), p, prec)
-    pm1 = PAdic.from_rational(p - 1, p, prec)
-    expected = (ap - 2 - pm1 * alpha.inverse()) * phi0
-    assert (aug - expected).is_zero_to_precision
+    a_p = curves["11a"].a_ell(p)
+    inverse = unit_root_inverse(a_p, p, prec)
+    aug = stabilized_mazur_tate(sym, inverse, p, 0).augmentation()
+    assert aug == (a_p - 2 - (p - 1) * inverse) * sym.value_infinity_minus(0)
 
 
 def test_tower_congruence_mod_p(eigensymbols):
     # for these curves the symbol values repeat mod p along the tower, so
     # theta_n = cor^n(theta_0) mod p; this ties together divisor evaluation,
     # the discrete-log indexing and corestriction in one identity
-    from mazurtate.padics import valuation
-
     for label, p, depth in (("11a", 5, 3), ("26b1", 7, 2)):
         theta0 = mazur_tate(eigensymbols[label], p, 0)
         lifted = theta0
@@ -334,14 +335,15 @@ def test_tower_scaled_sums_match_the_scaled_symbol(eigensymbols):
 
 
 def test_tower_serves_every_route_at_any_precision(eigensymbols):
-    # one tower serves its stabilized elements at any two precisions
+    # one tower serves its stabilized elements through lifts at any two
+    # precisions; both are at least the derived one, so they agree on invariants
     tower = MazurTateTower(eigensymbols["11a"], 5, 3)
-    low, high = unit_root(1, 5, 4), unit_root(1, 5, 30)
+    assert tower.stabilized_precision(1) <= 4
+    low, high = unit_root_inverse(1, 5, 4), unit_root_inverse(1, 5, 30)
     for n in range(4):
         coarse, fine = tower.stabilized(low, n), tower.stabilized(high, n)
-        assert {c.precision for c in coarse.coeffs} == {4}
-        assert {c.precision for c in fine.coeffs} == {30}
-        assert coarse == fine  # equal modulo 5^4
+        assert vanishes_mod(coarse - fine, 5, 4)  # equal modulo 5^4
+        assert coarse.iwasawa_invariants() == fine.iwasawa_invariants()
     assert all(tower.norm_relation(n).passed for n in range(1, 4))
     with pytest.raises(ValueError):
         MazurTateTower(eigensymbols["11a"], 5, -1)

@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from mazurtate import cache, groupring
-from mazurtate.classify import normalization_shift
 from mazurtate.elements import MazurTateTower
-from mazurtate.errors import NotAGenerator, PrecisionInsufficient, ZeroElement
+from mazurtate.errors import NotAGenerator, ZeroElement
 from mazurtate.groupring import (
     GroupLevel,
     GroupRingElement,
@@ -16,9 +15,9 @@ from mazurtate.groupring import (
     layer_units,
     sum_cancellation_check,
 )
-from mazurtate.padics import PAdic, unit_root, valuation
+from mazurtate.padics import valuation
 
-from .conftest import make_curve, working_precision
+from .conftest import make_curve, unit_root_inverse
 
 
 def test_t_basis_of_gamma():
@@ -165,21 +164,6 @@ def test_sum_cancellation_hypothesis_not_met():
     assert rep.conclusion_holds is None
 
 
-def test_mixed_coefficient_kinds_forbidden():
-    with pytest.raises(ValueError):
-        GroupRingElement(GroupLevel(3, 1), [Fraction(1), PAdic(3, 1, 5), Fraction(0)])
-
-
-def test_padic_invariants_and_precision_guard():
-    L = GroupLevel(5, 1)
-    F = GroupRingElement(L, [PAdic(5, 5, 6), PAdic(5, 1, 6), PAdic(5, 0, 6), PAdic(5, 0, 6), PAdic(5, 0, 6)])
-    inv = F.iwasawa_invariants()
-    assert (inv.mu, inv.lam) == (0, 0)  # T-coeffs start 5+1+... = 6, a unit
-    allz = GroupRingElement(L, [PAdic(5, 0, 4)] * 5)
-    with pytest.raises(PrecisionInsufficient):
-        allz.iwasawa_invariants()
-
-
 def test_wrong_length_rejected():
     with pytest.raises(ValueError):
         GroupRingElement(GroupLevel(3, 2), [Fraction(1)] * 3)
@@ -191,18 +175,8 @@ def test_wrong_length_rejected():
 def full_shift_invariants(F):
     """Reference route: mu and lambda read off every exact T-coefficient."""
     if F.is_zero():
-        if F.is_padic:
-            raise PrecisionInsufficient("all coefficients vanish to working precision")
         raise ZeroElement("invariants of the zero element are undefined")
     tc = F.t_coefficients()
-    if F.is_padic:
-        certified = [(i, c.valuation()) for i, c in enumerate(tc) if not c.is_zero_to_precision]
-        if not certified:
-            raise PrecisionInsufficient("all T-coefficients vanish to working precision")
-        mu = min(v for _, v in certified)
-        if any(c.precision <= mu for c in tc if c.is_zero_to_precision):
-            raise PrecisionInsufficient("an uncertified coefficient could attain the minimum valuation")
-        return (mu, next(i for i, v in certified if v == mu))
     vals = [valuation(c, F.level.p) for c in tc]
     mu = min(vals)
     return (int(mu), vals.index(mu))
@@ -211,7 +185,7 @@ def full_shift_invariants(F):
 def outcome(invariants, F):
     try:
         return invariants(F)
-    except (PrecisionInsufficient, ZeroElement) as exc:
+    except ZeroElement as exc:
         return (type(exc), str(exc))
 
 
@@ -266,27 +240,26 @@ def test_invariants_from_t_coefficients_match_full_shift(p, n):
 
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 3), (5, 2), (7, 2), (11, 1), (11, 2)])
 def test_padic_invariants_match_full_shift(p, n):
+    # p-adic residues mod p^prec, held as integer lifts over a denominator
+    # prime to p: while they are not all 0, every lift has the invariants of
+    # the residues, which is what the stabilized elements' lifts rely on
     rng = random.Random(p * 1000 + n)
     L = GroupLevel(p, n)
-    for _ in range(20):
-        precs = [rng.randint(1, 6) for _ in range(L.order)]
-        least = min(precs)
-        coeffs = []
-        for prec in precs:
-            kind = rng.random()
-            if kind < 0.3:
-                r = 0
-            elif kind < 0.6:
-                r = p**least * rng.randint(1, p**prec)  # vanishes once reduced to the least precision
-            else:
-                r = p ** rng.randint(0, prec) * rng.randint(1, p**prec)
-            coeffs.append(PAdic(p, r, prec))
-        assert_same_as_full_shift(GroupRingElement(L, coeffs))
-    assert_same_as_full_shift(GroupRingElement(L, [PAdic(p, 0, 3)] * L.order))
-    vanishing = [PAdic(p, p**2, 3)] + [PAdic(p, 0, 2)] * (L.order - 1)
-    assert outcome(lambda G: G.iwasawa_invariants().as_tuple(), GroupRingElement(L, vanishing)) == (
-        PrecisionInsufficient, "all coefficients vanish to working precision")
-    assert_same_as_full_shift(GroupRingElement(L, vanishing))
+    for trial in range(20):
+        prec, den = rng.randint(1, 6), rng.choice([1, 2, 13, 16])
+        m = p**prec
+        low = prec - 1 if trial % 4 == 0 else 0  # every residue divisible by p^(prec-1)
+        residues = [0 if rng.random() < 0.3 else p ** rng.randint(low, prec - 1) * rng.randrange(1, m) % m
+                    for _ in range(L.order)]
+        if not any(residues):
+            residues[-1] = p ** (prec - 1)
+        lifts = [r + m * rng.randint(-p**3, p**3) for r in residues]
+        F = GroupRingElement(L, [Fraction(r, den) for r in residues])
+        assert assert_same_as_full_shift(F) == assert_same_as_full_shift(
+            GroupRingElement(L, [Fraction(b, den) for b in lifts]))
+        assert F.iwasawa_invariants().mu < prec
+    assert outcome(lambda G: G.iwasawa_invariants().as_tuple(), GroupRingElement.zero(L)) == (
+        ZeroElement, "invariants of the zero element are undefined")
 
 
 # (curve, p, n_max): the towers the benchmark runs, and 50b1 at the p = 3 depth of the level ladder
@@ -297,12 +270,12 @@ FIXTURE_TOWERS = [("11a", 5, 5), ("11a", 3, 7), ("26b1", 7, 3), ("174b1", 5, 4),
 def test_fixture_tower_invariants_match_full_shift(label, p, n_max, monkeypatch):
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     curve = make_curve(label)
-    sym, norm = cache.load_symbol(curve, "neron")
+    sym, _ = cache.load_symbol(curve, "neron")
     tower = MazurTateTower(sym, p, n_max)
-    alpha = unit_root(curve.a_ell(p), p, working_precision(n_max, min(0, normalization_shift(norm, p))))
+    inverse = unit_root_inverse(curve.a_ell(p), p, tower.stabilized_precision(curve.a_ell(p)))
     for n in range(n_max + 1):
         assert_same_as_full_shift(tower.thetas[n])
-        assert_same_as_full_shift(tower.stabilized(alpha, n))
+        assert_same_as_full_shift(tower.stabilized(inverse, n))
 
 
 def test_invariants_never_take_the_exact_shift(monkeypatch):
@@ -310,7 +283,7 @@ def test_invariants_never_take_the_exact_shift(monkeypatch):
     elements = [
         GroupRingElement(L, [Fraction(k % 7 - 3, 5) for k in range(25)]),
         norm_element(L),
-        GroupRingElement(L, [PAdic(5, 5 * k + 5, 4) for k in range(25)]),
+        GroupRingElement(L, [5 * k + 5 for k in range(25)]),
     ]
     expected = [full_shift_invariants(F) for F in elements]
 
@@ -432,15 +405,19 @@ def test_from_t_coefficients_matches_binomial_formula(p, n):
 
 @pytest.mark.parametrize("p, n", SMALL_LEVELS)
 def test_padic_from_t_coefficients_matches_binomial_formula(p, n):
+    # residues mod p^prec in, residues out: the transform is unitriangular
+    # over Z, so any integer lift of the T-coefficients gives a lift of the
+    # gamma-coefficients
     rng = random.Random(p * 11 + n)
     L = GroupLevel(p, n)
     for _ in range(10):
         prec = rng.randint(1, 6)
-        t = [PAdic(p, rng.randrange(p**prec) if rng.random() < 0.7 else 0, prec) for _ in range(L.order)]
-        new = GroupRingElement.from_t_coefficients(L, t)
+        m = p**prec
+        t = [rng.randrange(m) if rng.random() < 0.7 else 0 for _ in range(L.order)]
+        new = GroupRingElement.from_t_coefficients(L, [c + m * rng.randint(-9, 9) for c in t])
         old = binomial_from_t_coefficients(L, t)
-        assert new.is_padic and {c.precision for c in new.coeffs} == {prec}
-        assert [c.residue for c in new.coeffs] == [c.residue for c in old.coeffs]
+        assert new.den == old.den == 1
+        assert [b % m for b in new.ints] == [b % m for b in old.ints]
 
 
 @pytest.mark.parametrize("length", [8, 10])
@@ -470,14 +447,11 @@ def test_constructor_keeps_fractions_and_converts_other_rationals():
     assert F.coeffs == (half, Fraction(2), Fraction(1, 4))
 
 
-# -- the integer form against coefficient-wise Fraction/PAdic arithmetic --
+# -- the integer form against coefficient-wise Fraction arithmetic --
 
 
-def least_precision(coeffs):
-    """The form a GroupRingElement keeps: Fractions as they are, PAdics at their least precision."""
-    if any(isinstance(c, PAdic) for c in coeffs):
-        least = min(c.precision for c in coeffs)
-        return [(PAdic, c.residue % c.p**least, least) for c in coeffs]
+def typed(coeffs):
+    """Coefficients with their types: a GroupRingElement gives back Fractions."""
     return [(type(c), c) for c in coeffs]
 
 
@@ -485,29 +459,27 @@ def outcome_of(operation):
     """An operation's result in a comparable form, or the error it raised.
 
     An element or a list compares by its coefficients, a tuple as it is, and a
-    single Fraction or PAdic as a list of one.
+    single Fraction as a list of one.
     """
     try:
         value = operation()
-    except (ValueError, PrecisionInsufficient, ZeroElement) as exc:
+    except (ValueError, ZeroElement) as exc:
         return (type(exc), str(exc))
     if isinstance(value, GroupRingElement):
         assert_canonical(value)
-        return least_precision(value.coeffs)
+        return typed(value.coeffs)
     if isinstance(value, tuple):
         return value
-    return least_precision(value if isinstance(value, list) else [value])
+    return typed(value if isinstance(value, list) else [value])
 
 
 def assert_canonical(F):
-    if F.is_padic:
-        assert F.den is None and all(0 <= b < F.level.p**F.precision for b in F.ints)
-    else:
-        assert F.precision is None and F.den > 0 and math.gcd(F.den, *F.ints) == 1
+    assert F.den > 0 and math.gcd(F.den, *F.ints) == 1
     assert type(F.ints) is tuple and len(F.ints) == F.level.order
 
 
 def random_coefficients(rng, L, padic):
+    """Random rationals, or (padic) integer lifts of residues mod p^prec, as Fractions."""
     p = L.p
     if not padic:
         return [random_rational(rng, p) for _ in range(L.order)]
@@ -515,20 +487,19 @@ def random_coefficients(rng, L, padic):
     for _ in range(L.order):
         prec = rng.randint(1, 6)
         r = 0 if rng.random() < 0.2 else p ** rng.randint(0, prec) * rng.randint(1, p**prec)
-        coeffs.append(PAdic(p, r, prec))
+        coeffs.append(Fraction(r))
     return coeffs
 
 
 def random_scalar(rng, p):
+    """A random rational, or an integer lift of a residue mod p^prec, as a stabilized element scales by."""
     if rng.random() < 0.5:
         return random_rational(rng, p)
-    prec = rng.randint(1, 8)
-    return PAdic(p, rng.randrange(p**prec), prec)
+    return rng.randrange(p ** rng.randint(1, 8))
 
 
 def reference_t_coefficients(coeffs):
-    """a_k = sum_i C(i, k) c_i, coefficient by coefficient, at the least precision."""
-    coeffs = [PAdic(c.p, c.residue, min(d.precision for d in coeffs)) if isinstance(c, PAdic) else c for c in coeffs]
+    """a_k = sum_i C(i, k) c_i, coefficient by coefficient."""
     m = len(coeffs)
     return [sum((math.comb(i, k) * coeffs[i] for i in range(k + 1, m)), coeffs[k]) for k in range(m)]
 
@@ -536,12 +507,9 @@ def reference_t_coefficients(coeffs):
 def reference_invariants(coeffs, p):
     """(mu, lambda) read off every T-coefficient of reference_t_coefficients."""
     tc = reference_t_coefficients(coeffs)
-    padic = isinstance(tc[0], PAdic)
-    vals = [(math.inf if c.is_zero_to_precision else c.valuation()) if padic else valuation(c, p) for c in tc]
+    vals = [valuation(c, p) for c in tc]
     mu = min(vals)
     if mu == math.inf:
-        if padic:
-            raise PrecisionInsufficient("all coefficients vanish to working precision")
         raise ZeroElement("invariants of the zero element are undefined")
     return (mu, vals.index(mu))
 
@@ -549,6 +517,7 @@ def reference_invariants(coeffs, p):
 DIFFERENTIAL_LEVELS = [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)]
 
 
+# padic: integer lifts of p-adic residues, the form of the stabilized elements
 @pytest.mark.parametrize("padic", [False, True], ids=["exact", "padic"])
 @pytest.mark.parametrize("p, n", DIFFERENTIAL_LEVELS)
 def test_integer_form_matches_coefficientwise_arithmetic(p, n, padic):
@@ -559,16 +528,14 @@ def test_integer_form_matches_coefficientwise_arithmetic(p, n, padic):
         a, b = random_coefficients(rng, L, padic), random_coefficients(rng, L, padic)
         F, G = GroupRingElement(L, a), GroupRingElement(L, b)
         assert_canonical(F)
-        assert least_precision(F.coeffs) == least_precision(a)
-        s, prec = random_scalar(rng, p), rng.randint(1, 8)
+        assert typed(F.coeffs) == typed(a)
+        s = random_scalar(rng, p)
         t = rng.choice([u for u in range(1, 2 * m + 2) if u % p])
         pairs = [
             (lambda: F + G, lambda: [x + y for x, y in zip(a, b)]),
             (lambda: F - G, lambda: [x - y for x, y in zip(a, b)]),
             (lambda: -F, lambda: [-x for x in a]),
             (lambda: F.scale(s), lambda: [s * x for x in a]),
-            (lambda: F.to_padic(prec), lambda: [
-                PAdic(p, c.residue, min(prec, c.precision)) if padic else PAdic.from_rational(c, p, prec) for c in a]),
             (lambda: F.corestriction(), lambda: a * p),
             (lambda: F.reindexed_by_generator_power(t), lambda: [a[j * t % m] for j in range(m)]),
             (lambda: GroupRingElement.from_t_coefficients(L, a),
@@ -584,43 +551,25 @@ def test_integer_form_matches_coefficientwise_arithmetic(p, n, padic):
             assert outcome_of(result) == outcome_of(reference)
 
 
-def test_integer_form_refuses_mixed_kinds_under_addition():
-    L = GroupLevel(5, 1)
-    exact = GroupRingElement(L, [Fraction(k, 2) for k in range(5)])
-    padic = exact.to_padic(4)
-    for combine in (lambda: exact + padic, lambda: padic - exact):
-        with pytest.raises(ValueError, match="must not mix"):
-            combine()
-
-
-def test_padics_of_another_prime_are_refused():
-    L = GroupLevel(5, 1)
-    with pytest.raises(ValueError, match="mixed primes"):
-        GroupRingElement(L, [PAdic(3, 2, 2)] * 5)
-    with pytest.raises(ValueError, match="mixed primes"):
-        GroupRingElement(L, [PAdic(5, 2, 2)] * 4 + [PAdic(3, 2, 2)])
-    for F in (GroupRingElement(L, [Fraction(k, 2) for k in range(5)]), GroupRingElement(L, [PAdic(5, 2, 2)] * 5)):
-        with pytest.raises(ValueError, match="mixed primes"):
-            F.scale(PAdic(3, 2, 2))
-        assert F.scale(PAdic(5, 2, 2)) == F.to_padic(2).scale(2)
-
-
 def test_stabilized_invariants_build_no_padic_per_coefficient(monkeypatch):
+    # a stabilized element is integer arithmetic on the tower's ints: building
+    # it and reading its invariants makes no p-adic number and at most one
+    # Fraction (the scalar of scale), at any layer size
     monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
     curve = make_curve("11a")
     sym, _ = cache.load_symbol(curve, "neron")
     tower = MazurTateTower(sym, 5, 3)
-    alpha = unit_root(curve.a_ell(5), 5, working_precision(3))
-    expected_invariants = [full_shift_invariants(tower.stabilized(alpha, n)) for n in range(4)]
+    inverse = unit_root_inverse(curve.a_ell(5), 5, tower.stabilized_precision(curve.a_ell(5)))
+    expected_invariants = [full_shift_invariants(tower.stabilized(inverse, n)) for n in range(4)]
     built = []
-    original = PAdic.__init__
 
-    def counted(self, p, residue, precision):
-        built.append(precision)
-        original(self, p, residue, precision)
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
 
-    monkeypatch.setattr(PAdic, "__init__", counted)
+    monkeypatch.setattr(groupring, "Fraction", counted)
     for n in range(4):
         built.clear()
-        assert tower.stabilized(alpha, n).iwasawa_invariants().as_tuple() == expected_invariants[n]
-        assert len(built) <= 1  # alpha^{-1} alone, at any layer size
+        F = tower.stabilized(inverse, n)
+        assert F.iwasawa_invariants().as_tuple() == expected_invariants[n]
+        assert len(built) <= 1 and all(type(b) is int for b in F.ints)

@@ -31,6 +31,24 @@ def test_merel_matrices_have_determinant_n():
         assert len(mats) == len(set(mats))
 
 
+def test_hecke_matrix_lists_the_merel_matrices_once_per_call(monkeypatch):
+    sp = build_space(26)
+    expected = {ell: hecke_matrix(sp, ell) for ell in (3, 5, 7)}
+    original = hecke.merel_matrices
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(hecke, "merel_matrices", counted)
+    for ell, rows in expected.items():
+        calls.clear()
+        assert hecke_matrix(sp, ell) == rows
+        assert calls == [ell]  # not once per basis row
+    assert sp.dimension > 1
+
+
 def test_hecke_rejects_bad_ell():
     sp = build_space(26)
     with pytest.raises(ValueError):

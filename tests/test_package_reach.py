@@ -18,7 +18,6 @@ ALLOWED = {
     "maximality_criterion": "README lists it among the library entry points",
     "GroupRingElement.identity": "the group-ring calculus README names as library API",
     "GroupRingElement.augmentation": "the group-ring calculus README names as library API",
-    "PAdic.is_zero_to_precision": "the p-adic side of the group-ring calculus README names",
     "RefutationCertificate.verify": "the checker of the refutation certificate a boundary report carries",
     "_Parser.error": "argparse calls it on every usage error, which makes each one an input_error",
 }
