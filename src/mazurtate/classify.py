@@ -15,9 +15,9 @@ from pathlib import Path
 from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import MAX_WALKED_LEVEL, MazurTateTower, theta0_interpolation_factor, walk_levels
+from .elements import (MAX_WALKED_LEVEL, MazurTateTower, level_rows, normalization_shift,
+                       theta0_interpolation_factor, walk_levels)
 from .errors import BoundExceeded, InputError, NotGoodOrdinary
-from .hecke import NormalizationData
 from .padics import unit_root, valuation
 from .primes import int_valuation, primes
 from .records import Record
@@ -41,34 +41,6 @@ class MTRequest(Record, frozen=True):
             raise ValueError("n_max must be nonnegative")
         if self.mode not in ("neron", "cohomological"):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-class LevelRow(Record, frozen=True):
-    n: int
-    mu_coh: int
-    mu: int            # in the operative normalization
-    lam: int
-    is_maximal: bool   # lam == p^n - 1
-    integral: bool     # mu >= 0 in the operative normalization
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "mu_coh": self.mu_coh, "mu": self.mu, "lambda": self.lam,
-                "is_maximal": self.is_maximal, "integral": self.integral}
-
-
-def normalization_shift(norm_data: NormalizationData, p: int) -> int:
-    """ord_p of the Neron scalar; mu-invariants move by this much (0 in cohomological mode)."""
-    return int(valuation(norm_data.scalar, p)) if norm_data.mode == "neron" else 0
-
-
-def level_rows(tower: MazurTateTower, shift: int) -> list:
-    """Per-level invariants of theta_0 .. theta_{n_max}, mu also in the operative normalization."""
-    rows = []
-    for n, theta in enumerate(tower.thetas):
-        inv = theta.iwasawa_invariants()
-        mu_op = inv.mu + shift
-        rows.append(LevelRow(n, inv.mu, mu_op, inv.lam, inv.lam == tower.p**n - 1, mu_op >= 0))
-    return rows
 
 
 class StabilizedRow(Record, frozen=True):

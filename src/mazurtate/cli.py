@@ -7,11 +7,17 @@ cached plus-eigensymbol), selftest (randomized property battery).
 Exit codes: 0 success, 2 inconclusive verdict, 3 input error (a usage error
 too).  All exact numbers in reports are integers or decimal strings; no
 floating point appears anywhere.
+
+A process run (`python -m mazurtate.cli`, the `mazurtate` script) ends as
+soon as its report is flushed, without the interpreter's teardown; a closed
+stdout ends it with exit code 1.  main(argv) is the in-process entry: it
+returns the exit code and never ends the process.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -176,8 +182,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    from .classify import level_rows, normalization_shift
-    from .elements import MazurTateTower
+    from .elements import MazurTateTower, level_rows, normalization_shift
 
     curve = load_curve(args)
     _check_p(args.p)
@@ -342,5 +347,35 @@ def main(argv=None) -> int:
         return 3
 
 
+def run():
+    """The process entry of `python -m mazurtate.cli` and the `mazurtate` script.
+
+    Runs main(), flushes stdout and stderr, and ends the process with
+    os._exit, which skips the interpreter's teardown: module cleanup, object
+    deallocation and the final garbage collection.  Every file a command
+    writes is closed by then.  sys.exit ends the process instead while a
+    profiler, tracer or coverage tool is attached, so that it can write its
+    report at exit.  An exception from main, --help's SystemExit included,
+    propagates as usual.  A reader that closed stdout ends the run with exit
+    code 1 and no traceback, as in the note on SIGPIPE in Python's signal
+    docs.
+    """
+    try:
+        code = main()
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is pointed at devnull, so that no flush at exit can fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile and coverage can attach here
+    if (sys.getprofile() is not None or sys.gettrace() is not None
+            or monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

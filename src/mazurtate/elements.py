@@ -2,7 +2,8 @@
 
 The levels of one symbol at p are walked once, upward (walk_levels); one
 MazurTateTower per (symbol, p) stores what the walk yields up to n_max, and
-the module-level functions are thin calls into it.
+the module-level functions are thin calls into it.  level_rows reads the
+per-level invariants off a tower, as `analyze` and `invariants` report them.
 Every element is exact.  A stabilized element is theta_n - a S_n for an
 integer a = alpha^{-1} mod p^P, where MazurTateTower.stabilized_precision
 computes P from the exact tower; its invariants are those of
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 from .errors import BoundExceeded, ZeroElement
 from .groupring import GroupLevel, GroupRingElement, layer_units
+from .padics import valuation
 from .primes import int_valuation
 from .records import Record
 
@@ -156,6 +158,37 @@ class MazurTateTower:
         """Exact test of theta_0 = (a_p - eps - 1) phi({inf}-{0}) sigma_1."""
         expected = Fraction(theta0_interpolation_factor(curve, self.p)) * self.phi0
         return self.thetas[0].coeffs == (expected,)
+
+
+class LevelRow(Record, frozen=True):
+    n: int
+    mu_coh: int
+    mu: int            # in the operative normalization
+    lam: int
+    is_maximal: bool   # lam == p^n - 1
+    integral: bool     # mu >= 0 in the operative normalization
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "mu_coh": self.mu_coh, "mu": self.mu, "lambda": self.lam,
+                "is_maximal": self.is_maximal, "integral": self.integral}
+
+
+def normalization_shift(norm_data, p: int) -> int:
+    """ord_p of the Neron scalar of norm_data, a hecke.NormalizationData.
+
+    mu-invariants move by this much (0 in cohomological mode).
+    """
+    return int(valuation(norm_data.scalar, p)) if norm_data.mode == "neron" else 0
+
+
+def level_rows(tower: MazurTateTower, shift: int) -> list:
+    """Per-level invariants of theta_0 .. theta_{n_max}, mu also in the operative normalization."""
+    rows = []
+    for n, theta in enumerate(tower.thetas):
+        inv = theta.iwasawa_invariants()
+        mu_op = inv.mu + shift
+        rows.append(LevelRow(n, inv.mu, mu_op, inv.lam, inv.lam == tower.p**n - 1, mu_op >= 0))
+    return rows
 
 
 def mazur_tate(sym, p: int, n: int) -> GroupRingElement:

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -172,12 +173,17 @@ def test_selftest_refuses_bad_case_counts_before_any_suite(capsys, cases, error)
     assert time.perf_counter() - start < 1
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter: the package on its path and no cache configured."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("MT_CACHE_DIR", None)
+    env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as a pipe or file makes it
+    return env
+
+
 def run_probe(probe, *argv):
     """stdout of a fresh interpreter running probe with argv, the package on its path and no cache configured."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    env.pop("MT_CACHE_DIR", None)
-    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=fresh_env(), capture_output=True, text=True,
                           check=True).stdout
 
 
@@ -200,7 +206,8 @@ LATER_STAGES = ("classify", "elements", "groupring", "padics", "boundary", "cusp
     ([], LATER_STAGES),
     (["eigensymbol", "--curve", "11a"], LATER_STAGES),
     (["boundary", "--curve", "11a", "--p", "5"], LATER_STAGES[:4]),
-], ids=["import", "eigensymbol", "boundary"])
+    (["invariants", "--curve", "11a", "--p", "5", "--n-max", "1"], ("classify", "boundary", "cusps")),
+], ids=["import", "eigensymbol", "boundary", "invariants"])
 def test_each_command_loads_only_its_own_stages(argv, left_out):
     code, loaded = run_probe(COMMAND_PROBE.format(modules="sorted(m for m in sys.modules if m.startswith('mazurtate.'))"),
                              *argv).split(" ", 1)
@@ -526,3 +533,89 @@ def test_selftest_refuses_a_cache_path_naming_a_file_before_any_suite(tmp_path, 
     assert json.loads(err)["error"] == "input_error"
     assert "cannot use cache directory" in json.loads(err)["message"]
     assert regular.read_text() == ""
+
+
+def run_module(*argv):
+    """(exit code, stdout, stderr) of `python -m mazurtate.cli argv` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "mazurtate.cli", *argv], env=fresh_env(), capture_output=True,
+                          text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["analyze", "--curve", "11a", "--p", "5", "--n-max", "2", "--format", "json"], 0),
+    (["invariants", "--curve", "11a", "--p", "5", "--n-max", "2", "--format", "json"], 0),
+    (["boundary", "--curve", "11a", "--p", "5", "--format", "json"], 0),
+    (["eigensymbol", "--curve", "11a", "--format", "json"], 0),
+    (["analyze", "--curve", "50b1", "--p", "5", "--n-max", "1", "--format", "json"], 3),
+    (["--bogus"], 3),
+    (["--help"], 0),
+], ids=["analyze", "invariants", "boundary", "eigensymbol", "coded-error", "usage-error", "help"])
+def test_a_process_ends_as_main_returns(capsys, monkeypatch, argv, expected_code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal's width
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out = capsys.readouterr()
+    assert code == expected_code
+    if code == 3:
+        assert out.err.count("\n") == 1 and json.loads(out.err)["error"]
+    assert run_module(*argv) == (code, out.out, out.err)
+
+
+def test_a_process_writes_the_full_report_to_output(tmp_path, capsys):
+    # about 10 KiB of report, more than one write buffer
+    argv = ["eigensymbol", "--coeffs", "1,1,0,-1154,-15345", "--conductor", "681", "--format", "json"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    target = tmp_path / "report.json"
+    assert run_module(*argv, "--output", str(target)) == (0, "", "")
+    assert target.read_text() == report
+
+
+def test_a_process_reads_back_the_cache_the_last_one_wrote(tmp_path):
+    argv = ["eigensymbol", "--curve", "11a", "--format", "json", "--cache", str(tmp_path)]
+
+    def files():
+        return {path.name: (path.stat().st_ino, path.stat().st_mtime_ns) for path in tmp_path.iterdir()}
+
+    cold = run_module(*argv)
+    written = files()
+    assert cold[0] == 0 and len(written) == 2  # the full quotient and the eigensymbol
+    # an entry that does not read back is a miss, rebuilt and written anew
+    assert run_module(*argv) == cold
+    assert files() == written
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write-in-emit", "final-flush"])
+def test_a_closed_stdout_exits_1_without_traceback(unbuffered):
+    # unbuffered, emit's print meets the closed pipe; buffered, the flush at the end does
+    env = fresh_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # closed before the process starts, so its first write fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mazurtate.cli", "invariants", "--curve", "11a", "--p", "5",
+                               "--n-max", "1", "--format", "json"], env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_profiler_still_prints_its_report():
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "mazurtate.cli", "invariants", "--curve", "11a",
+                           "--p", "5", "--n-max", "1", "--format", "json"], env=fresh_env(), capture_output=True,
+                          text=True)
+    assert "function calls" in proc.stdout
+
+
+def test_the_script_entry_is_what_the_module_runs():
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^mazurtate = "mazurtate\.cli:(\w+)"$', scripts, re.M)
+    tree = ast.parse((ROOT / "src" / "mazurtate" / "cli.py").read_text())
+    (guard,) = [node for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node.func) for node in ast.walk(guard) if isinstance(node, ast.Call)] == [target]
