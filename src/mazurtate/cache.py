@@ -1,12 +1,11 @@
-"""On-disk caches: full relation quotients keyed by level, eigensymbols by curve.
+"""On-disk cache of plus eigensymbols, keyed by curve.
 
-The plus quotient, which every command works in, is built on every run; only
-the full quotient, which the eigensymbol command alone reads, is stored.
 Eigensymbol files hold coordinates over the plus basis and are keyed by a
 sha256 of the curve's content (a1..a6, N), never by its label; on read the
 stored coefficients are compared and the vector is checked against the first
-eigen-equations (hecke.fits_first_equations); a stored space is used only if
-it is certified as the quotient map (ManinSymbolSpace.presents_quotient).
+eigen-equations (hecke.fits_first_equations).  The plus quotient, which every
+command works in, is built on every run, and no relation quotient is stored:
+files named space_N<N>.json from older versions are neither read nor swept.
 Everything is JSON with exact integers/rationals as decimal strings, guarded
 by a sha256 checksum over the canonical payload; a corrupted, stale or
 unparsable file, or one that fails those checks, is a miss and is silently
@@ -18,26 +17,21 @@ import json
 import os
 import re
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError
 from .hecke import eigensymbol, fits_first_equations, normalize
-from .modsym import ManinSymbolSpace, ModularSymbol, P1List, build_space, check_level
+from .modsym import ManinSymbolSpace, ModularSymbol, build_space, check_level
 from .primes import prime_factors
 
 ENV_CACHE_DIR = "MT_CACHE_DIR"
-
-# Full quotients are stored as sparse (coordinate, value) pairs; files of any
-# other kind, such as the older dense "manin_space" rows, are rebuilt on read.
-SPACE_KIND = "manin_space_sparse"
 
 # Eigensymbols are stored over the plus basis; the older "eigensymbol" files,
 # over the full basis, are rebuilt on read.
 EIGENSYMBOL_KIND = "plus_eigensymbol"
 
-# The names load_space and load_eigensymbol write; verify_cache_dir sweeps no other file.
-CACHE_FILE_NAME = re.compile(r"(space_N\d+|eigsym_N\d+_[0-9a-f]{64}_plus)\.json")
+# The names load_eigensymbol writes; verify_cache_dir sweeps no other file.
+CACHE_FILE_NAME = re.compile(r"eigsym_N\d+_[0-9a-f]{64}_plus\.json")
 
 
 def default_cache_dir() -> Path | None:
@@ -92,25 +86,6 @@ def _read(path: Path) -> dict | None:
     return payload if _checksum(payload) == stated else None
 
 
-def space_payload(space: ManinSymbolSpace) -> dict:
-    return {
-        "kind": SPACE_KIND,
-        "N": space.N,
-        "basis": list(space.basis),
-        "expressions": [[[t, str(c)] for t, c in e] for e in space.expressions],
-        "sigma": list(space.sigma),
-        "tau": list(space.tau),
-    }
-
-
-def space_from_payload(payload: dict) -> ManinSymbolSpace:
-    N = payload["N"]
-    p1 = P1List(N)
-    # values are stored as str() of the exact format, so "/" marks the only Fractions
-    expressions = [tuple((t, Fraction(c) if "/" in c else int(c)) for t, c in e) for e in payload["expressions"]]
-    return ManinSymbolSpace(N, p1, list(payload["basis"]), expressions, list(payload["sigma"]), list(payload["tau"]))
-
-
 def _parsed(parse, payload):
     """parse(payload), or None when it fails on a malformed payload."""
     try:
@@ -119,21 +94,10 @@ def _parsed(parse, payload):
         return None
 
 
-def load_space(N: int, cache_dir: Path | None = None) -> ManinSymbolSpace:
-    """Cached full quotient when a directory is configured, else built; a stored
-    one is rebuilt on any mismatch, parse failure or failed certificate."""
-    cache_dir = resolve_cache_dir(cache_dir)
-    if cache_dir is None:
-        return build_space(N, plus=False)
-    path = cache_dir / f"space_N{N}.json"
-    payload = _read(path)
-    if payload is not None and payload.get("N") == N and payload.get("kind") == SPACE_KIND:
-        space = _parsed(space_from_payload, payload)
-        if space is not None and _parsed(ManinSymbolSpace.presents_quotient, space):
-            return space
-    space = build_space(N, plus=False)
-    _write(path, space_payload(space))
-    return space
+def load_space(N: int) -> ManinSymbolSpace:
+    """The full quotient at level N, built: no command calls this, and
+    nothing is cached; bench/traced_cli.py names it in its TRACED list."""
+    return build_space(N, plus=False)
 
 
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:

@@ -19,13 +19,12 @@ import argparse
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import cache
 from .curves import ELL_BOUND, EllipticCurve, parse_lratio
 from .errors import BoundExceeded, InputError, MazurTateError
-from .modsym import check_level
+from .modsym import check_level, quotient_basis
 from .primes import is_prime
 
 CSV_ANALYZE_COLUMNS = [
@@ -38,9 +37,8 @@ MAX_SELFTEST_CASES = 20 * DEFAULT_SELFTEST_CASES
 
 
 def _fixture_path(name: str) -> Path | None:
-    base = resources.files("mazurtate").joinpath("fixtures")
-    candidate = base.joinpath(f"{name}.json")
-    return Path(str(candidate)) if candidate.is_file() else None
+    candidate = Path(__file__).parent / "fixtures" / f"{name}.json"
+    return candidate if candidate.is_file() else None
 
 
 def load_curve(args) -> EllipticCurve:
@@ -64,13 +62,10 @@ def load_curve(args) -> EllipticCurve:
         # every curve command works at level N = conductor: a level past the
         # bound is refused before the model is checked against it
         check_level(args.conductor)
-        lratio = parse_lratio(args.lratio) if args.lratio else None
-        curve = EllipticCurve(a1, a2, a3, a4, a6, conductor=args.conductor,
-                              label=args.label, lratio=lratio,
-                              lratio_source="user-supplied" if lratio is not None else None)
+        curve = EllipticCurve(a1, a2, a3, a4, a6, conductor=args.conductor, label=args.label)
     else:
         raise InputError("provide --curve PATH or --coeffs a1,a2,a3,a4,a6 --conductor N")
-    if getattr(args, "lratio", None) and args.curve:
+    if args.lratio:
         curve.lratio = parse_lratio(args.lratio)
         curve.lratio_source = "user-supplied"
     return curve
@@ -233,14 +228,14 @@ def cmd_eigensymbol(args) -> int:
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     # coordinates over the full quotient's basis: each basis generator's
     # expression is its own unit vector, so coordinate t is the value on basis[t]
-    full = cache.load_space(curve.conductor, args.cache)
+    basis = quotient_basis(curve.conductor)
     values = sym.generator_values()
     payload = {
         "label": curve.label,
         "level": sym.space.N,
-        "dimension": full.dimension,
+        "dimension": len(basis),
         "sign": "+",
-        "coords": [str(values[b]) for b in full.basis],
+        "coords": [str(values[b]) for b in basis],
         "generator_values": [str(v) for v in values],
         "value_at_infinity_minus_zero": str(sym.value_infinity_minus(0)),
     }

@@ -197,20 +197,3 @@ class EllipticCurve(Record):
     def from_json_file(cls, path) -> "EllipticCurve":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        d = {
-            "a1": self.a1,
-            "a2": self.a2,
-            "a3": self.a3,
-            "a4": self.a4,
-            "a6": self.a6,
-            "conductor": self.conductor,
-        }
-        if self.label:
-            d["label"] = self.label
-        if self.lratio is not None:
-            d["lratio"] = str(self.lratio)
-        if self.lratio_source:
-            d["lratio_source"] = self.lratio_source
-        return d

@@ -3,15 +3,17 @@
 Over Q, rows are sparse dicts {column: value}, as are the Hecke operators.
 Every exact rational on the symbol path, from these rows to a symbol's value
 table, is stored by one rule (`exact`): an int when it is integral, a
-Fraction only otherwise.  `echelon` folds rows into pivot
-rows, each stating a pivot variable as a combination of non-pivot columns;
-`kernel` reads a kernel basis off those pivots.  The Manin-symbol relation
-quotient is computed this way, and so is the Hecke eigenline when its fast
-path cannot be certified.
+Fraction only otherwise.  `fold` folds rows into pivot rows,
+which fixes the pivot set and so the free columns; `echelon` then
+back-substitutes, so each pivot row states a pivot variable as a
+combination of non-pivot columns, and `kernel` reads a kernel basis off
+those pivots.  The Manin-symbol relation quotient is computed this way (its
+basis alone needs only the fold), and so is the Hecke eigenline when its
+fast path cannot be certified.
 
 The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
 rational row (None if a denominator is divisible by the prime), `echelon_mod`
-folds residue rows with the same insertion-rank scheme as `echelon`,
+folds residue rows with the same insertion-rank scheme as `fold`,
 `kernel_mod` reads kernel vectors off its pivots, and
 `rational_reconstruction` lifts a residue back to a small fraction.  Nothing
 computed mod the prime is a result by itself: the caller certifies the lift
@@ -48,17 +50,15 @@ def mat_mul(a, b):
     return out
 
 
-def echelon(rows, pivots=None):
+def fold(rows, pivots=None):
     """Fold sparse rows {column: value} into pivot rows; returns the pivots.
 
-    pivots[v] = {column: c} states x_v = sum c * x_column over non-pivot
-    columns, for every solution x of the rows folded in so far; passing in
-    earlier pivots extends them.  Each incoming row has its pivot columns
-    cleared oldest pivot first (a pivot row never holds an older pivot
-    column, so each pivot is eliminated at most once), then pivots on its
-    entry of least (denominator, |numerator|, column).  One back-substitution
-    in reverse insertion order, after the batch, leaves every pivot row in
-    non-pivot columns only, its entries in the `exact` format.
+    Each incoming row has its pivot columns cleared oldest pivot first (a
+    pivot row never holds an older pivot column, so each pivot is eliminated
+    at most once), then pivots on its entry of least (denominator,
+    |numerator|, column).  A pivot row may still hold newer pivot columns;
+    `echelon` resolves them.  The pivot set, and so the set of free columns,
+    is final here.
     """
     if pivots is None:
         pivots = {}
@@ -89,7 +89,20 @@ def echelon(rows, pivots=None):
                        {k: exact(Fraction(x) / c) for k, x in row.items()})
         rank[piv] = len(order)
         order.append(piv)
-    for v in reversed(order):
+    return pivots
+
+
+def echelon(rows, pivots=None):
+    """`fold` the rows, then back-substitute; returns the pivots.
+
+    pivots[v] = {column: c} states x_v = sum c * x_column over non-pivot
+    columns, for every solution x of the rows folded in so far; passing in
+    earlier pivots extends them.  One back-substitution in reverse insertion
+    order, after the batch, leaves every pivot row in non-pivot columns
+    only, its entries in the `exact` format; it never changes the pivot set.
+    """
+    pivots = fold(rows, pivots)
+    for v in reversed(pivots):
         row = pivots[v]
         for k in [k for k in row if k in pivots]:
             a = row.pop(k)
@@ -140,10 +153,10 @@ def residue_row(row, q):
 def echelon_mod(rows, q, pivots=None, until=None):
     """Fold sparse residue rows mod the prime q into pivot rows; returns the pivots.
 
-    The fold is that of `echelon`, on ints mod q: each incoming row has its
-    pivot columns cleared oldest pivot first, then pivots on its greatest
-    column (on Hecke rows this fills in far less than the least column: 4x
-    fewer updates at level 5077).  There is no back-substitution, so a pivot
+    This is `fold` on ints mod q: each incoming row has its pivot columns
+    cleared oldest pivot first, then pivots on its greatest column (on
+    Hecke rows this fills in far less than the least column: 4x fewer
+    updates at level 5077).  There is no back-substitution, so a pivot
     row may still hold newer pivot columns (never older ones); `kernel_mod`
     resolves them.  Folding stops before the next row once `until` pivots
     exist.

@@ -4,7 +4,8 @@ The space is presented as the free Q-module on P^1(Z/N) modulo the two-term
 and three-term relations of Manin; the plus quotient, which every command
 works in, adds the relation x_(J i) = x_i of the sign involution J: (c:d) ->
 (-c:d).  Every generator carries a sparse expression over a chosen quotient
-basis, and a symbol's value phi({inf} - {r}) at a cusp r is summed along the
+basis (quotient_basis reads the full quotient's basis off the forward fold
+alone), and a symbol's value phi({inf} - {r}) at a cusp r is summed along the
 continued fraction of r (the Manin trick).  Operators (T_ell in hecke) are
 lists of sparse rows.  The generator indexed by (c:d), with SL_2(Z) lift g
 having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import LevelTooLarge
-from .linalg import echelon, exact
+from .linalg import echelon, exact, fold
 from .primes import divisors, euler_phi, prime_factors
 
 INFINITY = math.inf
@@ -164,11 +165,6 @@ def as_cusp(x):
     return (a, c)
 
 
-def _indices(xs, bound) -> bool:
-    """Every entry is an int in range(bound)."""
-    return all(type(x) is int and 0 <= x < bound for x in xs)
-
-
 def _involution(p1: P1List):
     """Index action of J: (c:d) -> (-c:d)."""
     return [p1.index(-c, d) for c, d in p1]
@@ -177,13 +173,11 @@ def _involution(p1: P1List):
 class ManinSymbolSpace:
     """Quotient presentation of the weight-2 modular symbols on Gamma_0(N), or of their plus quotient."""
 
-    def __init__(self, N, p1, basis, expressions, sigma, tau, plus=False):
+    def __init__(self, N, p1, basis, expressions, plus=False):
         self.N = N
         self.p1 = p1
         self.basis = basis          # P^1 indices of the free generators
         self.expressions = expressions  # per P^1 index: sorted (coordinate, value) pairs, values in the exact format
-        self.sigma = sigma          # index action of the order-2 relation matrix
-        self.tau = tau              # index action of the order-3 relation matrix
         self.plus = plus            # whether x_(J i) = x_i is a relation too
         self.dimension = len(basis)
 
@@ -195,43 +189,6 @@ class ManinSymbolSpace:
                 row[t] = row.get(t, 0) + c
         return {t: c for t, c in row.items() if c}
 
-    def presents_quotient(self) -> bool:
-        """Exact certificate that the expressions are the full quotient map of build_space(N, plus=False).
-
-        sigma and tau must be permutations matching the relation matrices on
-        P^1 (by the cross-product test: primitive (c:d) = (c':d') iff
-        c d' = c' d mod N), every two-term relation must vanish (the two
-        expressions of a sigma-pair are each other's negation, entry by entry,
-        as build_space writes them) and so must every three-term relation, each
-        basis generator's expression must be its own unit coordinate, and the
-        dimension must be 2g + c - 1.  The map then factors through the
-        quotient and sends the basis to the unit vectors of a space of the
-        quotient's dimension, so it is the one quotient map.  Every index must
-        be an int in range, so that evaluating the map cannot fail.
-        """
-        N, p1, sigma, tau = self.N, self.p1, self.sigma, self.tau
-        expressions, dim = self.expressions, self.dimension
-        m = len(p1)
-        if not (len(expressions) == len(sigma) == len(tau) == m == len(set(sigma)) == len(set(tau))
-                and _indices(sigma, m) and _indices(tau, m) and _indices(self.basis, m)
-                and _indices((t for e in expressions for t, _ in e), dim)):
-            return False
-        for (c, d), i, j in zip(p1, sigma, tau):
-            (c1, d1), (c2, d2) = p1[i], p1[j]
-            # against (d : -c) and (d : -c-d), the images under the order-2 and order-3 matrices
-            if (d * d1 + c * c1) % N or (d * d2 + (c + d) * c2) % N:
-                return False
-        if dim != quotient_dimension(N) or any(expressions[b] != ((t, 1),) for t, b in enumerate(self.basis)):
-            return False
-        for i, j in enumerate(sigma):
-            if i <= j and expressions[j] != tuple((t, -c) for t, c in expressions[i]):
-                return False
-        for i, j in enumerate(tau):
-            k = tau[j]
-            if i <= j and i <= k and self.coordinate_row([i, j, k]):  # one test per tau-orbit
-                return False
-        return True
-
 
 def check_level(N: int) -> None:
     """Refuse a level whose index psi(N) exceeds MAX_INDEX."""
@@ -241,14 +198,15 @@ def check_level(N: int) -> None:
         raise LevelTooLarge(f"index {psi_index(N)} of Gamma_0({N}) exceeds bound {MAX_INDEX}")
 
 
-def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
-    """Construct the presentation of the plus quotient at level N, or with
-    plus=False of the full Manin-symbol quotient.
+def _relations(N: int, plus: bool):
+    """The relations at level N, with the two-term ones folded in.
 
     Two-term relations, and on the plus quotient x_(J i) = x_i, are folded in
-    combinatorially (each <sigma, J>-orbit is one generator up to sign, or
-    zero if its signs clash); the remaining three-term relations go through
-    linalg.echelon, the sparse elimination over Q.
+    combinatorially: each <sigma, J>-orbit is one generator up to sign, or
+    zero if its signs clash.  Returns (p1, zero, rep, rep_sign, rows): the
+    generator at P^1 index i is zero, or rep_sign[i] times the generator
+    rep[i], and rows holds the three-term relations, one per tau-orbit, in
+    the generators i with rep[i] = i.
     """
     if N < 1:
         raise ValueError("level must be positive")
@@ -276,11 +234,6 @@ def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
             rep[k] = i
             rep_sign[k] = sgn
 
-    def as_term(i):
-        if zero[i]:
-            return None
-        return rep[i], rep_sign[i]
-
     # x + x.T + x.T^2 = 0, one relation per tau-orbit
     rows = []
     seen = [False] * m
@@ -292,37 +245,58 @@ def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
             seen[j] = True
         row = {}
         for j in orbit:
-            t = as_term(j)
-            if t is None:
-                continue
-            var, sgn = t
-            row[var] = row.get(var, 0) + sgn
+            if not zero[j]:
+                row[rep[j]] = row.get(rep[j], 0) + rep_sign[j]
         rows.append(row)
+    return p1, zero, rep, rep_sign, rows
 
+
+def _free_generators(N: int, plus: bool, zero, rep, pivots):
+    """The generators that are neither zero, folded nor pivots, ascending,
+    checked against the dimension of the quotient."""
+    free = [v for v in range(len(rep)) if not zero[v] and rep[v] == v and v not in pivots]
+    expected = plus_dimension(N) if plus else quotient_dimension(N)
+    if len(free) != expected:
+        formula = "g+c_J-1" if plus else "2g+c-1"
+        raise RuntimeError(f"dimension {len(free)} at level {N} disagrees with {formula} = {expected}")
+    return free
+
+
+def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
+    """Construct the presentation of the plus quotient at level N, or with
+    plus=False of the full Manin-symbol quotient.
+
+    The two-term relations, and x_(J i) = x_i, are folded in by _relations;
+    the three-term rows go through linalg.echelon, the sparse elimination
+    over Q.
+    """
+    p1, zero, rep, rep_sign, rows = _relations(N, plus)
     pivots = echelon(rows)
-
-    variables = [i for i in range(m) if not zero[i] and rep[i] == i]
-    free = sorted(v for v in variables if v not in pivots)
-    dim = len(free)
+    free = _free_generators(N, plus, zero, rep, pivots)
     pos = {b: t for t, b in enumerate(free)}
 
     var_expr = {v: ((pos[v], 1),) for v in free}
     for v, row in pivots.items():
         var_expr[v] = tuple(sorted((pos[k], c) for k, c in row.items()))
     expressions = []
-    for i in range(m):
+    for i in range(len(p1)):
         if zero[i]:
             expressions.append(())
         else:
             base = var_expr[rep[i]]
             expressions.append(base if rep_sign[i] == 1 else tuple((t, -c) for t, c in base))
+    return ManinSymbolSpace(N, p1, free, expressions, plus)
 
-    expected = plus_dimension(N) if plus else quotient_dimension(N)
-    if dim != expected:
-        formula = "g+c_J-1" if plus else "2g+c-1"
-        raise RuntimeError(f"dimension {dim} at level {N} disagrees with {formula} = {expected}")
 
-    return ManinSymbolSpace(N, p1, free, expressions, sigma, tau, plus)
+def quotient_basis(N: int) -> list:
+    """The basis of build_space(N, plus=False), from the forward fold alone.
+
+    Back-substitution never changes the pivot set, so linalg.fold gives the
+    same free generators as linalg.echelon; the dimension is checked against
+    2g + c - 1 as in build_space.
+    """
+    _, zero, rep, _, rows = _relations(N, plus=False)
+    return _free_generators(N, False, zero, rep, fold(rows))
 
 
 class ModularSymbol:

@@ -32,10 +32,6 @@ class TowerSuiteReport(Record):
     violations: int = 0
     false_assertions: int = 0
 
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0 and self.false_assertions == 0
-
 
 def _random_unit(p: int, rng) -> Fraction:
     num = rng.randrange(1, 50)

@@ -31,6 +31,18 @@ def make_curve(label):
     return EllipticCurve(label=label, **CURVE_DATA[label])
 
 
+def curve_record(curve) -> dict:
+    """The curve as the JSON record EllipticCurve.from_dict reads: its fields, the empty ones left out."""
+    d = {key: getattr(curve, key) for key in ("a1", "a2", "a3", "a4", "a6", "conductor")}
+    if curve.label:
+        d["label"] = curve.label
+    if curve.lratio is not None:
+        d["lratio"] = str(curve.lratio)
+    if curve.lratio_source:
+        d["lratio_source"] = curve.lratio_source
+    return d
+
+
 @pytest.fixture(scope="session")
 def curves():
     return {label: make_curve(label) for label in CURVE_DATA}
@@ -70,6 +82,11 @@ def act(mat, r):
     a, b, c, d = mat
     u, v = as_cusp(r)
     return as_cusp((a * u + b * v, c * u + d * v))
+
+
+def relation_actions(p1):
+    """(sigma, tau): the index actions on P^1 of the order-2 and order-3 relation matrices."""
+    return [p1.index(d, -c) for c, d in p1], [p1.index(d, -c - d) for c, d in p1]
 
 
 def involution_matrix(space):

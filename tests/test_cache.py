@@ -9,28 +9,17 @@ from mazurtate.errors import InputError
 from mazurtate.hecke import eigensymbol
 from mazurtate.modsym import build_space
 
-from .conftest import make_curve
+from .conftest import make_curve, relation_actions
+from .test_linalg import dense_rref
 
 
-def test_space_roundtrip(tmp_path):
-    fresh = cache.load_space(11, tmp_path)
-    again = cache.load_space(11, tmp_path)
-    direct = build_space(11, plus=False)
-    assert again.basis == direct.basis
-    assert again.expressions == direct.expressions
-    assert not again.plus
-    assert fresh.dimension == again.dimension
-    assert list(tmp_path.iterdir()) == [tmp_path / "space_N11.json"]
-
-
-def test_corrupted_space_cache_is_rebuilt(tmp_path):
-    cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
+def test_corrupted_cache_file_is_rebuilt(tmp_path):
+    space, curve, path = _eigensymbol_file(tmp_path)
     payload = json.loads(path.read_text())
-    payload["expressions"][0][0] = "999"  # tamper without fixing the checksum
+    payload["coords"][0] = "999"  # tamper without fixing the checksum
     path.write_text(json.dumps(payload))
-    rebuilt = cache.load_space(11, tmp_path)
-    assert rebuilt.expressions == build_space(11, plus=False).expressions
+    rebuilt = cache.load_eigensymbol(space, curve, tmp_path)
+    assert rebuilt.coords == eigensymbol(space, curve).coords
     # the rebuilt file is clean again
     assert cache._read(path) is not None
 
@@ -46,8 +35,8 @@ def test_eigensymbol_roundtrip(tmp_path):
 
 
 def test_verify_cache_dir_counts_and_drops(tmp_path):
-    cache.load_space(11, tmp_path)
-    bad = tmp_path / "space_N99.json"
+    _eigensymbol_file(tmp_path)
+    bad = tmp_path / f"eigsym_N99_{'0' * 64}_plus.json"
     bad.write_text("{not json")
     stats = cache.verify_cache_dir(tmp_path)
     assert stats == {"clean": 1, "corrupted": 1}
@@ -55,24 +44,26 @@ def test_verify_cache_dir_counts_and_drops(tmp_path):
 
 
 def test_verify_cache_dir_sweeps_every_kind_of_file(tmp_path):
-    # the full quotient and the eigensymbol: every name a load writes
+    # the eigensymbol is the one name a load writes, and the eigensymbol command writes nothing else
     assert main(["eigensymbol", "--curve", "11a", "--cache", str(tmp_path), "--format", "json"]) == 0
-    names = sorted(path.name for path in tmp_path.iterdir())
-    assert names[1:] == ["space_N11.json"] and names[0].startswith("eigsym_N11_")
+    names = [path.name for path in tmp_path.iterdir()]
+    assert len(names) == 1 and names[0].startswith("eigsym_N11_")
     assert all(cache.CACHE_FILE_NAME.fullmatch(name) for name in names)
     assert not any(cache.CACHE_FILE_NAME.fullmatch(name) for name in
-                   ("space_N11_plus.json", "space_N11_minus.json", "space_N11_plus_plus.json", "space_N_plus.json"))
-    old_plus = tmp_path / "space_N11_plus.json"  # a plus-quotient file from an older cache
-    old_plus.write_text("{not json")
-    assert cache.verify_cache_dir(tmp_path) == {"clean": 2, "corrupted": 0}
+                   ("space_N11.json", "space_N11_plus.json", "space_N11_minus.json", "space_N11_plus_plus.json",
+                    "space_N_plus.json"))
+    old = [tmp_path / "space_N11.json", tmp_path / "space_N11_plus.json"]  # quotients from older caches
+    for path in old:
+        path.write_text("{not json")
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 1, "corrupted": 0}
     for path in tmp_path.iterdir():
         path.write_text("{not json")
-    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 2}
-    assert list(tmp_path.iterdir()) == [old_plus]
+    assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 1}
+    assert sorted(tmp_path.iterdir()) == old
 
 
 def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
-    cache.load_space(11, tmp_path)
+    _eigensymbol_file(tmp_path)
     record = tmp_path / "mycurve.json"
     record.write_text(json.dumps({"a1": 0, "a2": -1, "a3": 1, "a4": -10, "a6": -20, "conductor": 11}))
     notes = tmp_path / "notes.json"
@@ -88,8 +79,8 @@ def test_verify_cache_dir_leaves_other_files_alone(tmp_path, capsys):
 
 def test_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path))
-    cache.load_space(11)
-    assert (tmp_path / "space_N11.json").exists()
+    cache.load_eigensymbol(build_space(11), make_curve("11a"))
+    assert len(list(tmp_path.glob("eigsym_N11_*_plus.json"))) == 1
 
 
 def test_eigensymbol_cache_is_keyed_by_curve_not_label(tmp_path):
@@ -142,29 +133,18 @@ def test_stored_coefficients_are_checked_on_read(tmp_path):
 
 
 def test_directory_at_old_temp_name_does_not_block_writes(tmp_path):
-    (tmp_path / "space_N11.tmp").mkdir()
-    space = cache.load_space(11, tmp_path)
-    assert cache._read(tmp_path / "space_N11.json") is not None
-    assert space.dimension == build_space(11, plus=False).dimension
+    space, curve, path = _eigensymbol_file(tmp_path)
+    path.unlink()
+    path.with_suffix(".tmp").mkdir()
+    sym = cache.load_eigensymbol(space, curve, tmp_path)
+    assert cache._read(path) is not None
+    assert sym.coords == eigensymbol(space, curve).coords
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):
     with pytest.raises(TypeError):
-        cache._write(tmp_path / "space_N11.json", {"kind": object()})
+        cache._write(tmp_path / "eigsym_N11.json", {"kind": object()})
     assert list(tmp_path.iterdir()) == []
-
-
-def test_old_dense_space_file_is_rebuilt(tmp_path):
-    space = build_space(11, plus=False)
-    path = tmp_path / "space_N11.json"
-    rows = [space.coordinate_row([i]) for i in range(len(space.p1))]
-    dense = [[str(row.get(t, Fraction(0))) for t in range(space.dimension)] for row in rows]
-    cache._write(path, {"kind": "manin_space", "N": 11, "basis": list(space.basis), "expressions": dense,
-                        "sigma": list(space.sigma), "tau": list(space.tau)})
-    assert cache.load_space(11, tmp_path).expressions == space.expressions
-    payload = cache._read(path)
-    assert payload["kind"] == cache.SPACE_KIND
-    assert payload == cache.space_payload(space)
 
 
 class CountingList(list):
@@ -204,8 +184,6 @@ def test_cache_path_naming_a_file_is_refused_before_any_build(tmp_path, monkeypa
     monkeypatch.setattr(cache, "build_space", lambda N, plus=True: pytest.fail("space built"))
     monkeypatch.setattr(cache, "eigensymbol", lambda *a: pytest.fail("eigensymbol built"))
     with pytest.raises(InputError, match="cannot use cache directory"):
-        cache.load_space(11, not_a_dir)
-    with pytest.raises(InputError, match="cannot use cache directory"):
         cache.load_eigensymbol(build_space(11), make_curve("11a"), not_a_dir)
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(not_a_dir))
     with pytest.raises(InputError, match="cannot use cache directory"):
@@ -243,17 +221,6 @@ def _forge(path, key, value):
     cache._write(path, payload)
 
 
-@pytest.mark.parametrize("entry", [[[0]], [["0", "x"]], [[0, "1/0"]], 7])
-def test_space_file_that_does_not_parse_is_a_miss(tmp_path, entry):
-    cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
-    expressions = cache._read(path)["expressions"]
-    _forge(path, "expressions", [entry] + expressions[1:])
-    fresh = build_space(11, plus=False)
-    assert cache.load_space(11, tmp_path).expressions == fresh.expressions
-    assert cache._read(path) == cache.space_payload(fresh)  # rewritten
-
-
 def _eigensymbol_file(tmp_path, label="11a"):
     curve = make_curve(label)
     space = build_space(curve.conductor)
@@ -262,7 +229,8 @@ def _eigensymbol_file(tmp_path, label="11a"):
     return space, curve, path
 
 
-@pytest.mark.parametrize("coords", [["x", "0"], ["1/0", "0"], [None, "0"], ["1", "2", "3"], 5])
+@pytest.mark.parametrize("coords", [["x", "0"], ["1/0", "0"], [None, "0"], ["1", "2", "3"], 5,
+                                    [[0]], [["0", "x"]], [[0, "1/0"]], 7])
 def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
     space, curve, path = _eigensymbol_file(tmp_path)
     _forge(path, "coords", coords)
@@ -304,25 +272,61 @@ def test_forged_eigensymbol_file_does_not_change_the_analysis(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["[]", "5", '"checksum"'])
 def test_cache_file_that_is_not_a_json_object_is_a_miss(tmp_path, text):
-    path = tmp_path / "space_N11.json"
+    space, curve, path = _eigensymbol_file(tmp_path)
     path.write_text(text)
-    fresh = build_space(11, plus=False)
-    assert cache.load_space(11, tmp_path).expressions == fresh.expressions
-    assert cache._read(path) == cache.space_payload(fresh)  # rewritten
+    fresh = eigensymbol(space, curve)
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == fresh.coords
+    assert cache._read(path)["coords"] == [str(c) for c in fresh.coords]  # rewritten
     path.write_text(text)
     assert cache.verify_cache_dir(tmp_path) == {"clean": 0, "corrupted": 1}
 
 
-def test_forged_space_file_does_not_change_the_analysis(tmp_path, capsys):
-    # checksum-clean, well-formed, but not the quotient map: the certificate refuses it
-    argv = ["eigensymbol", "--curve", "11a"]
+def old_space_payload(N, basis):
+    """The full quotient at level N re-expressed on the generators `basis`, as
+    older versions cached it in space_N<N>.json: checksum-clean, and a
+    quotient map by the certificate they checked on read."""
+    sp = build_space(N, plus=False)
+    dim = sp.dimension
+    rows = [[Fraction(0)] * dim for _ in sp.expressions]
+    for row, expr in zip(rows, sp.expressions):
+        for t, c in expr:
+            row[t] = Fraction(c)
+    # [M | I] reduces to [I | M^-1], M the rows of the new basis generators
+    identity = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    inverse = [r[dim:] for r in dense_rref([rows[b] + e for b, e in zip(basis, identity)])]
+    expressions = [[[t, str(x)] for t in range(dim) if (x := sum(row[k] * inverse[k][t] for k in range(dim)))]
+                   for row in rows]
+    sigma, tau = relation_actions(sp.p1)
+    return {"kind": "manin_space_sparse", "N": N, "basis": list(basis), "expressions": expressions,
+            "sigma": sigma, "tau": tau}
+
+
+def assert_space_file_is_ignored(tmp_path, capsys, argv, payload):
+    """A space_N<N>.json planted in the cache leaves the report as it is uncached, and the file untouched."""
     assert main(argv) == 0
     uncached = capsys.readouterr().out
-    cache.load_space(11, tmp_path)
-    path = tmp_path / "space_N11.json"
-    expressions = cache._read(path)["expressions"]
-    assert expressions[4] == [[1, "1"], [2, "-1"]]
-    _forge(path, "expressions", expressions[:4] + [[[0, "2"]]] + expressions[5:])
+    path = tmp_path / f"space_N{payload['N']}.json"
+    cache._write(path, payload)
+    planted = path.read_text()
     assert main(argv + ["--cache", str(tmp_path)]) == 0
     assert capsys.readouterr().out == uncached
-    assert cache._read(path) == cache.space_payload(build_space(11, plus=False))  # rewritten
+    assert path.read_text() == planted  # not rewritten
+
+
+def test_forged_space_file_does_not_change_the_analysis(tmp_path, capsys):
+    # checksum-clean, well-formed, but not the quotient map
+    payload = old_space_payload(11, build_space(11, plus=False).basis)
+    expressions = payload["expressions"]
+    assert expressions[4] == [[1, "1"], [2, "-1"]]
+    payload["expressions"] = expressions[:4] + [[[0, "2"]]] + expressions[5:]
+    assert_space_file_is_ignored(tmp_path, capsys, ["eigensymbol", "--curve", "11a"], payload)
+
+
+def test_re_expressed_space_file_does_not_change_the_eigensymbol(tmp_path, capsys):
+    # a quotient map on other generators than the build's, which an older
+    # version's certificate accepts: its coordinates would be those of another basis
+    argv = ["eigensymbol", "--coeffs", "0,0,1,-1,0", "--conductor", "37", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["coords"] == ["0", "1", "-1", "0", "0"]
+    assert build_space(37, plus=False).basis != [1, 3, 4, 6, 15]
+    assert_space_file_is_ignored(tmp_path, capsys, argv, old_space_payload(37, [1, 3, 4, 6, 15]))

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mazurtate import cache
-from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, build_parser, main
+from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, build_parser, load_curve, main
 from mazurtate.modsym import ModularSymbol, as_cusp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -190,6 +191,27 @@ def run_probe(probe, *argv):
 def test_cli_import_leaves_the_suites_out():
     probe = "import sys, mazurtate.cli; print(sorted(m for m in ('mazurtate.suites', 'mazurtate.synthetic') if m in sys.modules))"
     assert run_probe(probe).strip() == "[]"
+
+
+def test_fixtures_resolve_without_importlib_resources():
+    # under -S no site module preloads importlib.resources, so the probe sees what the package loads
+    probe = ("import sys, mazurtate.cli as cli\n"
+             "fixtures = cli.Path(cli.__file__).parent / 'fixtures'\n"
+             "names = sorted(path.stem for path in fixtures.glob('*.json'))\n"
+             "assert all(cli._fixture_path(name) == fixtures / f'{name}.json' for name in names)\n"
+             "curves = [cli.load_curve(cli.build_parser().parse_args(['eigensymbol', '--curve', name])) for name in names]\n"
+             "print('importlib.resources' in sys.modules, names, [curve.conductor for curve in curves])")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=fresh_env(), capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False ['11a', '174b1', '26b1', '50b1'] [11, 174, 26, 50]"
+
+
+@pytest.mark.parametrize("source", [["--curve", "11a"], ["--coeffs", "0,-1,1,-10,-20", "--conductor", "11"]],
+                         ids=["curve", "coeffs"])
+def test_lratio_option_is_read_alike_for_both_sources(source):
+    # the option overrides a fixture's own L-ratio (1/5 for 11a) as it sets one for inline coefficients
+    curve = load_curve(build_parser().parse_args(["eigensymbol", *source, "--lratio", "2/5"]))
+    assert (curve.lratio, curve.lratio_source) == (Fraction(2, 5), "user-supplied")
 
 
 # runs the command in argv (none: only the import) with stdout swallowed, then prints its exit code and {modules}
@@ -400,7 +422,7 @@ def test_readme_cache_names_match_the_cache():
     bullet = (ROOT / "README.md").read_text().split("* `--cache DIR`", 1)[1].split("\n* ", 1)[0]
     names = {name.replace("<N>", "11").replace("<sha256>", "0123456789abcdef" * 4)
              for name in re.findall(r"`([\w<>]+\.json)`", bullet)}
-    assert len(names) == 2
+    assert len(names) == 1
     assert all(cache.CACHE_FILE_NAME.fullmatch(name) for name in names), names
 
 
@@ -582,7 +604,7 @@ def test_a_process_reads_back_the_cache_the_last_one_wrote(tmp_path):
 
     cold = run_module(*argv)
     written = files()
-    assert cold[0] == 0 and len(written) == 2  # the full quotient and the eigensymbol
+    assert cold[0] == 0 and len(written) == 1  # the eigensymbol alone
     # an entry that does not read back is a miss, rebuilt and written anew
     assert run_module(*argv) == cold
     assert files() == written

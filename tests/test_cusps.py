@@ -9,7 +9,7 @@ from mazurtate.linalg import rref_mod_p
 from mazurtate.modsym import INFINITY, as_cusp, build_space
 from mazurtate.primes import euler_phi
 
-from .conftest import act
+from .conftest import act, relation_actions
 from .test_modsym import random_gamma0
 
 # sha256 over N = 1..300, 389, 681 of json [N, boundary_space_matrix(build_space(N), 7) rows, representatives],
@@ -110,6 +110,7 @@ def test_boundary_rows_satisfy_manin_relations():
         B, table = boundary_space_matrix(sp, p)
         psi = [rng.randrange(p) for _ in range(len(table))]
         vals = [sum(B[i][k] * psi[k] for k in range(len(psi))) % p for i in range(len(sp.p1))]
+        sigma, tau = relation_actions(sp.p1)
         for i in range(len(sp.p1)):
-            assert (vals[i] + vals[sp.sigma[i]]) % p == 0
-            assert (vals[i] + vals[sp.tau[i]] + vals[sp.tau[sp.tau[i]]]) % p == 0
+            assert (vals[i] + vals[sigma[i]]) % p == 0
+            assert (vals[i] + vals[tau[i]] + vals[tau[tau[i]]]) % p == 0

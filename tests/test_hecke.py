@@ -11,7 +11,7 @@ from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize
 from mazurtate.linalg import MODULUS, echelon_mod, kernel_mod, mat_mul, nullspace, rref_mod_p
 from mazurtate.modsym import ModularSymbol, build_space
 
-from .conftest import involution_matrix, make_curve
+from .conftest import curve_record, involution_matrix, make_curve
 from .test_linalg import random_matrix, residues
 
 
@@ -211,7 +211,7 @@ def test_neron_requires_nonvanishing_central_value():
 
 def test_neron_refuses_a_zero_lratio(eigensymbols, curves):
     # 11a has phi({inf}-{0}) != 0, so only the stated ratio can be at fault
-    curve = EllipticCurve(**{**curves["11a"].to_dict(), "lratio": Fraction(0)})
+    curve = EllipticCurve(**{**curve_record(curves["11a"]), "lratio": Fraction(0)})
     with pytest.raises(RankPositive, match="L\\(E,1\\)/Omega_E = 0"):
         normalize(eigensymbols["11a"], curve, "neron")
     sym, data = normalize(eigensymbols["11a"], curve, "cohomological")

@@ -8,6 +8,7 @@ from mazurtate.linalg import (
     echelon,
     echelon_mod,
     exact,
+    fold,
     kernel,
     kernel_mod,
     nullspace,
@@ -106,6 +107,21 @@ def test_two_batches_fold_like_one(seed, nrows, ncols, rank):
     twice = echelon(rows[cut:], echelon(rows[:cut]))
     assert twice == once
     assert list(twice) == list(once)  # same insertion order
+
+
+@pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
+def test_fold_fixes_the_pivot_set_of_echelon(seed, nrows, ncols, rank):
+    rng = random.Random(seed)
+    matrix = random_matrix(rng, nrows, ncols, rank)
+    folded = fold(sparse(matrix))
+    pivots = echelon(sparse(matrix))
+    assert list(folded) == list(pivots)  # the same pivots, in the same insertion order
+    # the same row space, and a pivot row holds no older pivot column
+    assert dense_rref(pivot_matrix(folded, ncols)) == dense_rref(matrix)
+    order = list(folded)
+    assert all(order.index(k) > r for r, v in enumerate(order) for k in folded[v] if k in folded)
+    # echelon back-substitutes what fold left; passing in fold's pivots changes nothing else
+    assert echelon([], folded) == pivots
 
 
 def test_integer_rows_give_fraction_entries():

@@ -25,10 +25,12 @@ from mazurtate.modsym import (
     genus_x0,
     plus_dimension,
     psi_index,
+    quotient_basis,
+    quotient_dimension,
 )
 
-from .conftest import (Scaled, act, divisor_value, involution, involution_matrix, make_curve, sign_parts,
-                       zero_symbol)
+from .conftest import (Scaled, act, divisor_value, involution, involution_matrix, make_curve, relation_actions,
+                       sign_parts, zero_symbol)
 
 
 def random_gamma0(N, rng, steps=8):
@@ -179,19 +181,9 @@ def is_exact(x):
 
 
 @pytest.mark.parametrize("N", [26, 174, 681])
-def test_expression_entries_are_ints_exactly_when_integral(N, tmp_path):
-    built = build_space(N, plus=False)
-    cache.load_space(N, tmp_path)  # a cold fill, then a read back from the file
-    stored = cache.load_space(N, tmp_path)
-    assert stored.expressions == built.expressions
-    for sp in (build_space(N), built, stored):
+def test_expression_entries_are_ints_exactly_when_integral(N):
+    for sp in (build_space(N), build_space(N, plus=False)):
         assert all(is_exact(c) for e in sp.expressions for _, c in e)
-    # a stored non-integral entry is read back as a Fraction, an integral one as an int
-    payload = cache.space_payload(built)
-    payload["expressions"][0] = [[0, "-3/2"], [1, "4"]]
-    parsed = cache.space_from_payload(payload).expressions[0]
-    assert parsed == ((0, Fraction(-3, 2)), (1, 4))
-    assert all(is_exact(c) for _, c in parsed)
 
 
 def dense(expr, dim):
@@ -212,10 +204,11 @@ def test_relations_hold_identically_on_expressions():
         sp = build_space(N, plus)
         e = [dense(expr, sp.dimension) for expr in sp.expressions]
         J = _involution(sp.p1)
+        sigma, tau = relation_actions(sp.p1)
         for i in range(len(sp.p1)):
-            s = [a + b for a, b in zip(e[i], e[sp.sigma[i]])]
+            s = [a + b for a, b in zip(e[i], e[sigma[i]])]
             assert all(x == 0 for x in s)
-            t = [a + b + c for a, b, c in zip(e[i], e[sp.tau[i]], e[sp.tau[sp.tau[i]]])]
+            t = [a + b + c for a, b, c in zip(e[i], e[tau[i]], e[tau[tau[i]]])]
             assert all(x == 0 for x in t)
             assert e[J[i]] == e[i] or not plus
 
@@ -232,21 +225,66 @@ def test_expressions_are_sorted_nonzero_pairs():
         assert basis_rows == [[Fraction(int(s == t)) for t in range(sp.dimension)] for s in range(sp.dimension)]
 
 
+def _indices(xs, bound) -> bool:
+    """Every entry is an int in range(bound)."""
+    return all(type(x) is int and 0 <= x < bound for x in xs)
+
+
+def presents_quotient(sp, sigma, tau) -> bool:
+    """Exact certificate that sp's expressions are the full quotient map of build_space(N, plus=False).
+
+    sigma and tau must be permutations matching the relation matrices on
+    P^1 (by the cross-product test: primitive (c:d) = (c':d') iff
+    c d' = c' d mod N), every two-term relation must vanish (the two
+    expressions of a sigma-pair are each other's negation, entry by entry,
+    as build_space writes them) and so must every three-term relation, each
+    basis generator's expression must be its own unit coordinate, and the
+    dimension must be 2g + c - 1.  The map then factors through the
+    quotient and sends the basis to the unit vectors of a space of the
+    quotient's dimension, so it is the one quotient map.  Every index must
+    be an int in range, so that evaluating the map cannot fail.
+    """
+    N, p1 = sp.N, sp.p1
+    expressions, dim = sp.expressions, sp.dimension
+    m = len(p1)
+    if not (len(expressions) == len(sigma) == len(tau) == m == len(set(sigma)) == len(set(tau))
+            and _indices(sigma, m) and _indices(tau, m) and _indices(sp.basis, m)
+            and _indices((t for e in expressions for t, _ in e), dim)):
+        return False
+    for (c, d), i, j in zip(p1, sigma, tau):
+        (c1, d1), (c2, d2) = p1[i], p1[j]
+        # against (d : -c) and (d : -c-d), the images under the order-2 and order-3 matrices
+        if (d * d1 + c * c1) % N or (d * d2 + (c + d) * c2) % N:
+            return False
+    if dim != quotient_dimension(N) or any(expressions[b] != ((t, 1),) for t, b in enumerate(sp.basis)):
+        return False
+    for i, j in enumerate(sigma):
+        if i <= j and expressions[j] != tuple((t, -c) for t, c in expressions[i]):
+            return False
+    for i, j in enumerate(tau):
+        k = tau[j]
+        if i <= j and i <= k and sp.coordinate_row([i, j, k]):  # one test per tau-orbit
+            return False
+    return True
+
+
 def test_built_spaces_present_their_quotient():
     for N in list(range(1, 80)) + [174, 389, 571, 681]:
-        assert build_space(N, plus=False).presents_quotient(), N
+        sp = build_space(N, plus=False)
+        assert presents_quotient(sp, *relation_actions(sp.p1)), N
 
 
 def forgeries(sp):
-    """Copies of the full space's parts, each broken in one way a checksum does not see."""
-    N, p1, basis, expressions, sigma, tau = sp.N, sp.p1, list(sp.basis), list(sp.expressions), sp.sigma, sp.tau
+    """Copies of the full space's parts, each broken in one way a checksum does not see, as (space, sigma, tau)."""
+    sigma, tau = relation_actions(sp.p1)
+    N, p1, basis, expressions = sp.N, sp.p1, list(sp.basis), list(sp.expressions)
     b = basis[1]
     pair = next(i for i in range(len(p1)) if i < sigma[i] and i not in basis and expressions[i])
     out = {}
 
-    def forge(name, **parts):
-        args = dict(N=N, p1=p1, basis=basis, expressions=expressions, sigma=sigma, tau=tau, plus=False) | parts
-        out[name] = ManinSymbolSpace(**args)
+    def forge(name, sigma=sigma, tau=tau, **parts):
+        args = dict(N=N, p1=p1, basis=basis, expressions=expressions, plus=False) | parts
+        out[name] = ManinSymbolSpace(**args), sigma, tau
 
     forge("basis value doubled", expressions=expressions[:b] + [((1, 2),)] + expressions[b + 1:])
     # two sigma-pairs with equal expressions, re-paired crosswise: every relation still vanishes
@@ -274,9 +312,28 @@ def forgeries(sp):
 @pytest.mark.parametrize("N", [11, 26, 174, 681])
 def test_forged_spaces_fail_the_certificate(N):
     sp = build_space(N, plus=False)
-    assert sp.presents_quotient()
+    assert presents_quotient(sp, *relation_actions(sp.p1))
     for name, forged in forgeries(sp).items():
-        assert not forged.presents_quotient(), name
+        assert not presents_quotient(*forged), name
+
+
+def test_quotient_basis_is_the_built_basis_below_300():
+    # the forward fold fixes the pivot set, so it leaves the build's free generators
+    for N in range(1, 300):
+        assert quotient_basis(N) == build_space(N, plus=False).basis, N
+
+
+@pytest.mark.parametrize("N", [389, 571, 681, 2003, 5077])
+def test_quotient_basis_is_the_built_basis(N):
+    assert quotient_basis(N) == build_space(N, plus=False).basis
+
+
+def test_quotient_basis_refuses_what_build_space_refuses():
+    for N in (0, -5):
+        with pytest.raises(ValueError, match="level must be positive"):
+            quotient_basis(N)
+    with pytest.raises(LevelTooLarge):
+        quotient_basis(20011)
 
 
 def brute_force_p1(N):
@@ -511,11 +568,12 @@ def test_generator_values_are_ints_exactly_when_integral(eigensymbols, tmp_path)
 
 def test_coordinate_rows_drop_zero_entries(spaces):
     sp = spaces[26]
+    sigma, _ = relation_actions(sp.p1)
     for i in range(len(sp.p1)):
         row = sp.coordinate_row([i])
         assert all(row.values())
         # the two-term relation x + x.S = 0 sums to the empty row
-        assert sp.coordinate_row([i, sp.sigma[i]]) == {}
+        assert sp.coordinate_row([i, sigma[i]]) == {}
 
 
 def test_is_plus_reads_the_values_not_the_label(eigensymbols, random_symbol):
