@@ -33,6 +33,10 @@ EIGENSYMBOL_KIND = "plus_eigensymbol"
 # The names load_eigensymbol writes; verify_cache_dir sweeps no other file.
 CACHE_FILE_NAME = re.compile(r"eigsym_N\d+_[0-9a-f]{64}_plus\.json")
 
+# A stored coordinate as load_eigensymbol writes it: an int or a reduced
+# fraction, so a read never parses an exponent form such as "1e10000000".
+COORD = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def default_cache_dir() -> Path | None:
     env = os.environ.get(ENV_CACHE_DIR)
@@ -103,8 +107,9 @@ def load_space(N: int) -> ManinSymbolSpace:
 def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = None) -> ModularSymbol:
     """Cached plus-eigensymbol when a directory is configured, else computed.
 
-    The space is the plus quotient.  A stored vector is used only if it
-    parses, has the space's dimension and passes hecke.fits_first_equations;
+    The space is the plus quotient.  A stored vector is used only if it has
+    the space's dimension, every entry is a COORD string (checked before any
+    is parsed) and it passes hecke.fits_first_equations;
     those checks are exact but are not a certificate of the eigenline, which
     would need the rank.  Any failure is a miss: the symbol is computed and
     the file rewritten.
@@ -117,10 +122,12 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     coeffs = [curve.a1, curve.a2, curve.a3, curve.a4, curve.a6]
     key = hashlib.sha256(json.dumps(coeffs + [curve.conductor]).encode()).hexdigest()
     path = cache_dir / f"eigsym_N{space.N}_{key}_plus.json"
-    payload = _read(path)
-    if (payload is not None and payload.get("kind") == EIGENSYMBOL_KIND and payload.get("N") == space.N
-            and payload.get("coeffs") == coeffs):
-        sym = _parsed(lambda p: ModularSymbol(space, p["coords"], sign="+"), payload)
+    payload = _read(path) or {}
+    stored = payload.get("coords")
+    if (payload.get("kind") == EIGENSYMBOL_KIND and payload.get("N") == space.N and payload.get("coeffs") == coeffs
+            and isinstance(stored, list) and len(stored) == space.dimension
+            and all(isinstance(c, str) and COORD.fullmatch(c) for c in stored)):
+        sym = _parsed(lambda c: ModularSymbol(space, c, sign="+"), stored)
         if sym is not None and fits_first_equations(space, curve, sym.coords):
             return sym
     sym = eigensymbol(space, curve)

@@ -8,9 +8,9 @@ plus-eigensymbol, cut out by one sparse elimination of the rows of
 T_ell - a_ell for good primes ell ascending up to the Sturm bound
 (`_equations`), until the kernel is a line.
 
-The elimination runs first modulo the prime linalg.MODULUS: the rows of the
-first good T_ell - a_ell are folded, and each later good T_ell - a_ell acts
-on the kernel mod the prime, until it is a line.  Its vector, 1 at a free
+The elimination runs first modulo the prime linalg.MODULUS: the rows of each
+good T_ell - a_ell in turn go through one packed fold (linalg.fold_mod),
+until the kernel mod the prime is a line.  Its vector, 1 at the free
 column, is lifted by rational reconstruction and certified exactly over Q:
 it must satisfy T_ell v = a_ell v for every ell whose rows were folded.
 The rank mod a prime is at most the rank over Q, so a line mod the prime
@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .curves import EllipticCurve
 from .errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
-from .linalg import MODULUS, echelon, echelon_mod, kernel, kernel_mod, rational_reconstruction, residue_row
+from .linalg import MODULUS, echelon, fold_mod, kernel, line_mod, rational_reconstruction, residue_row
 from .modsym import ManinSymbolSpace, ModularSymbol, psi_index
 from .primes import primes
 from .records import Record
@@ -107,13 +107,9 @@ def eigensymbol(space: ManinSymbolSpace, curve: EllipticCurve) -> ModularSymbol:
 def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     """Integer coordinates of the eigenline, found mod MODULUS and certified over Q.
 
-    The rows of the first good T_ell - a_ell are folded by echelon_mod.
-    While the kernel mod the prime is wider than a line, each later good
-    T_ell - a_ell acts on a basis K of it (`_restrict`), so a later prime
-    costs a system in dim K columns, not a fold of its rows into the full
-    pivots; it cuts out the same subspace.  K keeps the identity on some free
-    columns of the first fold, so the line has a coordinate 1, as the free
-    column of kernel_mod's vector.
+    The residue rows of each good T_ell - a_ell in turn are folded into one
+    set of packed pivots (linalg.fold_mod) until the kernel mod the prime is
+    a line; its vector, 1 at the free column (linalg.line_mod), is lifted.
 
     None whenever the certificate cannot be had; the caller then runs the
     exact elimination.  Folding stops at the first row that leaves the kernel
@@ -122,56 +118,25 @@ def _certified_eigenline(space: ManinSymbolSpace, curve: EllipticCurve, matrix):
     T_ell up to the first good ell at least, as the exact path folds them.
     """
     q = MODULUS
-    basis = None  # of the kernel mod q, once the first good ell is folded
+    dim = space.dimension
+    pivots = {}
     folded = []  # exact sparse rows of every matrix touched, for the certificate
     for _, rows in _equations(space, curve, matrix):
         folded.extend(rows)
         residues = [residue_row(row, q) for row in rows]
         if None in residues:
             return None
-        if basis is None:
-            basis = kernel_mod(echelon_mod(residues, q, until=space.dimension - 1), space.dimension, q)
-        else:
-            basis = _restrict(residues, basis, q)
-        if len(basis) == 1:
+        fold_mod(residues, dim, q, pivots)
+        if len(pivots) == dim - 1:
             break
     else:
         return None
-    (vector,) = basis
-    coords = [rational_reconstruction(x, q) for x in vector]
+    coords = [rational_reconstruction(x, q) for x in line_mod(pivots, dim, q)]
     if None in coords:
         return None
     den = math.lcm(*(c.denominator for c in coords))
     coords = [int(c * den) for c in coords]
     return coords if _annihilates(folded, coords) else None
-
-
-def _restrict(rows, basis, q):
-    """Basis mod q of the vectors of span(basis) that the residue rows annihilate, down to a line.
-
-    Row r acts on span(basis) as the k entries r . basis[j], which are folded
-    by echelon_mod in k columns, stopping once the kernel there is a line,
-    as the fold of r into the full pivots would.  The images are made lazily,
-    each by one big-int multiply-add: coordinate c of the basis is packed
-    into one int, basis[j][c] in bits [j w, (j + 1) w).  Entries are in
-    [0, q) and a row has at most n = len(basis[0]) of them, so slot j of the
-    image is at most n (q - 1)^2 < 2^w and no slot carries into the next
-    (w = 129 bits for q = 2^61 - 1 and n = 78, at level 681).
-    """
-    k, n = len(basis), len(basis[0])
-    width = (n * (q - 1) ** 2).bit_length()
-    mask = (1 << width) - 1
-    columns = list(zip(*basis))
-    packed = [sum(x << (j * width) for j, x in enumerate(column)) for column in columns]
-
-    def images():
-        for row in rows:
-            x = sum(a * packed[c] for c, a in row.items())
-            yield {j: r for j in range(k) if (r := (x >> (j * width) & mask) % q)}
-
-    pivots = echelon_mod(images(), q, until=k - 1)
-    return [[sum(a * b for a, b in zip(w, column)) % q for column in columns]
-            for w in kernel_mod(pivots, k, q)]
 
 
 def _annihilates(rows, coords) -> bool:

@@ -12,12 +12,11 @@ basis alone needs only the fold), and so is the Hecke eigenline when its
 fast path cannot be certified.
 
 The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
-rational row (None if a denominator is divisible by the prime), `echelon_mod`
-folds residue rows with the same insertion-rank scheme as `fold`,
-`kernel_mod` reads kernel vectors off its pivots, and
-`rational_reconstruction` lifts a residue back to a small fraction.  Nothing
-computed mod the prime is a result by itself: the caller certifies the lift
-over Q.  Dense F_p matrices are lists of row lists of plain ints.
+rational row (None if a denominator is divisible by the prime), `fold_mod`
+folds residue rows into pivot rows packed one int each, down to a line,
+`line_mod` resolves that line's vector, and `rational_reconstruction` lifts a
+residue back to a small fraction.  Nothing computed mod the prime is a
+result by itself: the caller certifies the lift over Q.  Dense F_p matrices are lists of row lists of plain ints.
 """
 from __future__ import annotations
 
@@ -150,67 +149,72 @@ def residue_row(row, q):
     return out
 
 
-def echelon_mod(rows, q, pivots=None, until=None):
-    """Fold sparse residue rows mod the prime q into pivot rows; returns the pivots.
+def _slot_bytes(q, ncols):
+    """Bytes per column of a packed row mod q in ncols columns: enough for (q - 1) + (ncols - 1) (q - 1)^2."""
+    return -(-((q - 1) + (ncols - 1) * (q - 1) ** 2).bit_length() // 8)
 
-    This is `fold` on ints mod q: each incoming row has its pivot columns
-    cleared oldest pivot first, then pivots on its greatest column (on
-    Hecke rows this fills in far less than the least column: 4x fewer
-    updates at level 5077).  There is no back-substitution, so a pivot
-    row may still hold newer pivot columns (never older ones); `kernel_mod`
-    resolves them.  Folding stops before the next row once `until` pivots
-    exist.
+
+def _unpack(x, count, size):
+    """The lowest count slots of the packed row x, size bytes each, lowest column first."""
+    b = x.to_bytes(count * size, "little")
+    return [int.from_bytes(b[i:i + size], "little") for i in range(0, count * size, size)]
+
+
+def fold_mod(rows, ncols, q, pivots=None):
+    """Fold sparse residue rows mod the prime q into packed pivot rows, down to a line; returns the pivots.
+
+    A packed row is one int, column k in bits [k w, (k + 1) w) for
+    w = 8 _slot_bytes(q, ncols).  A row is reduced by its leading (greatest
+    nonzero) column c, read by shift and cleared: by (slot mod q) times the
+    pivot at c, or else its lower slots are reduced mod q and scaled by
+    -1/(slot mod q), and it becomes the pivot at c, stating
+    x_c = sum pivot[k] x_k over k < c.  So a pivot holds lower columns only
+    and is added to a row at most once: a slot stays at most
+    (q - 1) + (ncols - 1) (q - 1)^2 and never carries into the next.  On
+    Hecke rows the greatest column fills in far less than the least.
+    Folding stops before the next row once ncols - 1 pivots exist, so the
+    kernel is a line; passing in earlier pivots extends them.
     """
     if pivots is None:
         pivots = {}
-    order = list(pivots)
-    rank = {v: r for r, v in enumerate(order)}
+    size = _slot_bytes(q, ncols)
+    w = 8 * size
     for row in rows:
-        if until is not None and len(order) >= until:
+        if len(pivots) >= ncols - 1:
             break
-        row = dict(row)
-        heap = [rank[k] for k in row if k in rank]
-        heap.sort()
-        while heap:
-            v = order[heappop(heap)]
-            a = row.pop(v) % q
+        x = sum(r << (k * w) for k, r in row.items())
+        while x:
+            c = (x.bit_length() - 1) // w
+            raw = x >> (c * w)
+            x ^= raw << (c * w)
+            a = raw % q
             if not a:
                 continue
-            for k, c in pivots[v].items():
-                if k in row:
-                    row[k] += a * c
-                else:
-                    row[k] = a * c
-                    if k in rank:
-                        heappush(heap, rank[k])
-        row = {k: r for k, x in row.items() if (r := x % q)}
-        if not row:
-            continue
-        piv = max(row)
-        c = q - pow(row.pop(piv), -1, q)
-        pivots[piv] = {k: x * c % q for k, x in row.items()}
-        rank[piv] = len(order)
-        order.append(piv)
+            pivot = pivots.get(c)
+            if pivot is not None:
+                x += a * pivot
+                continue
+            f = q - pow(a, -1, q)
+            pivots[c] = int.from_bytes(b"".join((s * f % q).to_bytes(size, "little")
+                                                for s in _unpack(x, c, size)), "little")
+            break
     return pivots
 
 
-def kernel_mod(pivots, ncols, q):
-    """Kernel basis mod q of echelon_mod pivots, one vector per non-pivot column, ascending.
+def line_mod(pivots, ncols, q):
+    """The kernel vector mod q of ncols - 1 fold_mod pivots, 1 at the free column.
 
-    Pivot values are resolved newest pivot first, since a pivot row holds
-    only non-pivot columns and newer pivots.
+    Columns are resolved in ascending order, one pivot unpacked at a time,
+    since pivot c holds only columns below c; those below the free column
+    are all pivots and resolve to 0.
     """
-    order = list(reversed(pivots))
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for piv in order:
-            v[piv] = sum(c * v[k] for k, c in pivots[piv].items()) % q
-        basis.append(v)
-    return basis
+    size = _slot_bytes(q, ncols)
+    free = next(k for k in range(ncols) if k not in pivots)
+    v = [0] * ncols
+    v[free] = 1
+    for c in range(free + 1, ncols):
+        v[c] = sum(s * y for s, y in zip(_unpack(pivots[c], c, size), v)) % q
+    return v
 
 
 def rational_reconstruction(a, m):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mazurtate import cache
+from mazurtate import cache, modsym
 from mazurtate.cli import main
 from mazurtate.errors import InputError
 from mazurtate.hecke import eigensymbol
@@ -230,13 +230,31 @@ def _eigensymbol_file(tmp_path, label="11a"):
 
 
 @pytest.mark.parametrize("coords", [["x", "0"], ["1/0", "0"], [None, "0"], ["1", "2", "3"], 5,
-                                    [[0]], [["0", "x"]], [[0, "1/0"]], 7])
+                                    [[0]], [["0", "x"]], [[0, "1/0"]], 7, ["1e2", "0"], ["1e10000000", "0"]])
 def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
     space, curve, path = _eigensymbol_file(tmp_path)
     _forge(path, "coords", coords)
     fresh = eigensymbol(space, curve)
     assert cache.load_eigensymbol(space, curve, tmp_path).coords == fresh.coords
     assert cache._read(path)["coords"] == [str(c) for c in fresh.coords]  # rewritten
+
+
+def test_no_exponent_form_reaches_fraction_on_a_read(tmp_path, monkeypatch):
+    # Fraction("1e10000000") builds a ten-million-digit int; a read parses
+    # only the forms load_eigensymbol writes
+    space, curve, path = _eigensymbol_file(tmp_path)
+    stored = cache._read(path)["coords"]
+    parsed = []
+    fraction = modsym.Fraction
+    monkeypatch.setattr(modsym, "Fraction", lambda *args: parsed.extend(a for a in args if isinstance(a, str))
+                        or fraction(*args))
+    assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+    assert parsed == stored  # a clean read parses the stored strings
+    for coord in ("1e2", "1E2", "1e10000000", "1_0"):
+        parsed.clear()
+        _forge(path, "coords", [coord, "0"])
+        assert cache.load_eigensymbol(space, curve, tmp_path).coords == eigensymbol(space, curve).coords
+        assert coord not in parsed
 
 
 @pytest.mark.parametrize("delta", [1, -1])

@@ -8,11 +8,11 @@ from mazurtate import hecke
 from mazurtate.curves import EllipticCurve
 from mazurtate.errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
 from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize, sturm_bound
-from mazurtate.linalg import MODULUS, echelon_mod, kernel_mod, mat_mul, nullspace, rref_mod_p
+from mazurtate.linalg import MODULUS, fold_mod, line_mod, mat_mul, nullspace, rref_mod_p
 from mazurtate.modsym import ModularSymbol, build_space
 
 from .conftest import curve_record, involution_matrix, make_curve
-from .test_linalg import random_matrix, residues
+from .test_linalg import pivot_matrix_mod, random_matrix, residues
 
 
 def densify(rows, dim):
@@ -316,30 +316,29 @@ def test_shared_hecke_matrices_are_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize(("label", "trail"), [
-    ("681b1", [(78, 5), (5, 5), (5, 1)]),  # T_2, then T_5 and T_7 on the kernel
-    ("174b1", [(34, 9), (9, 1)]),
-    ("389a1", [(33, 1)]),  # T_2 already leaves a line
+    ("681b1", [5, 5, 1]),  # T_2, T_5, T_7
+    ("174b1", [9, 1]),
+    ("389a1", [1]),  # T_2 already leaves a line
 ])
 def test_later_primes_act_on_the_kernel(level_cases, monkeypatch, label, trail):
-    # (columns, kernel dimension mod q) after each echelon_mod; every fold
-    # stops at a line, so until + 1 is its column count: only the rows of
-    # the first good T_ell reach the fold over the plus quotient's columns
-    folds = []
+    # the kernel dimension mod q after each good ell: every prime is folded
+    # into the same pivots, so a later one only cuts the kernel further
+    dims = []
 
-    def fold(rows, q, pivots=None, until=None):
-        pivots = echelon_mod(rows, q, pivots, until)
-        folds.append((until + 1, until + 1 - len(pivots)))
+    def fold(rows, ncols, q, pivots):
+        pivots = fold_mod(rows, ncols, q, pivots)
+        dims.append(ncols - len(pivots))
         return pivots
 
-    monkeypatch.setattr(hecke, "echelon_mod", fold)
+    monkeypatch.setattr(hecke, "fold_mod", fold)
     space, curve, expected = level_cases[label]
     coords = hecke._certified_eigenline(space, curve, partial(hecke_matrix, space))
     assert _content_one_coords(space, coords) == expected
-    assert folds == trail
+    assert dims == trail
 
 
 @pytest.mark.parametrize("ell", [5, 7])
-def test_the_certificate_covers_the_restricted_primes(level_cases, ell):
+def test_the_certificate_covers_the_later_primes(level_cases, ell):
     # at 681 the kernel after T_2 is 5-dimensional: a wrong a_5 or a_7 acts
     # only on it, and the exact check of its rows still refuses the line
     space = level_cases["681b1"][0]
@@ -359,28 +358,37 @@ def rank_mod(rows, q):
 @pytest.mark.parametrize("q", [MODULUS, 7])
 @pytest.mark.parametrize("seed", range(20))
 def test_restriction_matches_the_full_fold(seed, q):
-    # the second batch restricted to the kernel of the first cuts out what
-    # echelon_mod cuts out over both batches, each stopping at a line
+    # a second batch folded onto the pivots of the first, as a later Hecke
+    # prime is, cuts out the kernel of both batches, stopping at a line
     rng = random.Random(seed)
     ncols = rng.randint(3, 9)
     nrows = rng.randint(0, ncols - 2)  # so the kernel of the first batch is at least a plane
-    first = residues(random_matrix(rng, nrows, ncols, nrows), q)
-    second = residues(random_matrix(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols)), q)
-    basis = kernel_mod(echelon_mod(first, q), ncols, q)
-    assert len(basis) >= 2
-    restricted = hecke._restrict(second, basis, q)
-    full = kernel_mod(echelon_mod(first + second, q, until=ncols - 1), ncols, q)
-    # kernel_mod's basis is independent, so this is one subspace
-    assert len(restricted) == len(full) == rank_mod(restricted, q) == rank_mod(restricted + full, q)
+    first = random_matrix(rng, nrows, ncols, nrows)
+    second = random_matrix(rng, rng.randint(1, 6), ncols, rng.randint(1, ncols))
+    pivots = fold_mod(residues(first, q), ncols, q)
+    assert len(pivots) <= ncols - 2
+    fold_mod(residues(second, q), ncols, q, pivots)
+    assert pivots == fold_mod(residues(first + second, q), ncols, q)
+    # the rows folded: all of the first batch, the second up to a line
+    stop = next((i for i in range(len(second) + 1) if rank_mod(first + second[:i], q) >= ncols - 1), len(second))
+    folded = first + second[:stop]
+    assert len(pivots) == rank_mod(folded, q)
+    if len(pivots) == ncols - 1:
+        v = line_mod(pivots, ncols, q)
+        assert any(v) and all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in folded)
 
 
 @pytest.mark.parametrize("q", [MODULUS, 7])
 def test_restriction_stops_at_a_line_within_a_batch(q):
-    # e_1 and e_2 leave the line through e_3 on the kernel of e_0; the fold
-    # stops there, so e_3 and e_1 + e_2 are not folded, as in the full fold
+    # e_1 and -e_2 leave the line through e_3 on the kernel of e_0; the fold
+    # stops there, so 5 e_3 and e_1 + e_2 are not folded
     first = [{0: 1}]
     second = [{1: 1}, {2: q - 1}, {3: 5}, {1: 1, 2: 1}]
-    basis = kernel_mod(echelon_mod(first, q), 4, q)
-    assert hecke._restrict(second, basis, q) == [[0, 0, 0, 1]]
-    assert kernel_mod(echelon_mod(first + second, q, until=3), 4, q) == [[0, 0, 0, 1]]
-    assert hecke._restrict(second[3:], basis, q) == [[0, 1, q - 1, 0], [0, 0, 0, 1]]
+    pivots = fold_mod(second, 4, q, fold_mod(first, 4, q))
+    assert sorted(pivots) == [0, 1, 2]
+    assert line_mod(pivots, 4, q) == [0, 0, 0, 1]
+    # e_1 + e_2 alone leaves the plane through e_1 - e_2 and e_3: no line yet
+    pivots = fold_mod(second[3:], 4, q, fold_mod(first, 4, q))
+    assert sorted(pivots) == [0, 2]
+    for v in ([0, 1, q - 1, 0], [0, 0, 0, 1]):
+        assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in pivot_matrix_mod(pivots, 4, q))

@@ -5,12 +5,14 @@ import pytest
 
 from mazurtate.linalg import (
     MODULUS,
+    _slot_bytes,
+    _unpack,
     echelon,
-    echelon_mod,
     exact,
     fold,
+    fold_mod,
     kernel,
-    kernel_mod,
+    line_mod,
     nullspace,
     rational_reconstruction,
     residue_row,
@@ -171,58 +173,99 @@ def test_solve_mod_p_reports_rank_and_verifiable_certificate():
             assert [sum(a * x for a, x in zip(row, solution)) % p for row in matrix] == rhs
 
 
-# --- sparse elimination mod a prime ---
+# --- the packed fold mod a prime ---
 
 
 def pivot_matrix_mod(pivots, ncols, q):
-    """Dense rows e_v - sum c e_column mod q, one per echelon_mod pivot."""
+    """Dense rows e_c - sum pivot[k] e_k mod q, one per fold_mod pivot, unpacked."""
+    size = _slot_bytes(q, ncols)
     rows = []
-    for v, row in pivots.items():
-        dense = [0] * ncols
-        dense[v] = 1
-        for k, c in row.items():
-            dense[k] = (dense[k] - c) % q
+    for c, x in pivots.items():
+        dense = [(-s) % q for s in _unpack(x, c, size)] + [0] * (ncols - c)
+        dense[c] = 1
         rows.append(dense)
     return rows
+
+
+def holds_lower_columns_only(pivots, ncols, q):
+    """Whether every pivot c is a packed row of residues in columns below c."""
+    size = _slot_bytes(q, ncols)
+    return all(x >> (8 * size * c) == 0 and all(s < q for s in _unpack(x, c, size)) for c, x in pivots.items())
 
 
 def residues(matrix, q):
     return [{j: x % q for j, x in enumerate(row) if x % q} for row in matrix]
 
 
+def folded_rows(matrix, ncols, q):
+    """The rows fold_mod folds: up to the first that leaves rank ncols - 1 mod q, else all."""
+    for stop in range(len(matrix) + 1):
+        if len(rref_mod_p(matrix[:stop], q)[1]) >= ncols - 1:
+            return matrix[:stop]
+    return matrix
+
+
 @pytest.mark.parametrize("q", [MODULUS, 7])
 @pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
 def test_echelon_mod_matches_dense_reference(seed, nrows, ncols, rank, q):
+    # fold_mod, the packed fold that replaced echelon_mod, against rref_mod_p
+    # of the rows it folds before it stops at a line
     rng = random.Random(seed)
     matrix = random_matrix(rng, nrows, ncols, rank)
-    pivots = echelon_mod(residues(matrix, q), q)
-    reference, reference_pivots, _ = rref_mod_p(matrix, q)
+    pivots = fold_mod(residues(matrix, q), ncols, q)
+    folded = folded_rows(matrix, ncols, q)
+    reference, reference_pivots, _ = rref_mod_p(folded, q)
     assert len(pivots) == len(reference_pivots)
     # same row space: the pivot equations have the reference's RREF
     assert rref_mod_p(pivot_matrix_mod(pivots, ncols, q), q)[0][:len(pivots)] == reference[:len(pivots)]
-    # no pivot row holds an older pivot column
-    order = list(pivots)
-    assert all(order.index(k) > order.index(v) for v, row in pivots.items() for k in row if k in pivots)
-    basis = kernel_mod(pivots, ncols, q)
-    assert len(basis) == ncols - len(pivots)
-    for v in basis:
-        assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in matrix)
-    assert len(rref_mod_p(basis, q)[1]) == len(basis)
+    assert holds_lower_columns_only(pivots, ncols, q)
+    if len(pivots) == ncols - 1:
+        v = line_mod(pivots, ncols, q)
+        assert v[min(set(range(ncols)) - set(pivots))] == 1
+        assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in folded)
 
 
 @pytest.mark.parametrize("seed,nrows,ncols,rank", CASES)
 def test_echelon_mod_over_the_large_prime_has_the_rank_over_q(seed, nrows, ncols, rank):
+    # one spare column, so fold_mod cannot stop at a line before it has the rank
     rng = random.Random(seed)
     matrix = random_matrix(rng, nrows, ncols, rank)
-    assert len(echelon_mod(residues(matrix, MODULUS), MODULUS)) == len(dense_rref(matrix))
+    assert len(fold_mod(residues(matrix, MODULUS), ncols + 1, MODULUS)) == len(dense_rref(matrix))
 
 
 def test_echelon_mod_stops_at_the_requested_rank():
-    rows = residues([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], MODULUS)
-    pivots = echelon_mod(rows, MODULUS, until=2)
-    assert len(pivots) == 2
-    assert len(echelon_mod(rows, MODULUS, pivots)) == 3  # extends the same pivots
-    assert echelon_mod(rows, MODULUS, until=0) == {}
+    # fold_mod stops at a line; a second batch extends the same pivots
+    rows = residues([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], MODULUS)
+    pivots = fold_mod(rows[:2], 4, MODULUS)
+    assert sorted(pivots) == [0, 1]
+    assert fold_mod(rows[2:], 4, MODULUS, pivots) is pivots  # extends the same pivots
+    assert sorted(pivots) == [0, 1, 2]  # e_3 is not folded
+    assert line_mod(pivots, 4, MODULUS) == [0, 0, 0, 1]
+    assert fold_mod(rows[:1], 1, MODULUS) == {}  # one column is already a line
+
+
+@pytest.mark.parametrize(("q", "ncols"), [(3, 66), (7, 9), (MODULUS, 67)])
+def test_fold_mod_slots_hold_the_worst_case(q, ncols):
+    # Pivots at ncols - 1, ..., 2, each with every lower entry q - 1, and a
+    # row whose leading entry is q - 1 at each of them: its slots 0 and 1
+    # take ncols - 2 additions of (q - 1)^2, as many as a fold that stops at
+    # ncols - 1 pivots allows.  At these ncols the sum needs every byte of
+    # the slot, so a slot one bit narrower than the bound would carry.
+    size = _slot_bytes(q, ncols)
+    assert ((q - 1) + (ncols - 2) * (q - 1) ** 2).bit_length() > 8 * (size - 1)
+    matrix = [[int(k <= c) for k in range(ncols)] for c in range(ncols - 1, 1, -1)]
+    worst = [(q - 1 - (ncols - 1 - c)) % q for c in range(ncols)]
+    worst[ncols - 1] = worst[0] = q - 1
+    worst[1] = q - 1 if (q - 1 + ncols - 2) % q else q - 2  # nonzero at the last step
+    matrix.append(worst)
+    pivots = fold_mod(residues(matrix, q), ncols, q)
+    assert sorted(pivots) == list(range(1, ncols))
+    assert pivots[ncols - 1] == sum((q - 1) << (8 * size * k) for k in range(ncols - 1))
+    reference, reference_pivots, _ = rref_mod_p(matrix, q)
+    assert len(reference_pivots) == ncols - 1
+    assert rref_mod_p(pivot_matrix_mod(pivots, ncols, q), q)[0] == reference
+    v = line_mod(pivots, ncols, q)
+    assert all(sum(a * x for a, x in zip(row, v)) % q == 0 for row in matrix)
 
 
 def test_residue_row():
