@@ -90,14 +90,6 @@ def _read(path: Path) -> dict | None:
     return payload if _checksum(payload) == stated else None
 
 
-def _parsed(parse, payload):
-    """parse(payload), or None when it fails on a malformed payload."""
-    try:
-        return parse(payload)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        return None
-
-
 def load_space(N: int) -> ManinSymbolSpace:
     """The full quotient at level N, built: no command calls this, and
     nothing is cached; bench/traced_cli.py names it in its TRACED list."""
@@ -127,7 +119,10 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
     if (payload.get("kind") == EIGENSYMBOL_KIND and payload.get("N") == space.N and payload.get("coeffs") == coeffs
             and isinstance(stored, list) and len(stored) == space.dimension
             and all(isinstance(c, str) and COORD.fullmatch(c) for c in stored)):
-        sym = _parsed(lambda c: ModularSymbol(space, c, sign="+"), stored)
+        try:
+            sym = ModularSymbol(space, stored, sign="+")
+        except (ValueError, ZeroDivisionError):  # more digits than int() reads, or a zero denominator
+            sym = None
         if sym is not None and fits_first_equations(space, curve, sym.coords):
             return sym
     sym = eigensymbol(space, curve)

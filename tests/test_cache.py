@@ -230,7 +230,8 @@ def _eigensymbol_file(tmp_path, label="11a"):
 
 
 @pytest.mark.parametrize("coords", [["x", "0"], ["1/0", "0"], [None, "0"], ["1", "2", "3"], 5,
-                                    [[0]], [["0", "x"]], [[0, "1/0"]], 7, ["1e2", "0"], ["1e10000000", "0"]])
+                                    [[0]], [["0", "x"]], [[0, "1/0"]], 7, ["1e2", "0"], ["1e10000000", "0"],
+                                    ["1" * 5000, "0"]])
 def test_eigensymbol_file_that_does_not_parse_is_a_miss(tmp_path, coords):
     space, curve, path = _eigensymbol_file(tmp_path)
     _forge(path, "coords", coords)
