@@ -239,8 +239,10 @@ def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityRepor
                 raise ValueError("criterion needs phi({inf}-{0}) nonzero")
             m = int(valuation(below[0], p))
         q = p**n
-        for a, upper in top.items():
-            lower = below[a % q]
+        for a in range(1, p * q):
+            if not a % p:
+                continue
+            upper, lower = top[a], below[a % q]
             if lower.denominator % p == 0 or upper.denominator % p == 0:
                 raise ValueError("criterion needs a p-integral symbol")
             coset = _solving_units(lower.numerator * pow(lower.denominator, -1, modulus),

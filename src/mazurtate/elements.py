@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .errors import BoundExceeded, ZeroElement
-from .groupring import GroupLevel, GroupRingElement, layer_units
+from .groupring import GroupLevel, GroupRingElement
 from .padics import valuation
 from .primes import int_valuation
 from .records import Record
@@ -25,23 +25,23 @@ MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
 MAX_WALKED_LEVEL = 100_000  # so is p^(n_max+1), the modulus of the top level of cusps walked
 
 
-def raw_mazur_tate(sym, p: int, n: int) -> dict:
-    """Level-n raw values {a: phi({inf}-{a/p^n})} over the units a mod p^n (n >= 1).
+def raw_mazur_tate(sym, p: int, n: int) -> list:
+    """Level-n raw values: entry a is phi({inf}-{a/p^n}) at each unit a mod p^n, None elsewhere (n >= 1).
 
-    sym needs value_infinity_minus; if it also has is_plus() and that exact
-    test holds, only a < p^n/2 is evaluated and the value at p^n - a is
-    copied, since phi({inf}-{-a/q}) = phi({inf}-{a/q}) and z -> z+1 lies in
-    Gamma_0(N).  Every other symbol is evaluated at every unit a.
+    The level is one call of sym.values_at.  If sym also has is_plus() and
+    that exact test holds, only a < p^n/2 is evaluated and the value fills a
+    and p^n - a, since phi({inf}-{-a/q}) = phi({inf}-{a/q}) and z -> z+1
+    lies in Gamma_0(N).  Every other symbol is evaluated at every unit a.
     """
     if n < 1:
         raise ValueError("raw elements start at level 1")
     q = p**n
     is_plus = getattr(sym, "is_plus", None)
-    if is_plus is not None and is_plus():
-        values = {a: sym.value_infinity_minus((a, q)) for a in range(1, q // 2 + 1) if a % p}
-        values.update([(q - a, v) for a, v in reversed(values.items())])
-    else:
-        values = {a: sym.value_infinity_minus((a, q)) for a in range(1, q) if a % p}
+    half = is_plus is not None and is_plus()
+    units = [a for a in range(1, q // 2 + 1 if half else q) if a % p]
+    values = [None] * q
+    for a, v in zip(units, sym.values_at(q, units)):
+        values[a] = values[q - a if half else a] = v
     return values
 
 
@@ -50,17 +50,18 @@ def walk_levels(sym, p: int, n_max: int):
 
     Both bounds on n_max are checked before any evaluation.  below and top are
     the raw values of levels n and n+1 (raw_mazur_tate); below is seeded by
-    {0: phi({inf}-{0})}, so below[a % p^n] = phi({inf}-{a/p^n}) at every level,
-    and at most two consecutive raw levels are alive.  theta_n sums top over
-    the units that groupring.layer_units sends to each gamma^k of the
-    degree-p^n layer, so no discrete logarithm is taken.  S_n sums
-    phi|[[p,0],[0,1]] over the same units: its value at a/p^(n+1) is
+    [phi({inf}-{0})], so below[a % p^n] = phi({inf}-{a/p^n}) at every level,
+    and at most two consecutive raw levels are alive.  The units mod p^(n+1)
+    sent to gamma^k of the degree-p^n layer are w (1+p)^k, w running over the
+    Teichmuller lifts b^(p^n) of b = 1 .. p - 1, so theta_n is summed lift by
+    lift over the p^n powers of 1 + p and no discrete logarithm is taken.  S_n
+    sums phi|[[p,0],[0,1]] over the same units: its value at a/p^(n+1) is
     phi({inf}-{a/p^n}) = below[a % p^n], as z -> z+1 lies in Gamma_0(N) and
-    fixes infinity; that lookup does not use layer_units, so the norm relation
-    S_n = cor(theta_{n-1}) also tests the walk's indexing.  Values are in the
-    linalg.exact format (an int when integral), so for an integral symbol the
-    sums run in ints.  sym needs value_infinity_minus, and is_plus if a plus
-    symbol is to be evaluated at half the cusps.
+    fixes infinity, so the norm relation S_n = cor(theta_{n-1}) also tests the
+    walk's indexing.  Values are in the linalg.exact format (an int when
+    integral), so for an integral symbol the sums run in ints.  sym needs
+    values_at, and is_plus if a plus symbol is to be evaluated at half the
+    cusps.
     """
     if n_max < 0:
         raise ValueError("levels start at 0")
@@ -70,12 +71,20 @@ def walk_levels(sym, p: int, n_max: int):
         raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
     if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
         raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
-    below = {0: sym.value_infinity_minus(0)}
+    below = sym.values_at(1, (0,))
     for n in range(n_max + 1):
         top = raw_mazur_tate(sym, p, n + 1)
-        level, units, q = GroupLevel(p, n), layer_units(p, n), p**n
-        yield (below, top, GroupRingElement(level, [sum(top[a] for a in us) for us in units]),
-               GroupRingElement(level, [sum(below[a % q] for a in us) for us in units]))
+        q, modulus = p**n, p ** (n + 1)
+        gammas = [1]  # (1+p)^k mod p^(n+1), k < p^n
+        for _ in range(q - 1):
+            gammas.append(gammas[-1] * (1 + p) % modulus)
+        theta, scaled = [0] * q, [0] * q
+        for b in range(1, p):
+            w = pow(b, q, modulus)
+            theta = [t + top[w * g % modulus] for t, g in zip(theta, gammas)]
+            scaled = [s + below[w * g % q] for s, g in zip(scaled, gammas)]
+        level = GroupLevel(p, n)
+        yield below, top, GroupRingElement(level, theta), GroupRingElement(level, scaled)
         below = top
 
 

@@ -13,8 +13,9 @@ as a stabilized element is the exact element built from an integer lift of
 alpha^{-1} (elements.MazurTateTower.stabilized).
 
 The generator is fixed, so a layer is just (p, n).  The raw values that feed
-it (elements.raw_mazur_tate) are a dict keyed by the units a mod p^{n+1};
-layer_units says which of them add up to the coefficient of gamma^k.
+it (elements.raw_mazur_tate) are a list indexed by the units a mod p^{n+1};
+the units w (1+p)^k, w a Teichmuller lift, add up to the coefficient of
+gamma^k (elements.walk_levels).
 """
 from __future__ import annotations
 
@@ -24,23 +25,6 @@ from fractions import Fraction
 from .errors import NotAGenerator, ZeroElement
 from .primes import int_valuation, require_odd_prime
 from .records import Record
-
-
-def layer_units(p: int, n: int):
-    """The units mod p^{n+1} by their image in the level-n layer: entry k lists
-    omega(b) (1+p)^k mod p^{n+1} for b = 1 .. p - 1, the units sent to gamma^k.
-
-    omega(b) = b^{p^n} mod p^{n+1} is the Teichmuller lift of b, so each unit
-    in entry k is sent to gamma^k; no discrete logarithm is taken.
-    """
-    modulus = p ** (n + 1)
-    lifts = [pow(b, p**n, modulus) for b in range(1, p)]
-    out = []
-    g = 1
-    for _ in range(p**n):
-        out.append([w * g % modulus for w in lifts])
-        g = g * (1 + p) % modulus
-    return out
 
 
 class GroupLevel(Record, frozen=True):

@@ -5,10 +5,12 @@ and three-term relations of Manin; the plus quotient, which every command
 works in, adds the relation x_(J i) = x_i of the sign involution J: (c:d) ->
 (-c:d).  Every generator carries a sparse expression over a chosen quotient
 basis (quotient_basis reads the full quotient's basis off the forward fold
-alone), and a symbol's value phi({inf} - {r}) at a cusp r is summed along the
-continued fraction of r (the Manin trick).  Operators (T_ell in hecke) are
-lists of sparse rows.  The generator indexed by (c:d), with SL_2(Z) lift g
-having bottom row (c,d), stands for the divisor {g.0}-{g.inf}.
+alone), and a symbol's values phi({inf} - {a/q}) at a list of cusps are
+summed along their continued fractions (the Manin trick) in one loop,
+ModularSymbol.values_at, which finds each P^1 index through the unit-inverse
+table of P1List.lookup.  Operators (T_ell in hecke) are lists of sparse rows.
+The generator indexed by (c:d), with SL_2(Z) lift g having bottom row (c,d),
+stands for the divisor {g.0}-{g.inf}.
 """
 from __future__ import annotations
 
@@ -39,6 +41,11 @@ class P1List:
                 self._list += [(g, v) for v in range(N)
                                if math.gcd(v, g) == 1 and self.normalize(g, v) == (g, v)]
         self._index = {r: i for i, r in enumerate(self._list)}
+        # filled by lookup as ModularSymbol.values_at meets pairs: u^-1 mod N
+        # at each unit u met (0 until then), and the index of each non-unit
+        # pair met, keyed by u N + v
+        self.inverses = [0] * N
+        self.memo = {}
 
     def normalize(self, u: int, v: int):
         """Canonical form of (u:v), or None if the pair is not primitive mod N.
@@ -70,6 +77,24 @@ class P1List:
         if r is None:
             raise ValueError(f"({u}:{v}) is not primitive mod {self.N}")
         return self._index[r]
+
+    def lookup(self, u: int, v: int) -> int:
+        """index(u, v) for 0 <= u, v < N, read off the unit-inverse table or the non-unit memo.
+
+        A unit u gives (u:v) = (1 : v u^-1), stored at index 1 + v u^-1 mod N,
+        so u^-1 is computed once, into inverses[u]; a non-unit pair goes
+        through index once and is kept in memo.
+        """
+        N, inverses = self.N, self.inverses
+        w = inverses[u]
+        if not w and N > 1 and math.gcd(u, N) == 1:
+            w = inverses[u] = pow(u, -1, N)
+        if w:
+            return 1 + v * w % N
+        i = self.memo.get(u * N + v)
+        if i is None:
+            i = self.memo[u * N + v] = self.index(u, v)
+        return i
 
     def __len__(self):
         return len(self._list)
@@ -309,7 +334,6 @@ class ModularSymbol:
             raise ValueError("coordinate length does not match space dimension")
         self.sign = sign
         self._generator_values = None
-        self._cusp_memo = {}  # u*N + v -> value on (u:v), filled as cusps are evaluated
         self._is_plus = None
 
     def __rmul__(self, scalar):
@@ -329,34 +353,47 @@ class ModularSymbol:
                                            for expr in self.space.expressions)
         return self._generator_values
 
-    def value_infinity_minus(self, r):
-        """phi({inf} - {r}) by the Manin trick.
+    def values_at(self, q: int, nums) -> list:
+        """phi({inf} - {a/q}) for each a in nums (q >= 0; q = 0 is infinity, where phi is 0).
 
-        The continued fraction of r is walked inline: the path matrices joining
-        consecutive convergents to infinity have bottom rows (q_k, +-q_{k-1}),
-        and their generator values are summed.  An int when integral, a
-        Fraction otherwise (0 at infinity), so an int for an integral symbol.
-        Each symbol memoizes its value per (u mod N, v mod N), so P^1
-        normalization runs once per pair it meets.
+        The Manin trick, one continued-fraction loop for every cusp: the path
+        matrices joining consecutive convergents of a/q to infinity have
+        bottom rows (q_k, +-q_{k-1}), and their generator values are summed.
+        The digits come from (num, den), so the q_k are carried mod N only,
+        and a/q need not be reduced (scaling num and den keeps every digit).
+        A unit q_k is looked up through P1List.inverses, a non-unit pair
+        through P1List.memo, and a pair met first through P1List.lookup.
+        Each value is an int when integral, a Fraction otherwise, so an int
+        for an integral symbol.
         """
+        p1 = self.space.p1
+        N, inverses, memo, lookup = p1.N, p1.inverses, p1.memo, p1.lookup
+        vals = self.generator_values()
+        out = []
+        for num in nums:
+            den, total = q, 0
+            q_km2, q_km1 = 1, 0  # q_{-2}, q_{-1} mod N
+            sign = -1  # the sign of q_{k-1} in the bottom row alternates, starting at k = 0
+            while den:
+                digit = num // den
+                num, den = den, num - digit * den
+                u = (digit * q_km1 + q_km2) % N
+                w = inverses[u]
+                if w:
+                    total += vals[1 + sign * q_km1 * w % N]
+                else:
+                    v = sign * q_km1 % N
+                    i = memo.get(u * N + v)
+                    total += vals[lookup(u, v) if i is None else i]
+                q_km2, q_km1 = q_km1, u
+                sign = -sign
+            out.append(exact(total))
+        return out
+
+    def value_infinity_minus(self, r):
+        """phi({inf} - {r}): values_at for the one cusp r (0 at infinity)."""
         num, den = as_cusp(r)
-        memo = self._cusp_memo
-        N = self.space.N
-        total = 0
-        q_km2, q_km1 = 1, 0  # q_{-2}, q_{-1}
-        sign = -1  # the sign of q_{k-1} in the bottom row alternates, starting at k = 0
-        while den:
-            digit = num // den
-            num, den = den, num - digit * den
-            q_k = digit * q_km1 + q_km2
-            u, v = q_k % N, sign * q_km1 % N
-            value = memo.get(u * N + v)
-            if value is None:
-                value = memo[u * N + v] = self.generator_values()[self.space.p1.index(u, v)]
-            total += value
-            q_km2, q_km1 = q_km1, q_k
-            sign = -sign
-        return exact(total)
+        return self.values_at(den, (num,))[0]
 
     # -- sign involution --
 

@@ -108,15 +108,32 @@ def sign_parts(sym):
             ModularSymbol(sym.space, [Fraction(a - b, 2) for a, b in zip(sym.coords, j)]))
 
 
+def record_cusps(monkeypatch):
+    """Patch ModularSymbol.values_at, the one cusp loop, to record (coords, reduced cusp) for each cusp it evaluates."""
+    original = ModularSymbol.values_at
+    cusps = []
+
+    def recorded(sym, q, nums):
+        cusps.extend((sym.coords, as_cusp((a, q))) for a in nums)
+        return original(sym, q, nums)
+
+    monkeypatch.setattr(ModularSymbol, "values_at", recorded)
+    return cusps
+
+
 class Scaled:
     """phi | [[m,0],[0,1]] at cusps: its value at r is phi({inf} - {m r})."""
 
     def __init__(self, sym, m):
         self.sym, self.m = sym, m
 
+    def values_at(self, q, nums):
+        # m a / q need not be reduced: values_at walks the same continued fraction
+        return self.sym.values_at(q, [self.m * a for a in nums])
+
     def value_infinity_minus(self, r):
         a, c = as_cusp(r)
-        return self.sym.value_infinity_minus((self.m * a, c))
+        return self.values_at(c, (a,))[0]
 
     def is_plus(self):
         # diag(m, 1) commutes with J = diag(-1, 1)

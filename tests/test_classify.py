@@ -7,10 +7,9 @@ from mazurtate import classify as classify_module
 from mazurtate.classify import MTRequest, _solving_units, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
-from mazurtate.modsym import ModularSymbol, as_cusp
 from mazurtate.padics import unit_root
 
-from .conftest import make_curve
+from .conftest import make_curve, record_cusps
 
 
 def test_26b1_case_b():
@@ -107,24 +106,16 @@ def test_maximality_criterion_11a():
 
 
 def test_maximality_criterion_walks_each_cusp_once(eigensymbols, monkeypatch):
-    # the criterion reads the tower's walk: (a, q) pairs, each evaluated once
-    # per call, and no Fraction cusp of a loop of its own
+    # the criterion reads the tower's walk: phi({inf}-{0}), then the cusps
+    # a/5^k, a < 5^k/2, k = 1..6, each evaluated once per call, and no cusp
+    # of a loop of its own
     sym = eigensymbols["11a"]
-    original = ModularSymbol.value_infinity_minus
-    cusps = []
-
-    def counted(self, r):
-        cusps.append(r)
-        return original(self, r)
-
-    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    cusps = record_cusps(monkeypatch)
     for t, alphas in ((1, (1,)), (2, (6,))):
         cusps.clear()
         rep = maximality_criterion(sym, 5, 5, t=t)
         assert (rep.holds, rep.alphas, rep.ord_p_phi0, rep.conclusions_verified) == (True, alphas, 0, True)
-        assert not any(isinstance(r, Fraction) for r in cusps)
-        pairs = [r for r in cusps if isinstance(r, tuple)]
-        assert len(pairs) == len(set(pairs)) == len(cusps) - 1  # and phi({inf}-{0}) once
+        assert len(cusps) == len(set(cusps)) == 1 + 2 + 10 + 50 + 250 + 1250 + 6250
         assert maximality_criterion(sym, 5, 5, t=t) == rep
 
 
@@ -136,11 +127,10 @@ def test_maximality_criterion_walks_each_cusp_once(eigensymbols, monkeypatch):
     (200, 1, BoundExceeded),
 ])
 def test_maximality_criterion_refuses_before_evaluating(eigensymbols, monkeypatch, n_max, t, error):
-    calls = []
-    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", lambda self, r: calls.append(r))
+    cusps = record_cusps(monkeypatch)
     with pytest.raises(error):
         maximality_criterion(eigensymbols["11a"], 5, n_max, t=t)
-    assert calls == []
+    assert cusps == []
 
 
 def test_maximality_criterion_fails_for_case_a_curve(eigensymbols):
@@ -151,8 +141,8 @@ def test_maximality_criterion_fails_for_case_a_curve(eigensymbols):
 
 def test_maximality_criterion_constant_synthetic_symbol():
     class ConstantSymbol:
-        def value_infinity_minus(self, r):
-            return Fraction(3)
+        def values_at(self, q, nums):
+            return [Fraction(3) for _ in nums]
 
     rep = maximality_criterion(ConstantSymbol(), 5, 1, t=1)
     # alpha = 1 satisfies the congruence; conclusions about theta_n hold too
@@ -165,8 +155,8 @@ def test_maximality_criterion_keeps_one_coset_of_candidates():
     # 3125 units stay candidates to the end; filtering them pair by pair made
     # the t = 6 run about 45 times the t = 1 run (4 candidates) at n_max = 4
     class ConstantSymbol:
-        def value_infinity_minus(self, r):
-            return 5**5
+        def values_at(self, q, nums):
+            return [5**5 for _ in nums]
 
     def best_time(t):
         times = []
@@ -206,17 +196,12 @@ def test_mtrequest_validation():
 def test_classify_evaluates_each_cusp_once(monkeypatch):
     # every cusp a/p^k of the tower is evaluated once; only {inf}-{0} repeats,
     # in the normalization (content-one rescaling and the Neron scalar)
-    original = ModularSymbol.value_infinity_minus
-    calls = []
-
-    def counted(sym, r):
-        calls.append((sym.coords, as_cusp(r)))
-        return original(sym, r)
-
-    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    calls = record_cusps(monkeypatch)
     report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
     assert report.norm_relation_verified and report.theta0_identity_verified
     assert len(calls) <= len(set(calls)) + 2
+    # phi({inf}-{0}) and a/7^k, a < 7^k/2, k = 1..4: the walk went through the loop
+    assert len({cusp for _, cusp in calls}) == 1 + 3 + 21 + 147 + 1029
 
 
 def test_classify_builds_each_stabilized_element_once(monkeypatch):

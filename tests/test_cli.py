@@ -15,7 +15,9 @@ import pytest
 
 from mazurtate import cache
 from mazurtate.cli import CSV_ANALYZE_COLUMNS, CSV_INVARIANTS_COLUMNS, build_parser, load_curve, main
-from mazurtate.modsym import ModularSymbol, as_cusp
+from mazurtate.modsym import as_cusp
+
+from .conftest import record_cusps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -280,16 +282,11 @@ def test_analyze_goes_through_the_cache(tmp_path, capsys):
 
 def test_invariants_evaluates_each_cusp_once(monkeypatch, capsys):
     # as in classify: only {inf}-{0} repeats, in the normalization
-    original = ModularSymbol.value_infinity_minus
-    calls = Counter()
-
-    def counted(sym, r):
-        calls[sym.coords, as_cusp(r)] += 1
-        return original(sym, r)
-
-    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
+    cusps = record_cusps(monkeypatch)
     code, out, _ = run_cli(capsys, "invariants", "--curve", "26b1", "--p", "7", "--n-max", "3", "--format", "json")
     assert code == 0 and len(json.loads(out)["per_level"]) == 4
+    calls = Counter(cusps)
+    assert len({cusp for _, cusp in calls}) == 1 + 3 + 21 + 147 + 1029
     assert {cusp for (_, cusp), k in calls.items() if k > 1} == {as_cusp(0)}
 
 

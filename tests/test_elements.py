@@ -27,20 +27,20 @@ from .test_groupring import FIXTURE_TOWERS, one_unit_dlog
 def test_raw_element_coefficient_sum(eigensymbols):
     sym = eigensymbols["11a"]
     raw = raw_mazur_tate(sym, 5, 1)
-    assert sum(raw.values()) == sum(sym.value_infinity_minus(Fraction(a, 5)) for a in (1, 2, 3, 4))
-    assert set(raw) == {1, 2, 3, 4}
+    assert sum(raw[1:]) == sum(sym.value_infinity_minus(Fraction(a, 5)) for a in (1, 2, 3, 4))
+    assert [a for a, v in enumerate(raw) if v is not None] == [1, 2, 3, 4]
 
 
 def test_raw_values_share_bounded_denominator(eigensymbols):
     sym = eigensymbols["11a"]
     raw = raw_mazur_tate(sym, 5, 1)
     # integral normalization: every value is an integer
-    assert all(v.denominator == 1 for v in raw.values())
+    assert all(type(v) is int for v in raw[1:])
 
 
 def test_raw_element_of_zero_symbol(spaces):
     z = zero_symbol(spaces[11])
-    assert sum(raw_mazur_tate(z, 5, 2).values()) == 0
+    assert not any(raw_mazur_tate(z, 5, 2))
     assert mazur_tate(z, 5, 1).is_zero()
 
 
@@ -350,40 +350,53 @@ def test_tower_serves_every_route_at_any_precision(eigensymbols):
 
 
 def count_evaluations(monkeypatch):
-    """Record the cusp of every ModularSymbol.value_infinity_minus call."""
-    original = ModularSymbol.value_infinity_minus
-    cusps = []
+    """Record every ModularSymbol.values_at call, one run of the cusp loop, as (q, numerators)."""
+    original = ModularSymbol.values_at
+    calls = []
 
-    def counted(sym, r):
-        cusps.append(r)
-        return original(sym, r)
+    def counted(sym, q, nums):
+        calls.append((q, tuple(nums)))
+        return original(sym, q, nums)
 
-    monkeypatch.setattr(ModularSymbol, "value_infinity_minus", counted)
-    return cusps
+    monkeypatch.setattr(ModularSymbol, "values_at", counted)
+    return calls
 
 
 def test_plus_symbol_tower_evaluates_half_the_cusps(eigensymbols, monkeypatch):
     sym = eigensymbols["11a"]
     assert sym.is_plus()
-    cusps = count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     tower = MazurTateTower(sym, 5, 3)
-    # phi({inf}-{0}), then a < 5^k/2 prime to 5 for k = 1..4: 2 + 10 + 50 + 250
-    assert len(cusps) == 313
-    assert len(set(cusps)) == 313
+    # phi({inf}-{0}), then each level 5^k once, k = 1..4, at a < 5^k/2 prime to 5: 2 + 10 + 50 + 250
+    assert [q for q, _ in calls] == [1, 5, 25, 125, 625]
+    cusps = [(a, q) for q, nums in calls for a in nums]
+    assert len(cusps) == len(set(cusps)) == 313
     assert all(2 * a < q for a, q in cusps[1:])
     for n, theta in enumerate(tower.thetas):
         assert all(type(c) is Fraction for c in theta.coeffs)
         assert all(type(c) is Fraction for c in tower.scaled[n].coeffs)
 
 
-def test_halved_raw_values_match_every_cusp(eigensymbols):
-    for label, p in (("11a", 5), ("26b1", 7), ("174b1", 5)):
-        sym = eigensymbols[label]
-        for n in (1, 2):
-            q = p**n
-            raw = raw_mazur_tate(sym, p, n)
-            assert list(raw) == [a for a in range(1, q) if a % p]
-            assert all(v == sym.value_infinity_minus(Fraction(a, q)) for a, v in raw.items())
+def test_level_values_equal_one_cusp_values(eigensymbols, full_spaces):
+    # each level is one values_at call, halved for a plus symbol; entry a must
+    # be the one-cusp value at a/q, of the same type: an int exactly when integral
+    rng = random.Random(3)
+    sp = full_spaces[26]
+    forged = ModularSymbol(sp, [rng.randint(-9, 9) for _ in range(sp.dimension)], sign="+")
+    halves = [Fraction(1, 2) * sym for sym in eigensymbols.values()]
+    assert not forged.is_plus() and all(half.is_plus() for half in halves)
+    for sym in [*eigensymbols.values(), *halves, forged]:
+        for p, k_max in ((3, 4), (5, 3), (7, 2)):
+            for k in range(1, k_max + 1):
+                q = p**k
+                raw = raw_mazur_tate(sym, p, k)
+                assert [a for a, v in enumerate(raw) if v is not None] == [a for a in range(q) if a % p]
+                for a in range(1, q):
+                    if a % p:
+                        expected = sym.value_infinity_minus(Fraction(a, q))
+                        assert raw[a] == expected
+                        assert type(raw[a]) is type(expected) is (int if expected.denominator == 1 else Fraction)
+    assert any(type(v) is Fraction for v in raw_mazur_tate(halves[0], 5, 2) if v is not None)
 
 
 def test_forged_plus_label_keeps_the_full_loop(full_spaces, monkeypatch):
@@ -392,10 +405,10 @@ def test_forged_plus_label_keeps_the_full_loop(full_spaces, monkeypatch):
     forged = ModularSymbol(sp, [rng.randint(-9, 9) for _ in range(sp.dimension)], sign="+")
     assert not forged.is_plus()
     expected = {a: forged.value_infinity_minus(Fraction(a, 49)) for a in range(1, 49) if a % 7}
-    cusps = count_evaluations(monkeypatch)
+    calls = count_evaluations(monkeypatch)
     raw = raw_mazur_tate(forged, 7, 2)
-    assert sorted(a for a, _ in cusps) == sorted(expected)
-    assert raw == expected
+    assert calls == [(49, tuple(expected))]
+    assert {a: raw[a] for a in expected} == expected
     # copying values[q - a] would be wrong here, and would break theta(phi) = theta(phi^+)
     assert any(v != expected[49 - a] for a, v in expected.items())
     assert mazur_tate(forged, 7, 1) == mazur_tate(sign_parts(forged)[0], 7, 1)

@@ -12,7 +12,6 @@ from mazurtate.groupring import (
     GroupRingElement,
     _lambda_mod_p,
     invariants_with_generator,
-    layer_units,
     sum_cancellation_check,
 )
 from mazurtate.padics import valuation
@@ -133,6 +132,24 @@ def test_generator_independence_examples():
         invariants_with_generator(F, 10)
     with pytest.raises(NotAGenerator):
         invariants_with_generator(F, one_unit_dlog(1 + 25, 5, 2))  # sigma_{1+p^2} does not generate
+
+
+def layer_units(p: int, n: int):
+    """The units mod p^{n+1} by their image in the level-n layer: entry k lists
+    omega(b) (1+p)^k mod p^{n+1} for b = 1 .. p - 1, the units sent to gamma^k.
+
+    omega(b) = b^{p^n} mod p^{n+1} is the Teichmuller lift of b, so each unit
+    in entry k is sent to gamma^k; no discrete logarithm is taken.  This is
+    the indexing elements.walk_levels sums theta_n and S_n by.
+    """
+    modulus = p ** (n + 1)
+    lifts = [pow(b, p**n, modulus) for b in range(1, p)]
+    out = []
+    g = 1
+    for _ in range(p**n):
+        out.append([w * g % modulus for w in lifts])
+        g = g * (1 + p) % modulus
+    return out
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])

@@ -396,6 +396,20 @@ def test_p1_list_matches_brute_force():
         assert len(p1) == psi_index(N)
 
 
+def test_lookup_matches_the_index():
+    # over the units t, (t c : t d) runs once through the class of each
+    # representative (c : d), on which index is constant, so every primitive
+    # pair mod N is looked up once against index(c, d)
+    for N in [*range(1, 300), 389, 681, 2003]:
+        p1 = P1List(N)
+        assert N == 1 or all(p1[1 + w] == (1, w) for w in range(N))
+        units = [t for t in range(N) if math.gcd(t, N) == 1]
+        for i, (c, d) in enumerate(p1):
+            assert p1.index(c, d) == i
+            assert set(map(p1.lookup, [t * c % N for t in units], [t * d % N for t in units])) == {i}, (N, c, d)
+        assert all(u * w % N == 1 if N > 1 and math.gcd(u, N) == 1 else w == 0 for u, w in enumerate(p1.inverses))
+
+
 def test_psi_index_multiplicative_structure():
     assert psi_index(11) == 12
     assert psi_index(26) == 42
