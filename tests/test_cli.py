@@ -165,6 +165,38 @@ def test_selftest_output_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_SEED3_CASES20_DIGEST
 
 
+# sha256 of f"{exit code}\n{stdout}" for the text and CSV renderings, which
+# bench/references.json (JSON only) does not cover
+RENDERED_DIGESTS = {
+    "analyze --curve 26b1 --p 7 --n-max 2 --mode neron --format text":
+        "6c36b33fe331ef16d396eaea162c18d3a9ec20cfd38d7ab5d612e41dc47e845a",
+    "analyze --curve 26b1 --p 7 --n-max 2 --mode neron --format csv":
+        "c74fb0246985b579d45ee2719379dd9bfb6494909e698800744745f72e5ff35f",
+    "analyze --curve 11a --p 5 --n-max 2 --mode coh --format text":
+        "ad42291e15dc1f4c46b7ca97c8f299915637169f7a4dae10a08a017e82f2eb7f",
+    "analyze --curve 11a --p 5 --n-max 2 --mode coh --format csv":
+        "b45454e9b02652692faf121a2c889b7c1ecfb0876c5a76d0ca7ff292403f9485",
+    "analyze --curve 174b1 --p 7 --n-max 2 --mode neron --format text":
+        "e67de4110f369ec6cc2cb4b3f6783b47c8cec678ee002c284354a768560fe714",
+    "analyze --curve 174b1 --p 7 --n-max 2 --mode neron --format csv":
+        "6bf6043a157dd20636c0ef10342303ba125d7f13db37509d8f9e37c64363edfa",
+    "invariants --curve 26b1 --p 7 --n-max 2 --mode coh --format text":
+        "7f1d06bb56fcab35717ec0045532676c65b93bc47efa1ba02a8ad39f51b2b68a",
+    "invariants --curve 26b1 --p 7 --n-max 2 --mode coh --format csv":
+        "eec89a42f1ef84a5c6e9cd14148217017d4d9aaa4dd0a754309b6a4ef0d2bd1f",
+    "boundary --curve 11a --p 5": "fe3489fe73eb6aab6fe490bca695e87ffffcd87a6dc10472b17c7b23b40c46fa",
+    "boundary --curve 174b1 --p 7": "ba08e7d7d96af5ec199bab843d5e99407ddd4225df25c04d6b59e73fc7b1b5ac",
+    "eigensymbol --curve 26b1": "60a1fdf66db0b6cb0440c2c0c783c79c20682c1decd97732f405ad1a4d24119c",
+    "selftest --seed 1 --cases 2": "72910c2266cd663aadc8f3c14a9c65d6df9e6bffbfde27b9c45f558d216c535c",
+}
+
+
+@pytest.mark.parametrize("argv", list(RENDERED_DIGESTS))
+def test_text_and_csv_outputs_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == RENDERED_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("cases,error", [("0", "input_error"), ("-3", "input_error"),
                                          ("100000000000", "bound_exceeded")])
 def test_selftest_refuses_bad_case_counts_before_any_suite(capsys, cases, error):
