@@ -132,7 +132,7 @@ def load_eigensymbol(space: ManinSymbolSpace, curve, cache_dir: Path | None = No
 
 
 def load_symbol(curve, mode: str = "cohomological", cache_dir: Path | None = None):
-    """(normalized plus-eigensymbol, NormalizationData) of the curve, through the cache.
+    """(normalized plus-eigensymbol, Neron scalar or None) of the curve, through the cache (hecke.normalize).
 
     Before the plus quotient is built, the level is checked against the
     index bound (before it is factored), a_ell is taken at each prime of

@@ -15,7 +15,7 @@ from pathlib import Path
 from .boundary import BoundaryCongruenceResult, boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
-from .elements import (MAX_WALKED_LEVEL, MazurTateTower, level_rows, normalization_shift,
+from .elements import (MAX_WALKED_LEVEL, MazurTateTower, check_levels, level_rows, normalization_shift,
                        theta0_interpolation_factor, walk_levels)
 from .errors import BoundExceeded, InputError, NotGoodOrdinary
 from .padics import unit_root, valuation
@@ -27,20 +27,6 @@ MULTIPLICITY_ONE_NOTE = (
     "pattern for the Eisenstein eigenvalue system; a refutation for a curve "
     "with rational p-torsion indicates that multiplicity one fails."
 )
-
-
-class MTRequest(Record, frozen=True):
-    curve: EllipticCurve
-    p: int
-    n_max: int = 2
-    mode: str = "neron"  # "neron" | "cohomological"
-    cache_dir: Path | None = None  # falls back to $MT_CACHE_DIR, as in cache.resolve_cache_dir
-
-    def __post_init__(self):
-        if self.n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if self.mode not in ("neron", "cohomological"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 class StabilizedRow(Record, frozen=True):
@@ -100,26 +86,32 @@ def _require_good_ordinary(curve: EllipticCurve, p: int):
         raise NotGoodOrdinary(f"a_{p} = {curve.a_ell(p)} is divisible by p; not ordinary")
 
 
-def classify(request: MTRequest) -> DichotomyReport:
+def classify(curve: EllipticCurve, p: int, n_max: int = 2, mode: str = "neron",
+             cache_dir: Path | None = None) -> DichotomyReport:
     """Run the full pipeline and classify into the finite-level dichotomy.
 
-    One unit root, at the precision P MazurTateTower.stabilized_precision
-    certifies, serves every stabilized element, through its inverse mod p^P.
+    mode is "neron" or "cohomological"; cache_dir falls back to
+    $MT_CACHE_DIR, as in cache.resolve_cache_dir.  n_max (elements.check_levels)
+    and mode are checked before anything is built.  One unit root, at the
+    precision P MazurTateTower.stabilized_precision certifies, serves every
+    stabilized element, through its inverse mod p^P.
     """
-    curve, p, n_max = request.curve, request.p, request.n_max
+    check_levels(p, n_max)
+    if mode not in ("neron", "cohomological"):
+        raise ValueError(f"unknown mode {mode!r}")
     _require_good_ordinary(curve, p)
-    sym, norm_data = load_symbol(curve, request.mode, request.cache_dir)
+    sym, scalar = load_symbol(curve, mode, cache_dir)
 
-    shift = normalization_shift(norm_data, p)
+    shift = normalization_shift(scalar, p)
     lratio_val = None
-    if request.mode == "neron":
+    if mode == "neron":
         lratio_val = int(valuation(curve.lratio, p)) if curve.lratio else 0
 
     report = DichotomyReport(
         label=curve.label,
         p=p,
         n_max=n_max,
-        mode=request.mode,
+        mode=mode,
         verdict="Inconclusive",
         lratio_valuation=lratio_val,
         normalization_shift=shift,
@@ -148,7 +140,7 @@ def classify(request: MTRequest) -> DichotomyReport:
 
     # theta_0 = (a_p - 2) phi({inf}-{0}) sigma_1 at a good p forces this valuation
     factor = theta0_interpolation_factor(curve, p)
-    if request.mode == "neron" and factor != 0:
+    if mode == "neron" and factor != 0:
         expected_mu0 = lratio_val + int(valuation(factor, p))
         if report.per_level[0].mu != expected_mu0:
             report.diagnostics.append(
@@ -156,7 +148,7 @@ def classify(request: MTRequest) -> DichotomyReport:
                 f"ord_p(lratio (a_p - 2)) = {expected_mu0}"
             )
 
-    _apply_verdict(report, p, n_max, request.mode)
+    _apply_verdict(report, p, n_max, mode)
     return report
 
 

@@ -4,9 +4,11 @@ Commands: analyze (dichotomy classification), invariants (per-level mu/lambda
 table), boundary (congruence with a boundary symbol), eigensymbol (dump the
 cached plus-eigensymbol), selftest (randomized property battery).
 
-Exit codes: 0 success, 2 inconclusive verdict, 3 input error (a usage error
-too).  All exact numbers in reports are integers or decimal strings; no
-floating point appears anywhere.
+Exit codes: 0 success, 1 a computation that cannot go on (an eigenspace that
+is not a line, inconsistent eigenvalues), a failed selftest or a closed
+stdout, 2 inconclusive verdict, 3 input error (a usage error too).  All exact
+numbers in reports are integers or decimal strings; no floating point appears
+anywhere.
 
 A process run (`python -m mazurtate.cli`, the `mazurtate` script) ends as
 soon as its report is flushed, without the interpreter's teardown; a closed
@@ -45,6 +47,9 @@ def load_curve(args) -> EllipticCurve:
     if args.curve and args.coeffs:
         raise InputError("--curve and --coeffs are mutually exclusive")
     if args.curve:
+        for flag in ("conductor", "label"):
+            if getattr(args, flag) is not None:
+                raise InputError(f"--{flag} goes with --coeffs, not --curve")
         path = Path(args.curve)
         if not path.is_file():
             fixture = _fixture_path(args.curve)
@@ -99,39 +104,19 @@ def render_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def render_csv(columns, rows) -> str:
+def render_csv(columns, payload: dict) -> str:
+    """One row per entry of payload["per_level"]; stab_mu and stab_lambda are blank where no stabilized row is."""
+    stab = {r["n"]: r for r in payload.get("stabilized", ())}
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
+    for r in payload["per_level"]:
+        s = stab.get(r["n"], {})
+        row = {**r, "label": payload["label"] or "", "p": payload["p"], "mode": payload["mode"],
+               "stab_mu": s.get("mu", ""), "stab_lambda": s.get("lambda", ""), "verdict": payload.get("verdict")}
+        lines.append(",".join(str(row[c]) for c in columns))
     return "\n".join(lines)
 
 
-def _level_rows(report_dict: dict, stabilized: bool):
-    stab = {r["n"]: r for r in report_dict.get("stabilized", [])}
-    rows = []
-    for r in report_dict["per_level"]:
-        row = {
-            "label": report_dict.get("label") or "",
-            "p": report_dict["p"],
-            "mode": report_dict["mode"],
-            "n": r["n"],
-            "mu_coh": r["mu_coh"],
-            "mu": r["mu"],
-            "lambda": r["lambda"],
-        }
-        if stabilized:
-            row["is_maximal"] = r["is_maximal"]
-            row["integral"] = r["integral"]
-            s = stab.get(r["n"])
-            row["stab_mu"] = s["mu"] if s else ""
-            row["stab_lambda"] = s["lambda"] if s else ""
-            row["verdict"] = report_dict["verdict"]
-        rows.append(row)
-    return rows
-
-
-def render_analyze_text(report) -> str:
-    d = report.to_dict()
+def text_analyze(d: dict) -> str:
     lines = [f"curve {d['label'] or '(unnamed)'}  p={d['p']}  mode={d['mode']}  verdict={d['verdict']}"]
     lines.append(f"{'n':>3} {'mu_coh':>7} {'mu':>5} {'lambda':>7} {'maximal':>8} {'integral':>9} {'stab(mu,lam)':>14}")
     stab = {r["n"]: r for r in d["stabilized"]}
@@ -159,78 +144,74 @@ def render_analyze_text(report) -> str:
     return "\n".join(lines)
 
 
-def cmd_analyze(args) -> int:
-    from .classify import MTRequest, classify
+def text_invariants(d: dict) -> str:
+    lines = [f"curve {d['label'] or '(unnamed)'}  p={d['p']}  mode={d['mode']}"]
+    lines.append(f"{'n':>3} {'mu_coh':>7} {'mu':>5} {'lambda':>7}")
+    for r in d["per_level"]:
+        lines.append(f"{r['n']:>3} {r['mu_coh']:>7} {r['mu']:>5} {r['lambda']:>7}")
+    return "\n".join(lines)
 
-    curve = load_curve(args)
-    _check_p(args.p)
-    mode = resolve_mode(args, curve)
-    request = MTRequest(curve, args.p, args.n_max, mode, args.cache)
-    report = classify(request)
-    if args.format == "json":
-        emit(args, render_json(report.to_dict()))
-    elif args.format == "csv":
-        emit(args, render_csv(CSV_ANALYZE_COLUMNS, _level_rows(report.to_dict(), True)))
+
+def text_boundary(d: dict) -> str:
+    lines = [f"curve {d['label'] or '(unnamed)'}  p={d['p']}  "
+             f"{'congruent to a boundary symbol' if d['solvable'] else 'NOT congruent to any boundary symbol'}"]
+    lines.append(f"cusp classes: {d['cusp_classes']} (boundary rank {d['boundary_rank']})")
+    if "witness" in d:
+        lines.append(f"witness psi (gauge psi(inf)=0): {d['witness']}")
     else:
-        emit(args, render_analyze_text(report))
-    return report.exit_code
+        lines.append(f"refutation: sum of rows {d['refutation']['combination']} "
+                     f"gives 0 = {d['refutation']['inconsistent_value']} mod {d['p']}")
+    return "\n".join(lines)
 
 
-def cmd_invariants(args) -> int:
-    from .elements import MazurTateTower, level_rows, normalization_shift
+def text_eigensymbol(d: dict) -> str:
+    return "\n".join(f"{k}: {v}" for k, v in d.items())
 
-    curve = load_curve(args)
-    _check_p(args.p)
+
+def text_selftest(d: dict) -> str:
+    lines = [f"self-test (seed {d['seed']})"]
+    for r in d["suites"]:
+        lines.append(f"  {'FAIL' if r['violations'] else 'PASS'}  {r['name']}: {r['cases']} cases, "
+                     f"{r['violations']} violations")
+    if "cache" in d:
+        lines.append(f"  cache: {d['cache']['clean']} clean, {d['cache']['corrupted']} corrupted (rebuilt)")
+    lines.append("all suites passed" if d["passed"] else "FAILURES PRESENT")
+    return "\n".join(lines)
+
+
+def cmd_analyze(args, curve):
+    from .classify import classify
+
+    report = classify(curve, args.p, args.n_max, resolve_mode(args, curve), args.cache)
+    return report.to_dict(), report.exit_code
+
+
+def cmd_invariants(args, curve):
+    from .elements import MazurTateTower, check_levels, level_rows, normalization_shift
+
     mode = resolve_mode(args, curve)
-    sym, norm = cache.load_symbol(curve, mode, args.cache)
-    shift = normalization_shift(norm, args.p)
+    check_levels(args.p, args.n_max)
+    sym, scalar = cache.load_symbol(curve, mode, args.cache)
+    shift = normalization_shift(scalar, args.p)
     per_level = [r.to_dict() for r in level_rows(MazurTateTower(sym, args.p, args.n_max), shift)]
-    payload = {"label": curve.label, "p": args.p, "mode": mode,
-               "normalization_shift": shift, "per_level": per_level}
-    if args.format == "json":
-        emit(args, render_json(payload))
-    elif args.format == "csv":
-        emit(args, render_csv(CSV_INVARIANTS_COLUMNS, _level_rows(payload, False)))
-    else:
-        lines = [f"curve {curve.label or '(unnamed)'}  p={args.p}  mode={mode}"]
-        lines.append(f"{'n':>3} {'mu_coh':>7} {'mu':>5} {'lambda':>7}")
-        for r in per_level:
-            lines.append(f"{r['n']:>3} {r['mu_coh']:>7} {r['mu']:>5} {r['lambda']:>7}")
-        emit(args, "\n".join(lines))
-    return 0
+    return {"label": curve.label, "p": args.p, "mode": mode,
+            "normalization_shift": shift, "per_level": per_level}, 0
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args, curve):
     from .boundary import boundary_congruence
 
-    curve = load_curve(args)
-    _check_p(args.p)
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
-    res = boundary_congruence(sym, args.p)
-    payload = {"label": curve.label, **res.to_dict()}
-    if args.format == "json":
-        emit(args, render_json(payload))
-    else:
-        lines = [f"curve {curve.label or '(unnamed)'}  p={args.p}  "
-                 f"{'congruent to a boundary symbol' if res.solvable else 'NOT congruent to any boundary symbol'}"]
-        lines.append(f"cusp classes: {payload['cusp_classes']} (boundary rank {res.boundary_rank})")
-        if res.witness is not None:
-            lines.append(f"witness psi (gauge psi(inf)=0): {list(res.witness.values)}")
-        else:
-            lines.append(f"refutation: sum of rows {payload['refutation']['combination']} "
-                         f"gives 0 = {payload['refutation']['inconsistent_value']} mod {args.p}")
-        emit(args, "\n".join(lines))
-    return 0
+    return {"label": curve.label, **boundary_congruence(sym, args.p).to_dict()}, 0
 
 
-def cmd_eigensymbol(args) -> int:
-    curve = load_curve(args)
+def cmd_eigensymbol(args, curve):
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
     # coordinates over the full quotient's basis: each basis generator's
     # expression is its own unit vector, so coordinate t is the value on basis[t]
     basis = quotient_basis(curve.conductor)
     values = sym.generator_values()
-    payload = {
+    return {
         "label": curve.label,
         "level": sym.space.N,
         "dimension": len(basis),
@@ -238,15 +219,10 @@ def cmd_eigensymbol(args) -> int:
         "coords": [str(values[b]) for b in basis],
         "generator_values": [str(v) for v in values],
         "value_at_infinity_minus_zero": str(sym.value_infinity_minus(0)),
-    }
-    if args.format == "json":
-        emit(args, render_json(payload))
-    else:
-        emit(args, "\n".join(f"{k}: {v}" for k, v in payload.items()))
-    return 0
+    }, 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     if args.cases < 1:
         raise InputError(f"--cases must be at least 1, got {args.cases}")
     if args.cases > MAX_SELFTEST_CASES:
@@ -262,17 +238,7 @@ def cmd_selftest(args) -> int:
     }
     if cache_dir:
         payload["cache"] = cache.verify_cache_dir(cache_dir)
-    if args.format == "json":
-        emit(args, render_json(payload))
-    else:
-        lines = [f"self-test (seed {args.seed})"]
-        for r in results:
-            lines.append(f"  {'PASS' if r.passed else 'FAIL'}  {r.name}: {r.cases} cases, {r.violations} violations")
-        if "cache" in payload:
-            lines.append(f"  cache: {payload['cache']['clean']} clean, {payload['cache']['corrupted']} corrupted (rebuilt)")
-        lines.append("all suites passed" if payload["passed"] else "FAILURES PRESENT")
-        emit(args, "\n".join(lines))
-    return 0 if payload["passed"] else 1
+    return payload, 0 if payload["passed"] else 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -297,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", type=Path, default=None,
                         help=f"cache directory (falls back to ${cache.ENV_CACHE_DIR})")
     common.add_argument("--output", help="write the report here instead of stdout")
+    common.set_defaults(columns=None)  # a command with a CSV form names its columns
 
     padic = argparse.ArgumentParser(add_help=False)
     padic.add_argument("--p", type=int, required=True, help="odd prime")
@@ -305,17 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", parents=[curve_parent, padic, common],
                         help="classify the Iwasawa-invariant dichotomy")
-    sp.set_defaults(func=cmd_analyze)
+    sp.set_defaults(func=cmd_analyze, text=text_analyze, columns=CSV_ANALYZE_COLUMNS)
     sp = sub.add_parser("invariants", parents=[curve_parent, padic, common],
                         help="per-level (n, mu, lambda) table, no classification")
-    sp.set_defaults(func=cmd_invariants)
+    sp.set_defaults(func=cmd_invariants, text=text_invariants, columns=CSV_INVARIANTS_COLUMNS)
     sp = sub.add_parser("boundary", parents=[curve_parent, common],
                         help="test the mod-p congruence with a boundary symbol")
     sp.add_argument("--p", type=int, required=True)
-    sp.set_defaults(func=cmd_boundary)
+    sp.set_defaults(func=cmd_boundary, text=text_boundary)
     sp = sub.add_parser("eigensymbol", parents=[curve_parent, common],
                         help="dump the (cached) plus-eigensymbol")
-    sp.set_defaults(func=cmd_eigensymbol)
+    sp.set_defaults(func=cmd_eigensymbol, text=text_eigensymbol)
     sp = sub.add_parser("selftest", parents=[common],
                         help="run the randomized property battery")
     sp.add_argument("--seed", type=int, default=0)
@@ -324,16 +291,30 @@ def build_parser() -> argparse.ArgumentParser:
                          "projection suites; the others run max(100, N//5) per pair (linearity), "
                          "max(500, N) in all (sum cancellation, generator independence) and the "
                          "synthetic towers 125 for each of p = 3, 5")
-    sp.set_defaults(func=cmd_selftest)
+    sp.set_defaults(func=cmd_selftest, text=text_selftest)
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse, load and check the curve once (the four curve commands), run the command, render its payload."""
     try:
         args = build_parser().parse_args(argv)
-        if args.format == "csv" and args.command not in ("analyze", "invariants"):
+        if args.format == "csv" and args.columns is None:
             raise InputError(f"--format csv is not available for {args.command}")
-        return args.func(args)
+        if "coeffs" in args:  # a curve command
+            curve = load_curve(args)
+            if "p" in args:
+                _check_p(args.p)
+            payload, code = args.func(args, curve)
+        else:
+            payload, code = args.func(args)
+        if args.format == "json":
+            emit(args, render_json(payload))
+        elif args.format == "csv":
+            emit(args, render_csv(args.columns, payload))
+        else:
+            emit(args, args.text(payload))
+        return code
     except MazurTateError as exc:
         print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code

@@ -45,10 +45,22 @@ def raw_mazur_tate(sym, p: int, n: int) -> list:
     return values
 
 
+def check_levels(p: int, n_max: int):
+    """Refuse n_max < 0, p^n_max above MAX_LAYER_DEGREE and p^(n_max+1) above MAX_WALKED_LEVEL."""
+    if n_max < 0:
+        raise ValueError("levels start at 0")
+    # 2^bit_length exceeds each bound, so capping the exponent there is exact
+    # for p >= 2 and no huge power of p is formed for a huge n_max
+    if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
+        raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
+    if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
+        raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
+
+
 def walk_levels(sym, p: int, n_max: int):
     """Walk the cusps of one symbol at p once, upward: yield (below, top, theta_n, S_n), n = 0 .. n_max.
 
-    Both bounds on n_max are checked before any evaluation.  below and top are
+    n_max is checked (check_levels) before any evaluation.  below and top are
     the raw values of levels n and n+1 (raw_mazur_tate); below is seeded by
     [phi({inf}-{0})], so below[a % p^n] = phi({inf}-{a/p^n}) at every level,
     and at most two consecutive raw levels are alive.  The units mod p^(n+1)
@@ -63,14 +75,7 @@ def walk_levels(sym, p: int, n_max: int):
     values_at, and is_plus if a plus symbol is to be evaluated at half the
     cusps.
     """
-    if n_max < 0:
-        raise ValueError("levels start at 0")
-    # 2^bit_length exceeds each bound, so capping the exponent there is exact
-    # for p >= 2 and no huge power of p is formed for a huge n_max
-    if p ** min(n_max, MAX_LAYER_DEGREE.bit_length()) > MAX_LAYER_DEGREE:
-        raise BoundExceeded(f"p^n_max = {p}^{n_max} exceeds the layer-degree bound {MAX_LAYER_DEGREE}")
-    if p ** min(n_max + 1, MAX_WALKED_LEVEL.bit_length()) > MAX_WALKED_LEVEL:
-        raise BoundExceeded(f"p^(n_max+1) = {p}^{n_max + 1} exceeds the walked-level bound {MAX_WALKED_LEVEL}")
+    check_levels(p, n_max)
     below = sym.values_at(1, (0,))
     for n in range(n_max + 1):
         top = raw_mazur_tate(sym, p, n + 1)
@@ -182,12 +187,9 @@ class LevelRow(Record, frozen=True):
                 "is_maximal": self.is_maximal, "integral": self.integral}
 
 
-def normalization_shift(norm_data, p: int) -> int:
-    """ord_p of the Neron scalar of norm_data, a hecke.NormalizationData.
-
-    mu-invariants move by this much (0 in cohomological mode).
-    """
-    return int(valuation(norm_data.scalar, p)) if norm_data.mode == "neron" else 0
+def normalization_shift(scalar, p: int) -> int:
+    """ord_p of the Neron scalar from hecke.normalize, 0 for None (cohomological mode): mu moves by this much."""
+    return 0 if scalar is None else int(valuation(scalar, p))
 
 
 def level_rows(tower: MazurTateTower, shift: int) -> list:

@@ -32,7 +32,6 @@ from .errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPo
 from .linalg import MODULUS, echelon, fold_mod, kernel, line_mod, rational_reconstruction, residue_row
 from .modsym import ManinSymbolSpace, ModularSymbol, psi_index
 from .primes import primes
-from .records import Record
 
 
 def merel_matrices(n: int):
@@ -193,22 +192,17 @@ def _content_one(sym: ModularSymbol) -> ModularSymbol:
     return scale * sym
 
 
-class NormalizationData(Record, frozen=True):
-    mode: str                      # "cohomological" | "neron"
-    scalar: Fraction | None = None  # c with c * phi_stored = phi_Neron (neron mode)
-
-
 def normalize(sym: ModularSymbol, curve: EllipticCurve, mode: str = "cohomological"):
-    """Apply the requested normalization; returns (symbol, NormalizationData).
+    """Apply the requested normalization; returns (symbol, scalar).
 
-    The stored symbol is always the content-one integral one.  Neron mode does
-    not rescale the coordinates: it records the scalar c with
+    The symbol is always the content-one integral one.  Neron mode does not
+    rescale the coordinates: scalar is the c with
     c * phi({inf}-{0}) = L(E,1)/Omega_E, and downstream reports shift
-    mu-invariants by ord_p(c).
+    mu-invariants by ord_p(c).  In cohomological mode scalar is None.
     """
     sym = _content_one(sym)
     if mode == "cohomological":
-        return sym, NormalizationData("cohomological")
+        return sym, None
     if mode != "neron":
         raise ValueError(f"unknown normalization mode {mode!r}")
     if curve.lratio is None:
@@ -218,4 +212,4 @@ def normalize(sym: ModularSymbol, curve: EllipticCurve, mode: str = "cohomologic
     phi0 = sym.value_infinity_minus(0)
     if phi0 == 0:
         raise RankPositive("neron normalization undefined: phi({inf}-{0}) = 0")
-    return sym, NormalizationData("neron", curve.lratio / phi0)
+    return sym, curve.lratio / phi0

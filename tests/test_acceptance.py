@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mazurtate.boundary import boundary_congruence
-from mazurtate.classify import MTRequest, classify
+from mazurtate.classify import classify
 from mazurtate.elements import (
     MazurTateTower,
     check_norm_relation,
@@ -49,8 +49,7 @@ def test_criterion_1_11a_maximal_lambda_tower():
 
 def test_criterion_2_26b1_case_b():
     start = time.monotonic()
-    request = MTRequest(make_curve("26b1"), 7, 2, "neron")
-    rep = classify(request)
+    rep = classify(make_curve("26b1"), 7, 2, "neron")
     elapsed = time.monotonic() - start
     ok = (
         rep.verdict == "CaseB"
@@ -136,7 +135,7 @@ def test_criterion_7_randomized_property_suites():
 
 
 def test_criterion_8_174b1_stabilization():
-    rep = classify(MTRequest(make_curve("174b1"), 7, 3, "neron"))
+    rep = classify(make_curve("174b1"), 7, 3, "neron")
     mu0_ok = rep.per_level[0].mu >= 0
     top, prev = rep.stabilized[3], rep.stabilized[2]
     agree = (top.mu, top.lam) == (prev.mu, prev.lam)
@@ -155,5 +154,5 @@ def test_criterion_9_50b1_additive():
     lams = [mazur_tate(sym, 5, n).iwasawa_invariants().lam for n in range(3)]
     lam_ok = lams == [5**n - 1 for n in range(3)]
     with pytest.raises(NotGoodOrdinary):
-        classify(MTRequest(curve, 5, 2))
+        classify(curve, 5, 2)
     report(9, lam_ok, f"50b1/p=5 (additive): lambda(theta_n) = {lams} = 5^n - 1 for n<=2; classifier refuses with NotGoodOrdinary")

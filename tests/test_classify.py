@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mazurtate import classify as classify_module
-from mazurtate.classify import MTRequest, _solving_units, classify, maximality_criterion
+from mazurtate.classify import _solving_units, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.padics import unit_root
@@ -13,7 +13,7 @@ from .conftest import make_curve, record_cusps
 
 
 def test_26b1_case_b():
-    report = classify(MTRequest(make_curve("26b1"), 7, 2, "neron"))
+    report = classify(make_curve("26b1"), 7, 2, "neron")
     assert report.verdict == "CaseB"
     assert report.lratio_valuation == -1
     for row in report.per_level:
@@ -27,7 +27,7 @@ def test_26b1_case_b():
 
 
 def test_11a_case_b_with_neron_mode():
-    report = classify(MTRequest(make_curve("11a"), 5, 3, "neron"))
+    report = classify(make_curve("11a"), 5, 3, "neron")
     assert report.verdict == "CaseB"
     assert [row.lam for row in report.per_level] == [0, 4, 24, 124]
     assert [row.mu for row in report.per_level] == [-1, -1, -1, -1]
@@ -35,7 +35,7 @@ def test_11a_case_b_with_neron_mode():
 
 
 def test_174b1_case_a():
-    report = classify(MTRequest(make_curve("174b1"), 7, 3, "neron"))
+    report = classify(make_curve("174b1"), 7, 3, "neron")
     assert report.verdict == "CaseA"
     assert all(row.integral for row in report.per_level)
     top, prev = report.stabilized[-1], report.stabilized[-2]
@@ -47,8 +47,8 @@ def test_174b1_case_a():
 
 
 def test_cohomological_mode_gives_same_lambda_different_mu():
-    neron = classify(MTRequest(make_curve("26b1"), 7, 2, "neron"))
-    coh = classify(MTRequest(make_curve("26b1"), 7, 2, "cohomological"))
+    neron = classify(make_curve("26b1"), 7, 2, "neron")
+    coh = classify(make_curve("26b1"), 7, 2, "cohomological")
     assert [r.lam for r in neron.per_level] == [r.lam for r in coh.per_level]
     shift = neron.normalization_shift
     assert shift == -1
@@ -59,23 +59,23 @@ def test_cohomological_mode_gives_same_lambda_different_mu():
 
 def test_additive_prime_refused():
     with pytest.raises(NotGoodOrdinary):
-        classify(MTRequest(make_curve("50b1"), 5, 2))
+        classify(make_curve("50b1"), 5, 2)
 
 
 def test_p_dividing_conductor_refused():
     with pytest.raises(NotGoodOrdinary):
-        classify(MTRequest(make_curve("26b1"), 13, 1))
+        classify(make_curve("26b1"), 13, 1)
 
 
 def test_nonordinary_prime_refused():
     curve = make_curve("11a")
     assert curve.a_ell(19) % 19 == 0  # supersingular for 11a
     with pytest.raises(NotGoodOrdinary):
-        classify(MTRequest(curve, 19, 1))
+        classify(curve, 19, 1)
 
 
 def test_report_serialization_has_no_floats():
-    report = classify(MTRequest(make_curve("26b1"), 7, 1, "neron"))
+    report = classify(make_curve("26b1"), 7, 1, "neron")
     d = report.to_dict()
 
     def scan(x):
@@ -186,18 +186,21 @@ def test_solving_units_is_the_coset_of_solutions(p, t):
                 assert units == {u for u in range(modulus) if u % p and u % p**i == v}
 
 
-def test_mtrequest_validation():
-    with pytest.raises(ValueError):
-        MTRequest(make_curve("11a"), 5, -1)
-    with pytest.raises(ValueError):
-        MTRequest(make_curve("11a"), 5, 1, mode="bogus")
+def test_classify_refuses_bad_arguments_before_loading_the_symbol(monkeypatch):
+    monkeypatch.setattr(classify_module, "load_symbol", lambda *a, **k: pytest.fail("symbol loaded"))
+    with pytest.raises(ValueError, match="levels start at 0"):
+        classify(make_curve("11a"), 5, -1)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        classify(make_curve("11a"), 5, 1, mode="bogus")
+    with pytest.raises(BoundExceeded):
+        classify(make_curve("11a"), 5, 6)
 
 
 def test_classify_evaluates_each_cusp_once(monkeypatch):
     # every cusp a/p^k of the tower is evaluated once; only {inf}-{0} repeats,
     # in the normalization (content-one rescaling and the Neron scalar)
     calls = record_cusps(monkeypatch)
-    report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
+    report = classify(make_curve("26b1"), 7, 3, "neron")
     assert report.norm_relation_verified and report.theta0_identity_verified
     assert len(calls) <= len(set(calls)) + 2
     # phi({inf}-{0}) and a/7^k, a < 7^k/2, k = 1..4: the walk went through the loop
@@ -215,7 +218,7 @@ def test_classify_builds_each_stabilized_element_once(monkeypatch):
         return original(tower, inverse, n)
 
     monkeypatch.setattr(MazurTateTower, "stabilized", counted)
-    report = classify(MTRequest(make_curve("26b1"), 7, 3, "neron"))
+    report = classify(make_curve("26b1"), 7, 3, "neron")
     assert report.norm_relation_verified
     assert calls == [0, 1, 2, 3]
 
@@ -233,7 +236,7 @@ def test_classify_computes_one_unit_root(monkeypatch):
     for label, p, n_max in (("11a", 5, 2), ("26b1", 7, 3), ("174b1", 7, 3)):
         calls.clear()
         curve = make_curve(label)
-        report = classify(MTRequest(curve, p, n_max, "neron"))
+        report = classify(curve, p, n_max, "neron")
         tower = MazurTateTower(classify_module.load_symbol(curve)[0], p, n_max)
         assert calls == [(curve.a_ell(p), p, tower.stabilized_precision(curve.a_ell(p)))]
         assert len(report.stabilized) == n_max + 1

@@ -393,6 +393,35 @@ def test_huge_tower_or_precision_ends_with_coded_error(capsys, argv):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "invariants"])
+@pytest.mark.parametrize("source", [["--curve", "11a"], ["--coeffs", "1,0,1,0,-7", "--conductor", "19927"]],
+                         ids=["11a", "19927"])
+@pytest.mark.parametrize("n_max, error, message", [
+    ("-1", "input_error", "levels start at 0"),
+    ("40", "bound_exceeded", "p^n_max = 5^40 exceeds the layer-degree bound 10000"),
+    ("6", "bound_exceeded", "p^n_max = 5^6 exceeds the layer-degree bound 10000"),
+])
+def test_n_max_is_refused_before_the_symbol_is_loaded(capsys, monkeypatch, command, source, n_max, error, message):
+    # at 19927 the plus quotient and its eigenline take seconds to build
+    from mazurtate import classify
+
+    for module in (cache, classify):
+        monkeypatch.setattr(module, "load_symbol", lambda *a, **k: pytest.fail("symbol loaded"))
+    code, out, err = run_cli(capsys, command, *source, "--p", "5", "--n-max", n_max, "--format", "json")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": error, "message": message}
+
+
+@pytest.mark.parametrize("flags", [["--conductor", "37"], ["--label", "foo"], ["--conductor", "11", "--label", "11a"]])
+@pytest.mark.parametrize("command", ["analyze", "invariants", "boundary", "eigensymbol"])
+def test_curve_refuses_the_inline_only_flags(capsys, monkeypatch, command, flags):
+    monkeypatch.setattr(cache, "load_symbol", lambda *a, **k: pytest.fail("symbol loaded"))
+    p = [] if command == "eigensymbol" else ["--p", "5"]
+    code, out, err = run_cli(capsys, command, "--curve", "11a", *flags, *p, "--format", "json")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "input_error", "message": f"{flags[0]} goes with --coeffs, not --curve"}
+
+
 def test_invariants_refuses_precision_above_bound_as_analyze_does(capsys):
     # the precision is computed, so --precision is an unknown option to both
     common = ["--curve", "11a", "--p", "5", "--n-max", "1", "--precision", "3000000", "--format", "json"]

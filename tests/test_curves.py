@@ -3,7 +3,7 @@ import time
 import pytest
 
 from mazurtate.curves import EllipticCurve
-from mazurtate.classify import MTRequest, _require_good_ordinary, classify
+from mazurtate.classify import _require_good_ordinary, classify
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.primes import prime_factors
 
@@ -131,7 +131,7 @@ def test_bound_is_checked_before_primality(monkeypatch):
     with pytest.raises(BoundExceeded):
         make_curve("11a").a_ell(2**89 - 1)
     with pytest.raises(BoundExceeded):
-        classify(MTRequest(make_curve("11a"), 2**89 - 1))
+        classify(make_curve("11a"), 2**89 - 1)
 
 
 def test_input_validation():

@@ -192,11 +192,11 @@ def test_normalize_idempotent(eigensymbols, curves):
 def test_neron_scalar_relation(eigensymbols, curves):
     from mazurtate.padics import valuation
 
-    sym, data = normalize(eigensymbols["26b1"], curves["26b1"], "neron")
-    assert data.scalar * sym.value_infinity_minus(0) == curves["26b1"].lratio
-    assert valuation(data.scalar * sym.value_infinity_minus(0), 7) == -1
-    sym, data = normalize(eigensymbols["174b1"], curves["174b1"], "neron")
-    assert valuation(data.scalar * sym.value_infinity_minus(0), 7) == 0
+    sym, scalar = normalize(eigensymbols["26b1"], curves["26b1"], "neron")
+    assert scalar * sym.value_infinity_minus(0) == curves["26b1"].lratio
+    assert valuation(scalar * sym.value_infinity_minus(0), 7) == -1
+    sym, scalar = normalize(eigensymbols["174b1"], curves["174b1"], "neron")
+    assert valuation(scalar * sym.value_infinity_minus(0), 7) == 0
 
 
 def test_neron_requires_nonvanishing_central_value():
@@ -214,8 +214,8 @@ def test_neron_refuses_a_zero_lratio(eigensymbols, curves):
     curve = EllipticCurve(**{**curve_record(curves["11a"]), "lratio": Fraction(0)})
     with pytest.raises(RankPositive, match="L\\(E,1\\)/Omega_E = 0"):
         normalize(eigensymbols["11a"], curve, "neron")
-    sym, data = normalize(eigensymbols["11a"], curve, "cohomological")
-    assert data.mode == "cohomological" and sym.value_infinity_minus(0) != 0
+    sym, scalar = normalize(eigensymbols["11a"], curve, "cohomological")
+    assert scalar is None and sym.value_infinity_minus(0) != 0
 
 
 # --- the certified mod-q eigenline against the exact elimination over Q ---

@@ -61,7 +61,7 @@ def test_constructor_arguments_and_defaults():
 
 
 def test_post_init_checks_still_run():
-    # MTRequest's checks are in tests/test_classify.py
+    # classify's own argument checks are in tests/test_classify.py
     with pytest.raises(ValueError):
         GroupLevel(4, 1)
     with pytest.raises(ValueError):
