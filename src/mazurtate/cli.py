@@ -230,7 +230,7 @@ def cmd_selftest(args):
     cache_dir = cache.resolve_cache_dir(args.cache) if args.cache else None  # refuses a non-directory up front
     from .suites import run_all_suites  # only selftest pays for the suites' import
 
-    results = run_all_suites(cases_per_pair=args.cases, tower_cases=200, seed=args.seed)
+    results = run_all_suites(cases_per_pair=args.cases, seed=args.seed)
     payload = {
         "seed": args.seed,
         "suites": [{"name": r.name, "cases": r.cases, "violations": r.violations} for r in results],
@@ -301,6 +301,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.format == "csv" and args.columns is None:
             raise InputError(f"--format csv is not available for {args.command}")
+        if args.output and (Path(args.output).is_dir() or not Path(args.output).parent.is_dir()):
+            emit(args, "")  # fails as writing the report would, before anything is computed
         if "coeffs" in args:  # a curve command
             curve = load_curve(args)
             if "p" in args:

@@ -7,8 +7,10 @@ works in, adds the relation x_(J i) = x_i of the sign involution J: (c:d) ->
 basis (quotient_basis reads the full quotient's basis off the forward fold
 alone), and a symbol's values phi({inf} - {a/q}) at a list of cusps are
 summed along their continued fractions (the Manin trick) in one loop,
-ModularSymbol.values_at, which finds each P^1 index through the unit-inverse
-table of P1List.lookup.  Operators (T_ell in hecke) are lists of sparse rows.
+ModularSymbol.values_at.  P1List.index reads the index of a pair with a unit
+first entry off a table of inverses built with the list, and normalizes only
+the other pairs, so every stage takes the same route.  Operators (T_ell in
+hecke) are lists of sparse rows.
 The generator indexed by (c:d), with SL_2(Z) lift g having bottom row (c,d),
 stands for the divisor {g.0}-{g.inf}.
 """
@@ -41,11 +43,10 @@ class P1List:
                 self._list += [(g, v) for v in range(N)
                                if math.gcd(v, g) == 1 and self.normalize(g, v) == (g, v)]
         self._index = {r: i for i, r in enumerate(self._list)}
-        # filled by lookup as ModularSymbol.values_at meets pairs: u^-1 mod N
-        # at each unit u met (0 until then), and the index of each non-unit
-        # pair met, keyed by u N + v
-        self.inverses = [0] * N
-        self.memo = {}
+        # u^-1 mod N at each unit u < N, 0 elsewhere; the index of each
+        # non-unit pair met, keyed by u N + v with u, v reduced mod N
+        self.inverses = [pow(u, -1, N) if math.gcd(u, N) == 1 else 0 for u in range(N)]
+        self._memo = {}
 
     def normalize(self, u: int, v: int):
         """Canonical form of (u:v), or None if the pair is not primitive mod N.
@@ -73,27 +74,24 @@ class P1List:
         return (g, w)
 
     def index(self, u: int, v: int) -> int:
-        r = self.normalize(u, v)
-        if r is None:
-            raise ValueError(f"({u}:{v}) is not primitive mod {self.N}")
-        return self._index[r]
+        """The position of (u:v) in the list.
 
-    def lookup(self, u: int, v: int) -> int:
-        """index(u, v) for 0 <= u, v < N, read off the unit-inverse table or the non-unit memo.
-
-        A unit u gives (u:v) = (1 : v u^-1), stored at index 1 + v u^-1 mod N,
-        so u^-1 is computed once, into inverses[u]; a non-unit pair goes
-        through index once and is kept in memo.
+        A unit u gives (u:v) = (1 : v u^-1), at position 1 + v u^-1 mod N,
+        read off the inverse table; a non-unit pair is normalized once and
+        its position memoized.
         """
-        N, inverses = self.N, self.inverses
-        w = inverses[u]
-        if not w and N > 1 and math.gcd(u, N) == 1:
-            w = inverses[u] = pow(u, -1, N)
+        N = self.N
+        u %= N
+        w = self.inverses[u]
         if w:
             return 1 + v * w % N
-        i = self.memo.get(u * N + v)
+        key = u * N + v % N
+        i = self._memo.get(key)
         if i is None:
-            i = self.memo[u * N + v] = self.index(u, v)
+            r = self.normalize(u, v)
+            if r is None:
+                raise ValueError(f"({u}:{v}) is not primitive mod {N}")
+            i = self._memo[key] = self._index[r]
         return i
 
     def __len__(self):
@@ -361,13 +359,12 @@ class ModularSymbol:
         bottom rows (q_k, +-q_{k-1}), and their generator values are summed.
         The digits come from (num, den), so the q_k are carried mod N only,
         and a/q need not be reduced (scaling num and den keeps every digit).
-        A unit q_k is looked up through P1List.inverses, a non-unit pair
-        through P1List.memo, and a pair met first through P1List.lookup.
-        Each value is an int when integral, a Fraction otherwise, so an int
-        for an integral symbol.
+        A unit q_k reads its index off P1List.inverses inline, any other
+        pair goes through P1List.index.  Each value is an int when integral,
+        a Fraction otherwise, so an int for an integral symbol.
         """
         p1 = self.space.p1
-        N, inverses, memo, lookup = p1.N, p1.inverses, p1.memo, p1.lookup
+        N, inverses, index = p1.N, p1.inverses, p1.index
         vals = self.generator_values()
         out = []
         for num in nums:
@@ -379,12 +376,7 @@ class ModularSymbol:
                 num, den = den, num - digit * den
                 u = (digit * q_km1 + q_km2) % N
                 w = inverses[u]
-                if w:
-                    total += vals[1 + sign * q_km1 * w % N]
-                else:
-                    v = sign * q_km1 % N
-                    i = memo.get(u * N + v)
-                    total += vals[lookup(u, v) if i is None else i]
+                total += vals[1 + sign * q_km1 * w % N if w else index(u, sign * q_km1)]
                 q_km2, q_km1 = q_km1, u
                 sign = -sign
             out.append(exact(total))

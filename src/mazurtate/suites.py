@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .groupring import GroupLevel, GroupRingElement, invariants_with_generator, sum_cancellation_check
 from .records import Record
-from .synthetic import run_tower_suite
 
 SUITE_PARAMS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 
@@ -149,18 +148,77 @@ def generator_independence_suite(cases: int, seed: int = 0) -> SuiteResult:
     return SuiteResult("generator independence", done, violations)
 
 
-def run_all_suites(cases_per_pair: int = 500, tower_cases: int = 200, seed: int = 0):
+def _random_unit(p: int, rng) -> Fraction:
+    num = rng.randrange(1, 50)
+    den = rng.randrange(1, 50)
+    while num % p == 0:
+        num += 1
+    while den % p == 0:
+        den += 1
+    return Fraction(num, den)
+
+
+def _random_integral(level: GroupLevel, rng) -> GroupRingElement:
+    return GroupRingElement(level, [Fraction(rng.randint(-9, 9)) for _ in range(level.order)])
+
+
+def make_admissible_tower(p: int, n_max: int, rng, depth: int | None = None):
+    """(alpha, sequence): integral stabilized increments and mu(theta_0) < 0."""
+    t = depth if depth is not None else rng.randint(1, 3)
+    alpha = _random_unit(p, rng)
+    seq = [GroupRingElement(GroupLevel(p, 0), [Fraction(rng.randrange(1, p), p**t)])]
+    for n in range(1, n_max + 1):
+        seq.append(_random_integral(GroupLevel(p, n), rng) + seq[-1].corestriction().scale(1 / alpha))
+    return alpha, tuple(seq)
+
+
+def make_plain_tower(p: int, n_max: int, rng):
+    """(alpha, sequence), all integral: the negative-mu hypothesis fails by design."""
+    seq = [_random_integral(GroupLevel(p, n), rng) for n in range(n_max + 1)]
+    return _random_unit(p, rng), tuple(seq)
+
+
+def check_tower(p: int, alpha: Fraction, seq) -> bool | None:
+    """None if the hypotheses (integral increments, some mu < 0) fail, decided
+    from the data alone; otherwise whether the conclusion holds."""
+    increments = (seq[n] - seq[n - 1].corestriction().scale(1 / alpha) for n in range(1, len(seq)))
+    invs = [None if theta.is_zero() else theta.iwasawa_invariants() for theta in seq]
+    if not (all(d.den % p for d in increments) and any(inv is not None and inv.mu < 0 for inv in invs)):
+        return None
+    # with alpha a unit, integral increments would make every level integral
+    # if one were zero; a zero level (alpha not a unit) has no invariants, so
+    # the conclusion fails there
+    return None not in invs and all(inv.mu == invs[0].mu and inv.lam == p**n - 1 for n, inv in enumerate(invs))
+
+
+def tower_suite(p: int, count: int, seed: int = 0) -> SuiteResult:
+    """The abstract maximality statement on random towers to level 3.
+
+    A sequence {theta_n} with (1) mu bounded below, (2) theta_n - alpha^-1
+    cor(theta_(n-1)) integral for a unit alpha and (3) mu(theta_n) < 0
+    somewhere has mu(theta_n) = mu(theta_0) < 0 and lambda(theta_n) = p^n - 1
+    at every level.  Each of count towers built to meet the hypotheses (the
+    integral increments chosen freely and unrolled) must be applicable and
+    meet the conclusion; none of count // 4 all-integral towers may be
+    flagged as applicable.
+    """
+    rng = random.Random(seed)
+    violations = sum(not check_tower(p, *make_admissible_tower(p, 3, rng)) for _ in range(count))
+    plain = count // 4 or 1
+    # an all-integral tower has mu >= 0 everywhere; claiming the hypotheses
+    # hold for it would be a checker bug
+    violations += sum(check_tower(p, *make_plain_tower(p, 3, rng)) is not None for _ in range(plain))
+    return SuiteResult(f"synthetic towers p={p}", count + plain, violations)
+
+
+def run_all_suites(cases_per_pair: int = 500, seed: int = 0):
     """The full randomized battery, deterministic in the seed."""
-    results = [
+    return [
         corestriction_law_suite(cases_per_pair, seed),
         projection_mu_suite(cases_per_pair, seed + 1),
         stabilization_identity_suite(max(100, cases_per_pair // 5), seed + 2),
         sum_cancellation_suite(max(500, cases_per_pair), seed + 3),
         generator_independence_suite(max(500, cases_per_pair), seed + 4),
+        tower_suite(3, 100, seed + 3),
+        tower_suite(5, 100, seed + 5),
     ]
-    for p in (3, 5):
-        tower = run_tower_suite(p, 3, tower_cases // 2, seed=seed + p)
-        results.append(
-            SuiteResult(f"synthetic towers p={p}", tower.cases, tower.violations + tower.false_assertions)
-        )
-    return results

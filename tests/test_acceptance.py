@@ -125,7 +125,7 @@ def test_criterion_6_theta0_interpolation(eigensymbols):
 
 def test_criterion_7_randomized_property_suites():
     start = time.monotonic()
-    results = run_all_suites(cases_per_pair=500, tower_cases=200, seed=0)
+    results = run_all_suites(cases_per_pair=500, seed=0)
     elapsed = time.monotonic() - start
     tower_cases = sum(r.cases for r in results if r.name.startswith("synthetic towers"))
     big_enough = all(r.cases >= 500 for r in results if not r.name.startswith(("synthetic", "corestriction linearity")))

@@ -223,8 +223,8 @@ def run_probe(probe, *argv):
 
 
 def test_cli_import_leaves_the_suites_out():
-    probe = "import sys, mazurtate.cli; print(sorted(m for m in ('mazurtate.suites', 'mazurtate.synthetic') if m in sys.modules))"
-    assert run_probe(probe).strip() == "[]"
+    probe = "import sys, mazurtate.cli; print('mazurtate.suites' in sys.modules)"
+    assert run_probe(probe).strip() == "False"
 
 
 def test_fixtures_resolve_without_importlib_resources():
@@ -597,6 +597,44 @@ def test_output_naming_a_directory_is_an_input_error(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"] == "input_error"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigensymbol", "--coeffs", "0,0,1,-7,6", "--conductor", "5077"],
+    ["selftest", "--cases", "1"],
+])
+@pytest.mark.parametrize("target, reason", [
+    ("", "Is a directory"),
+    ("missing/report", "No such file or directory"),
+    ("file/report", "Not a directory"),
+])
+def test_an_unwritable_output_is_refused_before_any_computation(tmp_path, capsys, monkeypatch, argv, target, reason):
+    # neither the eigensymbol nor the suites are reached, and the message is
+    # the one writing the report would give
+    from mazurtate import suites
+
+    monkeypatch.setattr(cache, "load_symbol", lambda *a, **k: pytest.fail("symbol loaded"))
+    monkeypatch.setattr(suites, "run_all_suites", lambda *a, **k: pytest.fail("suites run"))
+    (tmp_path / "file").write_text("")
+    output = str(tmp_path / target) if target else str(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--output", output)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "input_error", "message": f"cannot write --output {output}: {reason}"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--coeffs", "0,-1,1,-10"], "--coeffs expects a1,a2,a3,a4,a6: not enough values to unpack (expected 5, got 4)"),
+    (["--coeffs", "0,-1,x,-10,-20"], "--coeffs expects a1,a2,a3,a4,a6: invalid literal for int() with base 10: 'x'"),
+    (["--coeffs", "0,-1,1,-10,-20"], "--coeffs requires --conductor"),
+    ([], "provide --curve PATH or --coeffs a1,a2,a3,a4,a6 --conductor N"),
+    (["--coeffs", "0,-1,1,-10,-20", "--conductor", "0"], "conductor must be positive"),
+    (["--coeffs", "0,-1,1,-10,-20", "--conductor=-11"], "conductor must be positive"),
+])
+def test_a_bad_curve_source_is_an_input_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eigensymbol", *argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "input_error", "message": message}
 
 
 @pytest.mark.parametrize("under_file", [False, True])

@@ -399,15 +399,23 @@ def test_p1_list_matches_brute_force():
 def test_lookup_matches_the_index():
     # over the units t, (t c : t d) runs once through the class of each
     # representative (c : d), on which index is constant, so every primitive
-    # pair mod N is looked up once against index(c, d)
+    # pair mod N is indexed once against index(c, d)
     for N in [*range(1, 300), 389, 681, 2003]:
         p1 = P1List(N)
         assert N == 1 or all(p1[1 + w] == (1, w) for w in range(N))
         units = [t for t in range(N) if math.gcd(t, N) == 1]
         for i, (c, d) in enumerate(p1):
             assert p1.index(c, d) == i
-            assert set(map(p1.lookup, [t * c % N for t in units], [t * d % N for t in units])) == {i}, (N, c, d)
+            assert {p1.index(t * c, t * d) for t in units} == {i}, (N, c, d)
         assert all(u * w % N == 1 if N > 1 and math.gcd(u, N) == 1 else w == 0 for u, w in enumerate(p1.inverses))
+
+
+def test_index_refuses_a_non_primitive_pair():
+    p1 = P1List(12)
+    for _ in range(2):  # a refusal is not memoized as an index
+        with pytest.raises(ValueError, match=r"\(2:4\) is not primitive mod 12"):
+            p1.index(2, 4)
+    assert p1.index(14, 3) == p1._index[p1.normalize(2, 3)]
 
 
 def test_psi_index_multiplicative_structure():
@@ -511,11 +519,11 @@ def convergent_symbol_pairs(cusp):
 
 
 def reference_value(sym, r):
-    """phi({inf}-{r}) as a Fraction sum over the Manin path, without the memo."""
+    """phi({inf}-{r}) as a Fraction sum over the Manin path, through the canonical form, not the inverse table."""
     vals = sym.generator_values()
-    N = sym.space.N
+    p1 = sym.space.p1
     pairs = convergent_symbol_pairs(as_cusp(r))
-    return sum((vals[sym.space.p1.index(qk % N, qk1 % N)] for qk, qk1 in pairs), Fraction(0))
+    return sum((vals[p1._index[p1.normalize(qk, qk1)]] for qk, qk1 in pairs), Fraction(0))
 
 
 def random_cusps(rng, count=60):

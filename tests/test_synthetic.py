@@ -2,14 +2,7 @@ import random
 from fractions import Fraction
 
 from mazurtate.groupring import GroupLevel, GroupRingElement
-from mazurtate.synthetic import (
-    TowerCase,
-    TowerVerdict,
-    check_tower,
-    make_admissible_tower,
-    make_plain_tower,
-    run_tower_suite,
-)
+from mazurtate.suites import check_tower, make_admissible_tower, make_plain_tower, tower_suite
 
 
 def test_pure_corestriction_tower():
@@ -19,9 +12,7 @@ def test_pure_corestriction_tower():
     for _ in range(3):
         theta = theta.corestriction()
         seq.append(theta)
-    case = TowerCase(5, Fraction(1), tuple(seq), True)
-    verdict = check_tower(case)
-    assert verdict.applicable and verdict.conclusion_holds
+    assert check_tower(5, Fraction(1), tuple(seq)) is True
     for n, el in enumerate(seq):
         inv = el.iwasawa_invariants()
         assert inv.mu == -1
@@ -30,10 +21,10 @@ def test_pure_corestriction_tower():
 
 def test_admissible_towers_have_negative_constant_mu():
     rng = random.Random(4)
-    case = make_admissible_tower(3, 3, rng, depth=2)
-    mu0 = case.sequence[0].iwasawa_invariants().mu
+    _, seq = make_admissible_tower(3, 3, rng, depth=2)
+    mu0 = seq[0].iwasawa_invariants().mu
     assert mu0 == -2
-    for n, el in enumerate(case.sequence):
+    for n, el in enumerate(seq):
         inv = el.iwasawa_invariants()
         assert inv.mu == mu0
         assert inv.lam == 3**n - 1
@@ -42,19 +33,16 @@ def test_admissible_towers_have_negative_constant_mu():
 def test_plain_towers_not_applicable():
     rng = random.Random(5)
     for _ in range(20):
-        case = make_plain_tower(5, 2, rng)
-        verdict = check_tower(case)
-        assert not verdict.applicable
-        assert verdict.conclusion_holds is None
+        alpha, seq = make_plain_tower(5, 2, rng)
+        assert check_tower(5, alpha, seq) is None
 
 
 def test_suite_200_admissible_sequences_zero_violations():
-    total_admissible = 0
+    # 100 admissible towers and 25 plain ones for each p; an admissible tower
+    # that is not applicable counts as a violation, so all 200 are applicable
     for p in (3, 5):
-        report = run_tower_suite(p, 3, 100, seed=7)
-        assert report.violations == 0 and report.false_assertions == 0
-        total_admissible += report.applicable
-    assert total_admissible == 200
+        result = tower_suite(p, 100, seed=7)
+        assert (result.cases, result.violations) == (125, 0)
 
 
 def test_non_unit_alpha_breaks_the_conclusion():
@@ -62,8 +50,7 @@ def test_non_unit_alpha_breaks_the_conclusion():
     # and mu(theta_1) = -2 != mu(theta_0) = -1, so the checker must say so
     theta0 = GroupRingElement(GroupLevel(5, 0), [Fraction(1, 5)])
     theta1 = theta0.corestriction().scale(Fraction(1, 5))
-    verdict = check_tower(TowerCase(5, Fraction(5), (theta0, theta1), True))
-    assert verdict == TowerVerdict(True, False)
+    assert check_tower(5, Fraction(5), (theta0, theta1)) is False
 
 
 def test_zero_level_fails_the_conclusion():
@@ -73,5 +60,4 @@ def test_zero_level_fails_the_conclusion():
     theta1 = GroupRingElement(GroupLevel(5, 1), [Fraction(1)] + [Fraction(0)] * 4)
     theta2 = theta1.corestriction().scale(Fraction(1, 5))
     assert theta2.iwasawa_invariants().mu == -1
-    verdict = check_tower(TowerCase(5, Fraction(5), (theta0, theta1, theta2), True))
-    assert verdict == TowerVerdict(True, False)
+    assert check_tower(5, Fraction(5), (theta0, theta1, theta2)) is False
