@@ -5,14 +5,15 @@ invariants of the p-adic L-function (case A: every element integral) or the
 lambda-invariant is maximal, p^n - 1, at every level with constant negative
 mu given by ord_p of the normalized L-value (case B).  Verdicts here are
 evidence-based at finite level; when neither pattern is certified within the
-computed range the report says so instead of extrapolating.
+computed range the report says so instead of extrapolating.  classify
+returns the report as the JSON-ready dict `analyze` renders.
 """
 from __future__ import annotations
 
 from itertools import takewhile
 from pathlib import Path
 
-from .boundary import BoundaryCongruenceResult, boundary_congruence
+from .boundary import boundary_congruence
 from .cache import load_symbol
 from .curves import EllipticCurve
 from .elements import (MAX_WALKED_LEVEL, MazurTateTower, check_levels, level_rows, normalization_shift,
@@ -29,56 +30,6 @@ MULTIPLICITY_ONE_NOTE = (
 )
 
 
-class StabilizedRow(Record, frozen=True):
-    n: int
-    mu: int            # cohomological scale
-    lam: int
-    settled: bool = False  # equal to the previous level's (mu, lambda)
-
-
-class DichotomyReport(Record):
-    label: str | None
-    p: int
-    n_max: int
-    mode: str
-    verdict: str                       # "CaseA" | "CaseB" | "Inconclusive"
-    per_level: list = []
-    stabilized: list = []
-    lratio_valuation: int | None = None
-    normalization_shift: int = 0
-    norm_relation_verified: bool = False
-    theta0_identity_verified: bool = False
-    boundary: BoundaryCongruenceResult | None = None
-    commentary: str = ""
-    diagnostics: list = []
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.verdict in ("CaseA", "CaseB") else 2
-
-    def to_dict(self) -> dict:
-        d = {
-            "label": self.label,
-            "p": self.p,
-            "n_max": self.n_max,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "lratio_valuation": self.lratio_valuation,
-            "normalization_shift": self.normalization_shift,
-            "norm_relation_verified": self.norm_relation_verified,
-            "theta0_identity_verified": self.theta0_identity_verified,
-            "per_level": [r.to_dict() for r in self.per_level],
-            "stabilized": [
-                {"n": r.n, "mu": r.mu, "lambda": r.lam, "settled": r.settled} for r in self.stabilized
-            ],
-            "diagnostics": list(self.diagnostics),
-            "commentary": self.commentary,
-        }
-        if self.boundary is not None:
-            d["boundary"] = self.boundary.to_dict()
-        return d
-
-
 def _require_good_ordinary(curve: EllipticCurve, p: int):
     if p == 2 or curve.conductor % p == 0:
         raise NotGoodOrdinary(f"p = {p} is not a good odd prime for conductor {curve.conductor}")
@@ -87,14 +38,15 @@ def _require_good_ordinary(curve: EllipticCurve, p: int):
 
 
 def classify(curve: EllipticCurve, p: int, n_max: int = 2, mode: str = "neron",
-             cache_dir: Path | None = None) -> DichotomyReport:
-    """Run the full pipeline and classify into the finite-level dichotomy.
+             cache_dir: Path | None = None) -> dict:
+    """Run the full pipeline and classify into the finite-level dichotomy; returns the `analyze` payload.
 
     mode is "neron" or "cohomological"; cache_dir falls back to
     $MT_CACHE_DIR, as in cache.resolve_cache_dir.  n_max (elements.check_levels)
     and mode are checked before anything is built.  One unit root, at the
     precision P MazurTateTower.stabilized_precision certifies, serves every
-    stabilized element, through its inverse mod p^P.
+    stabilized element, through its inverse mod p^P.  The verdict is "CaseA",
+    "CaseB" or "Inconclusive"; a stabilized row is settled when equal to the one below.
     """
     check_levels(p, n_max)
     if mode not in ("neron", "cohomological"):
@@ -107,49 +59,44 @@ def classify(curve: EllipticCurve, p: int, n_max: int = 2, mode: str = "neron",
     if mode == "neron":
         lratio_val = int(valuation(curve.lratio, p)) if curve.lratio else 0
 
-    report = DichotomyReport(
-        label=curve.label,
-        p=p,
-        n_max=n_max,
-        mode=mode,
-        verdict="Inconclusive",
-        lratio_valuation=lratio_val,
-        normalization_shift=shift,
-    )
-
     tower = MazurTateTower(sym, p, n_max)
-    report.per_level = level_rows(tower, shift)
+    per_level = level_rows(tower, shift)
+    diagnostics = []
 
-    report.theta0_identity_verified = tower.theta0_identity(curve)
-    if not report.theta0_identity_verified:
-        report.diagnostics.append("theta_0 interpolation identity failed")
+    theta0_verified = tower.theta0_identity(curve)
+    if not theta0_verified:
+        diagnostics.append("theta_0 interpolation identity failed")
 
     a_p = curve.a_ell(p)
     precision = tower.stabilized_precision(a_p)
     inverse = pow(unit_root(a_p, p, precision), -1, p**precision)
-    rows = report.stabilized
+    stabilized = []
     for n in range(n_max + 1):
         inv = tower.stabilized(inverse, n).iwasawa_invariants()
-        settled = bool(rows) and (inv.mu, inv.lam) == (rows[-1].mu, rows[-1].lam)
-        rows.append(StabilizedRow(n, inv.mu, inv.lam, settled))
-    report.norm_relation_verified = all(tower.norm_relation(n).passed for n in range(1, n_max + 1))
+        settled = bool(stabilized) and (inv.mu, inv.lam) == (stabilized[-1]["mu"], stabilized[-1]["lambda"])
+        stabilized.append({"n": n, "mu": inv.mu, "lambda": inv.lam, "settled": settled})
+    norm_verified = all(tower.norm_relation(n).passed for n in range(1, n_max + 1))
 
-    report.boundary = boundary_congruence(sym, p)
-    if report.boundary.solvable or _has_rational_p_torsion_signature(curve, p):
-        report.commentary = MULTIPLICITY_ONE_NOTE
+    boundary = boundary_congruence(sym, p)
+    eisenstein = boundary["solvable"] or _has_rational_p_torsion_signature(curve, p)
+    commentary = MULTIPLICITY_ONE_NOTE if eisenstein else ""
 
     # theta_0 = (a_p - 2) phi({inf}-{0}) sigma_1 at a good p forces this valuation
     factor = theta0_interpolation_factor(curve, p)
     if mode == "neron" and factor != 0:
         expected_mu0 = lratio_val + int(valuation(factor, p))
-        if report.per_level[0].mu != expected_mu0:
-            report.diagnostics.append(
-                f"mu(theta_0) = {report.per_level[0].mu} differs from "
+        if per_level[0]["mu"] != expected_mu0:
+            diagnostics.append(
+                f"mu(theta_0) = {per_level[0]['mu']} differs from "
                 f"ord_p(lratio (a_p - 2)) = {expected_mu0}"
             )
 
-    _apply_verdict(report, p, n_max, mode)
-    return report
+    verdict = _verdict(per_level, stabilized, mode, diagnostics)
+    return {"label": curve.label, "p": p, "n_max": n_max, "mode": mode, "verdict": verdict,
+            "lratio_valuation": lratio_val, "normalization_shift": shift,
+            "norm_relation_verified": norm_verified, "theta0_identity_verified": theta0_verified,
+            "per_level": per_level, "stabilized": stabilized, "diagnostics": diagnostics,
+            "commentary": commentary, "boundary": boundary}
 
 
 def _has_rational_p_torsion_signature(curve: EllipticCurve, p: int) -> bool:
@@ -161,41 +108,33 @@ def _has_rational_p_torsion_signature(curve: EllipticCurve, p: int) -> bool:
     )
 
 
-def _apply_verdict(report: DichotomyReport, p: int, n_max: int, mode: str):
-    rows = report.per_level
-    if mode == "neron" and rows[0].mu < 0:
+def _verdict(rows: list, stabilized: list, mode: str, diagnostics: list) -> str:
+    """The verdict on level_rows and the stabilized rows of one tower; a reason for no verdict goes to diagnostics."""
+    if mode == "neron" and rows[0]["mu"] < 0:
         # case-B pattern: constant negative mu, maximal lambda at every level
-        ok = all(r.mu == rows[0].mu and r.is_maximal for r in rows)
-        if ok:
-            report.verdict = "CaseB"
-        else:
-            report.diagnostics.append(
-                "mu(theta_0) < 0 but the constant-mu/maximal-lambda pattern broke"
-            )
-        return
-    if not all(r.integral for r in rows):
-        report.diagnostics.append(
-            "non-integral level found without a negative mu at level 0; no verdict"
-        )
-        return
+        if all(r["mu"] == rows[0]["mu"] and r["is_maximal"] for r in rows):
+            return "CaseB"
+        diagnostics.append("mu(theta_0) < 0 but the constant-mu/maximal-lambda pattern broke")
+        return "Inconclusive"
+    if not all(r["integral"] for r in rows):
+        diagnostics.append("non-integral level found without a negative mu at level 0; no verdict")
+        return "Inconclusive"
     if mode == "cohomological":
-        report.diagnostics.append(
-            "cohomological mode: integrality is automatic, case B is undetectable"
-        )
-    if n_max < 2:
-        report.diagnostics.append("need n_max >= 2 to certify stabilization")
-        return
-    top, prev = report.stabilized[-1], report.stabilized[-2]
-    if (top.mu, top.lam) != (prev.mu, prev.lam):
-        report.diagnostics.append("stabilized invariants have not settled at the top levels")
-        return
+        diagnostics.append("cohomological mode: integrality is automatic, case B is undetectable")
+    if len(rows) < 3:
+        diagnostics.append("need n_max >= 2 to certify stabilization")
+        return "Inconclusive"
+    top, prev = stabilized[-1], stabilized[-2]
+    if (top["mu"], top["lambda"]) != (prev["mu"], prev["lambda"]):
+        diagnostics.append("stabilized invariants have not settled at the top levels")
+        return "Inconclusive"
     for stab, plain in ((top, rows[-1]), (prev, rows[-2])):
-        if (stab.mu, stab.lam) != (plain.mu_coh, plain.lam):
-            report.diagnostics.append(
-                f"level-{plain.n} invariants differ from the stabilized ones; not yet in the stable range"
+        if (stab["mu"], stab["lambda"]) != (plain["mu_coh"], plain["lambda"]):
+            diagnostics.append(
+                f"level-{plain['n']} invariants differ from the stabilized ones; not yet in the stable range"
             )
-            return
-    report.verdict = "CaseA"
+            return "Inconclusive"
+    return "CaseA"
 
 
 class MaximalityReport(Record, frozen=True):

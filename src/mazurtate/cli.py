@@ -105,14 +105,28 @@ def render_json(payload: dict) -> str:
 
 
 def render_csv(columns, payload: dict) -> str:
-    """One row per entry of payload["per_level"]; stab_mu and stab_lambda are blank where no stabilized row is."""
+    """One row per entry of payload["per_level"]; stab_mu and stab_lambda are blank where no stabilized row is.
+
+    csv.writer quotes a field holding a comma, a quote, "\r" or "\n" and
+    writes every other field as is.  Each row is written alone, ended by
+    "\r\n" so that every Python quotes "\r" (before 3.13 only the terminator's
+    characters are), and the rows are joined by "\n".
+    """
+    import csv
+    import io
+
+    def line(fields) -> str:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(fields)
+        return out.getvalue()[:-2]
+
     stab = {r["n"]: r for r in payload.get("stabilized", ())}
-    lines = [",".join(columns)]
+    lines = [line(columns)]
     for r in payload["per_level"]:
         s = stab.get(r["n"], {})
         row = {**r, "label": payload["label"] or "", "p": payload["p"], "mode": payload["mode"],
                "stab_mu": s.get("mu", ""), "stab_lambda": s.get("lambda", ""), "verdict": payload.get("verdict")}
-        lines.append(",".join(str(row[c]) for c in columns))
+        lines.append(line(row[c] for c in columns))
     return "\n".join(lines)
 
 
@@ -129,14 +143,13 @@ def text_analyze(d: dict) -> str:
         )
     lines.append(f"norm relation verified: {d['norm_relation_verified']}; "
                  f"theta0 identity: {d['theta0_identity_verified']}")
-    if "boundary" in d:
-        b = d["boundary"]
-        state = "solvable" if b["solvable"] else "unsolvable"
-        lines.append(f"boundary congruence mod {b['p']}: {state} on classes {b['cusp_classes']}")
-        if b.get("witness") is not None:
-            lines.append(f"  witness psi (gauge psi(inf)=0): {b['witness']}")
-        if b.get("refutation") is not None:
-            lines.append(f"  refutation combination (generator, coeff): {b['refutation']['combination']}")
+    b = d["boundary"]
+    state = "solvable" if b["solvable"] else "unsolvable"
+    lines.append(f"boundary congruence mod {b['p']}: {state} on classes {b['cusp_classes']}")
+    if "witness" in b:
+        lines.append(f"  witness psi (gauge psi(inf)=0): {b['witness']}")
+    if "refutation" in b:
+        lines.append(f"  refutation combination (generator, coeff): {b['refutation']['combination']}")
     for diag in d["diagnostics"]:
         lines.append(f"note: {diag}")
     if d["commentary"]:
@@ -183,7 +196,7 @@ def cmd_analyze(args, curve):
     from .classify import classify
 
     report = classify(curve, args.p, args.n_max, resolve_mode(args, curve), args.cache)
-    return report.to_dict(), report.exit_code
+    return report, 0 if report["verdict"] in ("CaseA", "CaseB") else 2
 
 
 def cmd_invariants(args, curve):
@@ -193,16 +206,15 @@ def cmd_invariants(args, curve):
     check_levels(args.p, args.n_max)
     sym, scalar = cache.load_symbol(curve, mode, args.cache)
     shift = normalization_shift(scalar, args.p)
-    per_level = [r.to_dict() for r in level_rows(MazurTateTower(sym, args.p, args.n_max), shift)]
-    return {"label": curve.label, "p": args.p, "mode": mode,
-            "normalization_shift": shift, "per_level": per_level}, 0
+    return {"label": curve.label, "p": args.p, "mode": mode, "normalization_shift": shift,
+            "per_level": level_rows(MazurTateTower(sym, args.p, args.n_max), shift)}, 0
 
 
 def cmd_boundary(args, curve):
     from .boundary import boundary_congruence
 
     sym, _ = cache.load_symbol(curve, "cohomological", args.cache)
-    return {"label": curve.label, **boundary_congruence(sym, args.p).to_dict()}, 0
+    return {"label": curve.label, **boundary_congruence(sym, args.p)}, 0
 
 
 def cmd_eigensymbol(args, curve):

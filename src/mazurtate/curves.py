@@ -67,6 +67,14 @@ def _integer_field(d: dict, key: str) -> int:
     return int(value)
 
 
+def _text_field(d: dict, key: str) -> str | None:
+    """A string or null; any other value is refused, so a report never echoes it."""
+    value = d.get(key)
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"malformed curve record: {key} must be a string, got {value!r}")
+    return value
+
+
 class EllipticCurve(Record):
     a1: int
     a2: int
@@ -186,9 +194,9 @@ class EllipticCurve(Record):
                 lratio = parse_lratio(d["lratio"])
             return cls(
                 **{key: _integer_field(d, key) for key in ("a1", "a2", "a3", "a4", "a6", "conductor")},
-                label=d.get("label"),
+                label=_text_field(d, "label"),
                 lratio=lratio,
-                lratio_source=d.get("lratio_source"),
+                lratio_source=_text_field(d, "lratio_source"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed curve record: {exc}") from exc

@@ -174,31 +174,22 @@ class MazurTateTower:
         return self.thetas[0].coeffs == (expected,)
 
 
-class LevelRow(Record, frozen=True):
-    n: int
-    mu_coh: int
-    mu: int            # in the operative normalization
-    lam: int
-    is_maximal: bool   # lam == p^n - 1
-    integral: bool     # mu >= 0 in the operative normalization
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "mu_coh": self.mu_coh, "mu": self.mu, "lambda": self.lam,
-                "is_maximal": self.is_maximal, "integral": self.integral}
-
-
 def normalization_shift(scalar, p: int) -> int:
     """ord_p of the Neron scalar from hecke.normalize, 0 for None (cohomological mode): mu moves by this much."""
     return 0 if scalar is None else int(valuation(scalar, p))
 
 
 def level_rows(tower: MazurTateTower, shift: int) -> list:
-    """Per-level invariants of theta_0 .. theta_{n_max}, mu also in the operative normalization."""
+    """Per-level invariants of theta_0 .. theta_{n_max}, as a report's `per_level` rows.
+
+    mu is mu_coh + shift, the operative normalization; is_maximal is lambda = p^n - 1, integral is mu >= 0.
+    """
     rows = []
     for n, theta in enumerate(tower.thetas):
         inv = theta.iwasawa_invariants()
-        mu_op = inv.mu + shift
-        rows.append(LevelRow(n, inv.mu, mu_op, inv.lam, inv.lam == tower.p**n - 1, mu_op >= 0))
+        mu = inv.mu + shift
+        rows.append({"n": n, "mu_coh": inv.mu, "mu": mu, "lambda": inv.lam,
+                     "is_maximal": inv.lam == tower.p**n - 1, "integral": mu >= 0})
     return rows
 
 

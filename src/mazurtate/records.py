@@ -2,11 +2,10 @@
 
 ``class Point(Record): x: int; y: int = 0`` gets ``__init__(x, y=0)``, which
 takes the fields positionally or by name, ``__eq__`` between records of the
-same class, and the ``__repr__`` ``Point(x=1, y=0)``.  A list or dict
-default is copied for each instance.  ``__post_init__``, where a class
-defines one, runs at the end of ``__init__``.  ``class Point(Record,
-frozen=True)`` also gets ``__hash__`` and refuses assignment and deletion.
-A mutable record is unhashable.  No code is generated: the methods below
+same class, and the ``__repr__`` ``Point(x=1, y=0)``.  ``__post_init__``,
+where a class defines one, runs at the end of ``__init__``.
+``class Point(Record, frozen=True)`` also gets ``__hash__`` and refuses
+assignment and deletion.  A mutable record is unhashable.  No code is generated: the methods below
 serve every record and read its class's ``_fields`` and ``_defaults``.
 """
 
@@ -37,8 +36,6 @@ class Record:
                 value = values[name]
             elif name in cls._defaults:
                 value = cls._defaults[name]
-                if type(value) in (list, dict):
-                    value = value.copy()
             else:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
             object.__setattr__(self, name, value)

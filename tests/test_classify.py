@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mazurtate import classify as classify_module
-from mazurtate.classify import _solving_units, classify, maximality_criterion
+from mazurtate.classify import _solving_units, _verdict, classify, maximality_criterion
 from mazurtate.elements import MazurTateTower
 from mazurtate.errors import BoundExceeded, InputError, NotGoodOrdinary
 from mazurtate.padics import unit_root
@@ -14,47 +14,45 @@ from .conftest import make_curve, record_cusps
 
 def test_26b1_case_b():
     report = classify(make_curve("26b1"), 7, 2, "neron")
-    assert report.verdict == "CaseB"
-    assert report.lratio_valuation == -1
-    for row in report.per_level:
-        assert row.mu == -1
-        assert row.lam == 7**row.n - 1
-        assert row.is_maximal and not row.integral
-    assert report.norm_relation_verified
-    assert report.theta0_identity_verified
-    assert report.boundary.solvable
-    assert report.exit_code == 0
+    assert report["verdict"] == "CaseB"
+    assert report["lratio_valuation"] == -1
+    for row in report["per_level"]:
+        assert row["mu"] == -1
+        assert row["lambda"] == 7**row["n"] - 1
+        assert row["is_maximal"] and not row["integral"]
+    assert report["norm_relation_verified"]
+    assert report["theta0_identity_verified"]
+    assert report["boundary"]["solvable"]
 
 
 def test_11a_case_b_with_neron_mode():
     report = classify(make_curve("11a"), 5, 3, "neron")
-    assert report.verdict == "CaseB"
-    assert [row.lam for row in report.per_level] == [0, 4, 24, 124]
-    assert [row.mu for row in report.per_level] == [-1, -1, -1, -1]
-    assert [row.mu_coh for row in report.per_level] == [0, 0, 0, 0]
+    assert report["verdict"] == "CaseB"
+    assert [row["lambda"] for row in report["per_level"]] == [0, 4, 24, 124]
+    assert [row["mu"] for row in report["per_level"]] == [-1, -1, -1, -1]
+    assert [row["mu_coh"] for row in report["per_level"]] == [0, 0, 0, 0]
 
 
 def test_174b1_case_a():
     report = classify(make_curve("174b1"), 7, 3, "neron")
-    assert report.verdict == "CaseA"
-    assert all(row.integral for row in report.per_level)
-    top, prev = report.stabilized[-1], report.stabilized[-2]
-    assert (top.mu, top.lam) == (prev.mu, prev.lam)
-    plain = report.per_level[-1]
-    assert (top.mu, top.lam) == (plain.mu_coh, plain.lam)
-    assert not report.boundary.solvable
-    assert report.exit_code == 0
+    assert report["verdict"] == "CaseA"
+    assert all(row["integral"] for row in report["per_level"])
+    top, prev = report["stabilized"][-1], report["stabilized"][-2]
+    assert (top["mu"], top["lambda"]) == (prev["mu"], prev["lambda"])
+    plain = report["per_level"][-1]
+    assert (top["mu"], top["lambda"]) == (plain["mu_coh"], plain["lambda"])
+    assert not report["boundary"]["solvable"]
 
 
 def test_cohomological_mode_gives_same_lambda_different_mu():
     neron = classify(make_curve("26b1"), 7, 2, "neron")
     coh = classify(make_curve("26b1"), 7, 2, "cohomological")
-    assert [r.lam for r in neron.per_level] == [r.lam for r in coh.per_level]
-    shift = neron.normalization_shift
+    assert [r["lambda"] for r in neron["per_level"]] == [r["lambda"] for r in coh["per_level"]]
+    shift = neron["normalization_shift"]
     assert shift == -1
-    assert all(rn.mu == rc.mu + shift for rn, rc in zip(neron.per_level, coh.per_level))
+    assert all(rn["mu"] == rc["mu"] + shift for rn, rc in zip(neron["per_level"], coh["per_level"]))
     # cohomological mode cannot certify case B
-    assert coh.verdict == "Inconclusive"
+    assert coh["verdict"] == "Inconclusive"
 
 
 def test_additive_prime_refused():
@@ -75,8 +73,7 @@ def test_nonordinary_prime_refused():
 
 
 def test_report_serialization_has_no_floats():
-    report = classify(make_curve("26b1"), 7, 1, "neron")
-    d = report.to_dict()
+    d = classify(make_curve("26b1"), 7, 1, "neron")
 
     def scan(x):
         assert not isinstance(x, float)
@@ -90,6 +87,50 @@ def test_report_serialization_has_no_floats():
     scan(d)
     assert d["verdict"] == "CaseB"
     assert {"n", "mu_coh", "mu", "lambda", "is_maximal", "integral"} <= set(d["per_level"][0])
+
+
+def level(n, mu_coh, lam, shift=0):
+    """A per_level row at p = 5, as elements.level_rows builds it."""
+    return {"n": n, "mu_coh": mu_coh, "mu": mu_coh + shift, "lambda": lam,
+            "is_maximal": lam == 5**n - 1, "integral": mu_coh + shift >= 0}
+
+
+def stable(*pairs):
+    """Stabilized rows with the given (mu, lambda), level by level."""
+    return [{"n": n, "mu": mu, "lambda": lam, "settled": n > 0 and (mu, lam) == pairs[n - 1]}
+            for n, (mu, lam) in enumerate(pairs)]
+
+
+COHOMOLOGICAL_NOTE = "cohomological mode: integrality is automatic, case B is undetectable"
+
+
+@pytest.mark.parametrize(("mode", "rows", "stabilized", "verdict", "reasons"), [
+    ("neron", [level(0, 0, 0, -1), level(1, 0, 4, -1), level(2, 0, 24, -1)], stable((0, 0), (0, 0), (0, 0)),
+     "CaseB", []),
+    ("neron", [level(0, 0, 0, -1), level(1, 0, 3, -1), level(2, 0, 24, -1)], stable((0, 0), (0, 0), (0, 0)),
+     "Inconclusive", ["mu(theta_0) < 0 but the constant-mu/maximal-lambda pattern broke"]),
+    ("neron", [level(0, 0, 0), level(1, -1, 4), level(2, 0, 2)], stable((0, 0), (0, 2), (0, 2)),
+     "Inconclusive", ["non-integral level found without a negative mu at level 0; no verdict"]),
+    ("neron", [level(0, 0, 0), level(1, 0, 2)], stable((0, 0), (0, 2)),
+     "Inconclusive", ["need n_max >= 2 to certify stabilization"]),
+    ("cohomological", [level(0, 0, 0), level(1, 0, 2)], stable((0, 0), (0, 2)),
+     "Inconclusive", [COHOMOLOGICAL_NOTE, "need n_max >= 2 to certify stabilization"]),
+    ("neron", [level(0, 0, 0), level(1, 0, 2), level(2, 0, 3)], stable((0, 0), (0, 2), (0, 3)),
+     "Inconclusive", ["stabilized invariants have not settled at the top levels"]),
+    ("neron", [level(0, 0, 0), level(1, 0, 2), level(2, 0, 3)], stable((0, 0), (0, 2), (0, 2)),
+     "Inconclusive", ["level-2 invariants differ from the stabilized ones; not yet in the stable range"]),
+    ("neron", [level(0, 0, 0), level(1, 0, 3), level(2, 0, 2)], stable((0, 0), (0, 2), (0, 2)),
+     "Inconclusive", ["level-1 invariants differ from the stabilized ones; not yet in the stable range"]),
+    ("neron", [level(0, 0, 0), level(1, 0, 2), level(2, 0, 2)], stable((0, 0), (0, 2), (0, 2)),
+     "CaseA", []),
+    ("cohomological", [level(0, 0, 0), level(1, 0, 2), level(2, 0, 2)], stable((0, 0), (0, 2), (0, 2)),
+     "CaseA", [COHOMOLOGICAL_NOTE]),
+], ids=["case-b", "pattern-broke", "non-integral", "n-max-below-2", "cohomological-n-max-below-2",
+        "not-settled", "top-level-differs", "level-below-differs", "case-a", "cohomological-case-a"])
+def test_each_verdict_exit_returns_its_verdict_and_appends_its_reasons(mode, rows, stabilized, verdict, reasons):
+    diagnostics = ["an earlier note"]
+    assert _verdict(rows, stabilized, mode, diagnostics) == verdict
+    assert diagnostics == ["an earlier note", *reasons]
 
 
 def test_maximality_criterion_11a():
@@ -201,7 +242,7 @@ def test_classify_evaluates_each_cusp_once(monkeypatch):
     # in the normalization (content-one rescaling and the Neron scalar)
     calls = record_cusps(monkeypatch)
     report = classify(make_curve("26b1"), 7, 3, "neron")
-    assert report.norm_relation_verified and report.theta0_identity_verified
+    assert report["norm_relation_verified"] and report["theta0_identity_verified"]
     assert len(calls) <= len(set(calls)) + 2
     # phi({inf}-{0}) and a/7^k, a < 7^k/2, k = 1..4: the walk went through the loop
     assert len({cusp for _, cusp in calls}) == 1 + 3 + 21 + 147 + 1029
@@ -219,7 +260,7 @@ def test_classify_builds_each_stabilized_element_once(monkeypatch):
 
     monkeypatch.setattr(MazurTateTower, "stabilized", counted)
     report = classify(make_curve("26b1"), 7, 3, "neron")
-    assert report.norm_relation_verified
+    assert report["norm_relation_verified"]
     assert calls == [0, 1, 2, 3]
 
 
@@ -239,4 +280,4 @@ def test_classify_computes_one_unit_root(monkeypatch):
         report = classify(curve, p, n_max, "neron")
         tower = MazurTateTower(classify_module.load_symbol(curve)[0], p, n_max)
         assert calls == [(curve.a_ell(p), p, tower.stabilized_precision(curve.a_ell(p)))]
-        assert len(report.stabilized) == n_max + 1
+        assert len(report["stabilized"]) == n_max + 1

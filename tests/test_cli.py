@@ -1,6 +1,8 @@
 import argparse
 import ast
+import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -49,6 +51,12 @@ def test_analyze_cohomological_mode_inconclusive_exit_2(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--curve", "26b1", "--p", "7", "--n-max", "2", "--mode", "coh", "--format", "json")
     assert code == 2
     assert json.loads(out)["verdict"] == "Inconclusive"
+
+
+def test_analyze_174b1_case_a_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--curve", "174b1", "--p", "7", "--n-max", "3", "--mode", "neron",
+                           "--format", "json")
+    assert (code, json.loads(out)["verdict"]) == (0, "CaseA")
 
 
 def test_analyze_bad_prime_exit_3(capsys):
@@ -106,6 +114,18 @@ def test_csv_column_order(capsys):
     assert header == ",".join(CSV_ANALYZE_COLUMNS)
     _, out, _ = run_cli(capsys, "invariants", "--curve", "26b1", "--p", "7", "--n-max", "1", "--format", "csv")
     assert out.splitlines()[0] == ",".join(CSV_INVARIANTS_COLUMNS)
+
+
+@pytest.mark.parametrize("label", ["x,y", 'a"b', "two\nlines", "carriage\rreturn"],
+                         ids=["comma", "quote", "newline", "carriage-return"])
+def test_csv_quotes_a_label_that_needs_it(capsys, label):
+    code, out, _ = run_cli(capsys, "analyze", "--coeffs", "1,-1,1,-3,3", "--conductor", "26", "--label", label,
+                           "--lratio", "1/7", "--p", "7", "--n-max", "1", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == CSV_ANALYZE_COLUMNS
+    assert len(rows) == 3 and all(len(row) == len(CSV_ANALYZE_COLUMNS) for row in rows)
+    assert [row[0] for row in rows[1:]] == [label, label]
 
 
 def test_json_outputs_are_deterministic(capsys):
@@ -484,6 +504,18 @@ def test_readme_cache_names_match_the_cache():
     assert all(cache.CACHE_FILE_NAME.fullmatch(name) for name in names), names
 
 
+def test_readme_library_example_prints_the_analyze_payload(capsys, monkeypatch):
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    section = (ROOT / "README.md").read_text().split("\n## Library entry points\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    verdict, payload = capsys.readouterr().out.splitlines()
+    assert verdict == "CaseB"
+    _, out, _ = run_cli(capsys, "analyze", "--curve", "26b1", "--p", "7", "--n-max", "2", "--mode", "neron",
+                        "--format", "json")
+    assert json.loads(payload) == json.loads(out)
+
+
 def write_curve(tmp_path, record):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(record))
@@ -570,6 +602,16 @@ def test_non_integer_curve_fields_are_input_errors(tmp_path, capsys, key, value)
     assert code == 3
     assert json.loads(err)["error"] == "input_error"
     assert key in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("key", ["label", "lratio_source"])
+@pytest.mark.parametrize("value", [["x", 1], 11], ids=["list", "int"])
+def test_a_curve_record_text_field_that_is_not_a_string_is_an_input_error(tmp_path, capsys, key, value):
+    path = write_curve(tmp_path, {**RECORD_11A, key: value})
+    code, out, err = run_cli(capsys, "boundary", "--curve", path, "--p", "5", "--format", "json")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": "input_error",
+                               "message": f"malformed curve record: {key} must be a string, got {value!r}"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ ALLOWED = {
     "maximality_criterion": "README lists it among the library entry points",
     "GroupRingElement.identity": "the group-ring calculus README names as library API",
     "GroupRingElement.augmentation": "the group-ring calculus README names as library API",
-    "RefutationCertificate.verify": "the checker of the refutation certificate a boundary report carries",
     "_Parser.error": "argparse calls it on every usage error, which makes each one an input_error",
 }
 
@@ -32,8 +31,6 @@ SHARED = {
     "classify": "classify.classify runs analyze; CuspClassTable.classify serves class_of_infinity, "
                 "which boundary_congruence calls",
     "normalize": "hecke.normalize is called by cache.load_symbol; P1List.normalize by P1List.__init__ and index",
-    "to_dict": "cli renders DichotomyReport.to_dict, LevelRow.to_dict and BoundaryCongruenceResult.to_dict, "
-               "and DichotomyReport.to_dict calls the other two",
 }
 
 

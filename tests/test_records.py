@@ -1,7 +1,7 @@
 """Record semantics: constructors, equality, hashing, frozen fields, defaults."""
 import pytest
 
-from mazurtate.classify import DichotomyReport, StabilizedRow
+from mazurtate.curves import EllipticCurve
 from mazurtate.groupring import GroupLevel, GroupRingElement
 
 from .conftest import make_curve
@@ -29,35 +29,28 @@ def test_equal_levels_are_equal_and_hash_equal():
 
 
 def test_mutable_records_are_unhashable():
-    report = DichotomyReport("11a", 5, 1, "neron", "CaseA")
     with pytest.raises(TypeError):
-        hash(report)
+        hash(EllipticCurve(0, -1, 1, -10, -20, 11))
     with pytest.raises(TypeError):
         hash(make_curve("11a"))
 
 
-def test_default_lists_are_not_shared():
-    first = DichotomyReport("11a", 5, 1, "neron", "CaseA")
-    second = DichotomyReport("11a", 5, 1, "neron", "CaseA")
-    first.per_level.append(1)
-    first.stabilized.append(2)
-    first.diagnostics.append("note")
-    assert second.per_level == second.stabilized == second.diagnostics == []
-    assert first != second
-
-
 def test_constructor_arguments_and_defaults():
-    row = StabilizedRow(2, -1, 3)
-    assert row == StabilizedRow(n=2, mu=-1, lam=3, settled=False)
-    assert repr(row) == "StabilizedRow(n=2, mu=-1, lam=3, settled=False)"
+    curve = EllipticCurve(0, -1, 1, -10, -20, 11)
+    assert curve == EllipticCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20, conductor=11,
+                                  label=None, lratio=None, lratio_source=None)
+    assert repr(curve) == ("EllipticCurve(a1=0, a2=-1, a3=1, a4=-10, a6=-20, conductor=11, "
+                           "label=None, lratio=None, lratio_source=None)")
     with pytest.raises(TypeError):
-        StabilizedRow(2, -1)
+        EllipticCurve(0, -1, 1, -10, -20)
     with pytest.raises(TypeError):
-        StabilizedRow(2, -1, 3, True, 0)
+        EllipticCurve(0, -1, 1, -10, -20, 11, "11a", None, None, 0)
     with pytest.raises(TypeError):
-        StabilizedRow(2, -1, 3, n=2)
+        EllipticCurve(0, -1, 1, -10, -20, 11, a1=0)
     with pytest.raises(TypeError):
-        StabilizedRow(2, -1, 3, unknown=0)
+        EllipticCurve(0, -1, 1, -10, -20, 11, unknown=0)
+    with pytest.raises(TypeError):
+        GroupLevel(5)
 
 
 def test_post_init_checks_still_run():
