@@ -10,6 +10,7 @@ returns the report as the JSON-ready dict `analyze` renders.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import takewhile
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .elements import (MAX_WALKED_LEVEL, MazurTateTower, check_levels, level_row
 from .errors import BoundExceeded, InputError, NotGoodOrdinary
 from .padics import unit_root, valuation
 from .primes import int_valuation, primes
-from .records import Record
 
 MULTIPLICITY_ONE_NOTE = (
     "A boundary congruence at squarefree level is the mod-p multiplicity-one "
@@ -137,12 +137,8 @@ def _verdict(rows: list, stabilized: list, mode: str, diagnostics: list) -> str:
     return "CaseA"
 
 
-class MaximalityReport(Record, frozen=True):
-    holds: bool
-    t: int
-    ord_p_phi0: int
-    alphas: tuple          # unit residues mod p^t satisfying the congruence
-    conclusions_verified: bool | None
+# alphas: the unit residues mod p^t satisfying the congruence
+MaximalityReport = namedtuple("MaximalityReport", "holds t ord_p_phi0 alphas conclusions_verified")
 
 
 def maximality_criterion(sym, p: int, n_max: int, t: int = 1) -> MaximalityReport:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .errors import BoundExceeded, InputError
 from .primes import int_valuation, is_prime
-from .records import Record
 
 ELL_BOUND = 100000
 # the largest conductor exponent of an elliptic curve over Q at 2 and 3
@@ -75,19 +74,18 @@ def _text_field(d: dict, key: str) -> str | None:
     return value
 
 
-class EllipticCurve(Record):
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    conductor: int
-    label: str | None = None
-    lratio: Fraction | None = None  # L(E,1)/Omega_E, supplied (Neron normalization)
-    lratio_source: str | None = None
+class EllipticCurve:
+    """A Weierstrass model with its stated conductor and, if supplied, lratio = L(E,1)/Omega_E
+    (Neron normalization).  Curves are equal when their nine arguments are, whatever their
+    a_ell memos hold; the CLI sets lratio, so they are unhashable."""
 
-    def __post_init__(self):
-        self._ap_cache = {}  # a_ell memo; not a field, so equality ignores it
+    _FIELDS = ("a1", "a2", "a3", "a4", "a6", "conductor", "label", "lratio", "lratio_source")
+
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int, conductor: int,
+                 label: str | None = None, lratio: Fraction | None = None, lratio_source: str | None = None):
+        self.a1, self.a2, self.a3, self.a4, self.a6, self.conductor = a1, a2, a3, a4, a6, conductor
+        self.label, self.lratio, self.lratio_source = label, lratio, lratio_source
+        self._ap_cache = {}  # a_ell memo
         if self.discriminant == 0:
             raise InputError("singular Weierstrass model")
         if self.conductor < 1:
@@ -100,6 +98,14 @@ class EllipticCurve(Record):
             raise InputError(
                 f"the stated conductor {self.conductor} has a prime factor that does not divide the discriminant"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
+
+    def __repr__(self):
+        return f"EllipticCurve({', '.join(f'{name}={getattr(self, name)!r}' for name in self._FIELDS)})"
 
     # -- classical b/c quantities --
 

@@ -13,13 +13,13 @@ relation certifies.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import BoundExceeded, ZeroElement
 from .groupring import GroupLevel, GroupRingElement
 from .padics import valuation
 from .primes import int_valuation
-from .records import Record
 
 MAX_LAYER_DEGREE = 10_000  # p^n_max above this is refused before any evaluation
 MAX_WALKED_LEVEL = 100_000  # so is p^(n_max+1), the modulus of the top level of cusps walked
@@ -203,13 +203,11 @@ def stabilized_mazur_tate(sym, inverse: int, p: int, n: int) -> GroupRingElement
     return MazurTateTower(sym, p, n).stabilized(inverse, n)
 
 
-class ResidualReport(Record, frozen=True):
+class ResidualReport(namedtuple("ResidualReport", "level_n passed residual_valuation_floors")):
     """Exact ord_p of a residual, coefficient by coefficient (math.inf for a
     zero coefficient); passed when every coefficient is 0."""
 
-    level_n: int
-    passed: bool
-    residual_valuation_floors: tuple
+    __slots__ = ()
 
 
 def check_norm_relation(sym, p: int, n: int) -> ResidualReport:

@@ -20,23 +20,23 @@ gamma^k (elements.walk_levels).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NotAGenerator, ZeroElement
 from .primes import int_valuation, require_odd_prime
-from .records import Record
 
 
-class GroupLevel(Record, frozen=True):
+class GroupLevel(namedtuple("GroupLevel", "p n")):
     """Level-n layer: G_n cyclic of order p^n with gamma = image of sigma_{1+p}."""
 
-    p: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_odd_prime(self.p)
-        if self.n < 0:
+    def __new__(cls, p: int, n: int):
+        require_odd_prime(p)
+        if n < 0:
             raise ValueError("level must be nonnegative")
+        return super().__new__(cls, p, n)
 
     @property
     def order(self) -> int:
@@ -95,12 +95,7 @@ def _lambda_mod_p(coeffs, p: int) -> int:
     return lam
 
 
-class IwasawaInvariants(Record, frozen=True):
-    mu: int
-    lam: int
-
-    def as_tuple(self):
-        return (self.mu, self.lam)
+IwasawaInvariants = namedtuple("IwasawaInvariants", "mu lam")
 
 
 class GroupRingElement:
@@ -248,12 +243,8 @@ def invariants_with_generator(F: GroupRingElement, t: int) -> IwasawaInvariants:
     return F.reindexed_by_generator_power(t).iwasawa_invariants()
 
 
-class SumCancellationReport(Record, frozen=True):
-    hypothesis_met: bool
-    sum_invariants: IwasawaInvariants | None
-    left_invariants: IwasawaInvariants
-    right_invariants: IwasawaInvariants
-    conclusion_holds: bool | None
+SumCancellationReport = namedtuple(
+    "SumCancellationReport", "hypothesis_met sum_invariants left_invariants right_invariants conclusion_holds")
 
 
 def sum_cancellation_check(F1: GroupRingElement, F2: GroupRingElement) -> SumCancellationReport:

@@ -11,7 +11,7 @@ those pivots.  The Manin-symbol relation quotient is computed this way (its
 basis alone needs only the fold), and so is the Hecke eigenline when its
 fast path cannot be certified.
 
-The fast path works modulo the 61-bit prime MODULUS: `residue_row` reduces a
+The fast path works modulo the 24-bit prime MODULUS: `residue_row` reduces a
 rational row (None if a denominator is divisible by the prime), `fold_mod`
 folds residue rows into pivot rows packed one int each, down to a line,
 `line_mod` resolves that line's vector, and `rational_reconstruction` lifts a
@@ -24,7 +24,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, isqrt
 
-MODULUS = 2**61 - 1  # a Mersenne prime
+MODULUS = 16777213  # the largest prime below 2^24
 
 
 def exact(x):

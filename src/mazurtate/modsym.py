@@ -301,13 +301,18 @@ def build_space(N: int, plus: bool = True) -> ManinSymbolSpace:
     var_expr = {v: ((pos[v], 1),) for v in free}
     for v, row in pivots.items():
         var_expr[v] = tuple(sorted((pos[k], c) for k, c in row.items()))
+    negated = {}  # one negated expression per representative, shared by its sign -1 generators
     expressions = []
     for i in range(len(p1)):
         if zero[i]:
             expressions.append(())
+        elif rep_sign[i] == 1:
+            expressions.append(var_expr[rep[i]])
         else:
-            base = var_expr[rep[i]]
-            expressions.append(base if rep_sign[i] == 1 else tuple((t, -c) for t, c in base))
+            r = rep[i]
+            if r not in negated:
+                negated[r] = tuple((t, -c) for t, c in var_expr[r])
+            expressions.append(negated[r])
     return ManinSymbolSpace(N, p1, free, expressions, plus)
 
 

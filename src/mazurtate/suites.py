@@ -8,18 +8,16 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 from .groupring import GroupLevel, GroupRingElement, invariants_with_generator, sum_cancellation_check
-from .records import Record
 
 SUITE_PARAMS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
 
 
-class SuiteResult(Record):
-    name: str
-    cases: int
-    violations: int
+class SuiteResult(namedtuple("SuiteResult", "name cases violations")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -138,11 +136,11 @@ def generator_independence_suite(cases: int, seed: int = 0) -> SuiteResult:
         if F.is_zero():
             continue
         done += 1
-        base = F.iwasawa_invariants().as_tuple()
+        base = F.iwasawa_invariants()
         for t in range(1, level.order):
             if math.gcd(t, p) != 1:
                 continue
-            if invariants_with_generator(F, t).as_tuple() != base:
+            if invariants_with_generator(F, t) != base:
                 violations += 1
                 break
     return SuiteResult("generator independence", done, violations)

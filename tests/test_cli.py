@@ -307,7 +307,7 @@ def test_a_run_without_a_cache_leaves_hashlib_out(argv):
     ["selftest", "--cases", "1"],
 ], ids=["import", "eigensymbol", "boundary", "analyze", "selftest"])
 def test_records_leave_dataclasses_and_inspect_out(argv):
-    probe = "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules)"
+    probe = "sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules)"
     bare = run_probe(f"import sys; print({probe})").strip()
     result = run_probe(COMMAND_PROBE.format(modules=probe), *argv).strip()
     assert result == "0 []" or (bare != "[]" and result == f"0 {bare}")

@@ -4,7 +4,8 @@ from functools import partial
 
 import pytest
 
-from mazurtate import hecke
+from mazurtate import cache, hecke
+from mazurtate.cli import main
 from mazurtate.curves import EllipticCurve
 from mazurtate.errors import EigenspaceNotOneDimensional, InconsistentEigenvalues, RankPositive
 from mazurtate.hecke import eigensymbol, hecke_matrix, merel_matrices, normalize, sturm_bound
@@ -264,6 +265,18 @@ def test_certified_eigenline_matches_the_exact_one(level_cases, label):
     assert coords is not None and all(isinstance(c, int) for c in coords)
     assert _content_one_coords(space, coords) == expected
     assert eigensymbol(space, curve).coords == expected
+
+
+@pytest.mark.parametrize("curve", [
+    *(f"--curve {label}" for label in ("11a", "26b1", "50b1", "174b1")),
+    *(f"--coeffs {','.join(map(str, coeffs))} --conductor {N}" for *coeffs, N in LEVEL_CURVES.values()),
+    "--coeffs 0,0,1,-7,6 --conductor 5077",
+])
+def test_the_certified_path_serves_every_shipped_and_bench_curve(curve, capsys, monkeypatch):
+    # the exact elimination is only the fallback: at MODULUS none of these needs it
+    monkeypatch.delenv(cache.ENV_CACHE_DIR, raising=False)
+    monkeypatch.setattr(hecke, "_exact_eigenline", lambda *args: pytest.fail("the exact elimination ran"))
+    assert main(["eigensymbol", *curve.split()]) == 0
 
 
 @pytest.mark.parametrize("label", ["11a", "26b1", "50b1", "174b1", "389a1", "571a1", "681b1"])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -278,7 +279,7 @@ def test_residue_row():
 
 def test_rational_reconstruction_recovers_small_fractions():
     rng = random.Random(11)
-    bound = 2**30  # below sqrt(MODULUS / 2)
+    bound = isqrt(MODULUS // 2)  # the reconstruction bound sqrt(MODULUS / 2)
     for _ in range(300):
         x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
         a = x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS

@@ -19,6 +19,7 @@ from mazurtate.modsym import (
     P1List,
     ModularSymbol,
     _involution,
+    _relations,
     as_cusp,
     build_space,
     cusp_count,
@@ -173,6 +174,16 @@ def test_space_presentation_is_pinned(N):
     sp = build_space(N, plus=False)
     payload = json.dumps([list(sp.basis), [[[t, str(c)] for t, c in e] for e in sp.expressions]])
     assert hashlib.sha256(payload.encode()).hexdigest() == SPACE_DIGESTS[N]
+
+
+def test_sign_minus_one_generators_share_their_representatives_negated_expression():
+    space = build_space(681)
+    _, zero, rep, rep_sign, _ = _relations(681, plus=True)
+    minus = [i for i in range(len(space.p1)) if not zero[i] and rep_sign[i] == -1]
+    negated = {}
+    for i in minus:
+        assert negated.setdefault(rep[i], space.expressions[i]) is space.expressions[i]
+    assert len(negated) < len(minus)  # the orbits {i, Si, Ji, SJi} give most representatives two
 
 
 def is_exact(x):
